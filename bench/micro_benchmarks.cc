@@ -1,6 +1,9 @@
 // Supporting micro-benchmarks (google-benchmark): the per-step costs behind
-// Table III — policy inference, DDPG updates, replay sampling, drift
-// detection and base-model prediction.
+// Table III — policy inference, DDPG updates, the Adam step, replay
+// sampling, drift detection and base-model prediction.
+
+#include <utility>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +13,8 @@
 #include "core/eadrl.h"
 #include "math/linalg.h"
 #include "models/tree.h"
+#include "nn/optimizer.h"
+#include "nn/param.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "rl/ddpg.h"
@@ -52,6 +57,47 @@ void BM_DdpgUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_DdpgUpdate);
 
+// One Adam step over parameters shaped like the 10->64->64->43 actor (7 659
+// entries), after 500 untimed live steps. With `dead_every` > 0, every
+// dead_every-th entry then becomes a dead unit: its gradient is exactly zero
+// for 8 000 untimed steps and the timed ones, long enough for an unflushed
+// first moment to turn subnormal.
+void AdamStepOverActor(benchmark::State& state, size_t dead_every) {
+  eadrl::Rng rng = eadrl::bench::BenchRng(7);
+  std::vector<eadrl::nn::Param> params;
+  for (const auto& [rows, cols] : std::vector<std::pair<size_t, size_t>>{
+           {10, 64}, {1, 64}, {64, 64}, {1, 64}, {64, 43}, {1, 43}}) {
+    params.emplace_back(rows, cols);
+    for (double& g : params.back().grad.data()) g = rng.Normal(0.0, 0.1);
+  }
+  std::vector<eadrl::nn::Param*> param_ptrs;
+  for (eadrl::nn::Param& p : params) param_ptrs.push_back(&p);
+  eadrl::nn::Adam adam(0.01);
+  adam.Register(param_ptrs);
+  for (int i = 0; i < 500; ++i) adam.Step();
+  if (dead_every > 0) {
+    for (eadrl::nn::Param& p : params) {
+      std::vector<double>& grad = p.grad.data();
+      for (size_t j = 0; j < grad.size(); j += dead_every) grad[j] = 0.0;
+    }
+    for (int i = 0; i < 8000; ++i) adam.Step();
+  }
+  for (auto _ : state) {
+    adam.Step();
+    benchmark::DoNotOptimize(params.front().value.data().data());
+    benchmark::ClobberMemory();
+  }
+  eadrl::bench::RegisterThreads(state, 1);
+}
+
+void BM_AdamStep(benchmark::State& state) { AdamStepOverActor(state, 0); }
+BENCHMARK(BM_AdamStep);
+
+void BM_AdamStepDeadUnits(benchmark::State& state) {
+  AdamStepOverActor(state, 4);
+}
+BENCHMARK(BM_AdamStepDeadUnits);
+
 void BM_ReplaySampleMedianSplit(benchmark::State& state) {
   eadrl::rl::ReplayBuffer buffer(5000);
   eadrl::Rng rng = eadrl::bench::BenchRng(2);
@@ -70,6 +116,32 @@ void BM_ReplaySampleMedianSplit(benchmark::State& state) {
   eadrl::bench::RegisterThreads(state, 1);
 }
 BENCHMARK(BM_ReplaySampleMedianSplit);
+
+// The training loop's replay traffic: per DDPG update, the executed
+// transition plus eight counterfactual ones go into a full 5 000-transition
+// ring of rank rewards (k/43, many ties), then one median-split batch is
+// drawn. Unlike BM_ReplaySampleMedianSplit this times the Adds, which keep
+// the rewards sorted for the median.
+void BM_ReplayAddSampleMedianSplit(benchmark::State& state) {
+  eadrl::rl::ReplayBuffer buffer(5000);
+  eadrl::Rng rng = eadrl::bench::BenchRng(8);
+  auto add = [&]() {
+    eadrl::rl::Transition t;
+    t.state = {0.0};
+    t.action = {1.0};
+    t.reward = static_cast<double>(rng.Index(44)) / 43.0;
+    t.next_state = {0.0};
+    buffer.Add(std::move(t));
+  };
+  for (int i = 0; i < 5000; ++i) add();
+  for (auto _ : state) {
+    for (int i = 0; i < 9; ++i) add();
+    benchmark::DoNotOptimize(buffer.Sample(
+        16, eadrl::rl::SamplingStrategy::kMedianSplit, rng));
+  }
+  eadrl::bench::RegisterThreads(state, 1);
+}
+BENCHMARK(BM_ReplayAddSampleMedianSplit);
 
 void BM_ReplaySampleUniform(benchmark::State& state) {
   eadrl::rl::ReplayBuffer buffer(5000);

@@ -176,6 +176,10 @@ class EadrlCombiner : public WeightedCombiner {
   /// prune_top_n is set).
   const std::vector<size_t>& active_models() const { return active_models_; }
 
+  /// Size of the pool the policy was trained on: the length of the member
+  /// forecast vector Predict and Update take.
+  size_t num_models() const { return num_models_; }
+
   /// Number of online policy updates performed so far (0 unless an
   /// OnlineUpdateMode is enabled).
   size_t online_updates() const { return online_updates_; }

@@ -1,6 +1,7 @@
 #include "nn/optimizer.h"
 
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 
@@ -57,16 +58,28 @@ void Adam::Step() {
   ++t_;
   double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  // A parameter whose gradient stays exactly zero (a dead ReLU unit) has
+  // moments that decay geometrically into the subnormal range and never
+  // reach zero; x86 computes on subnormals through slow microcode assists.
+  // Flushing them to +0.0 moves no weight: see DESIGN.md §8, "Training-loop
+  // numerics", for the bound.
+  constexpr double kMinNormal = std::numeric_limits<double>::min();
   for (size_t i = 0; i < params_.size(); ++i) {
     auto& val = params_[i]->value.data();
     const auto& grad = params_[i]->grad.data();
     auto& m = m_[i].data();
     auto& v = v_[i].data();
     for (size_t j = 0; j < val.size(); ++j) {
-      m[j] = beta1_ * m[j] + (1.0 - beta1_) * grad[j];
-      v[j] = beta2_ * v[j] + (1.0 - beta2_) * grad[j] * grad[j];
-      double mhat = m[j] / bc1;
-      double vhat = v[j] / bc2;
+      // Flushed as locals before the stores: flushing m[j] and v[j] in place
+      // measured ~7% slower with live gradients.
+      double mj = beta1_ * m[j] + (1.0 - beta1_) * grad[j];
+      double vj = beta2_ * v[j] + (1.0 - beta2_) * grad[j] * grad[j];
+      if (std::fabs(mj) < kMinNormal) mj = 0.0;
+      if (vj < kMinNormal) vj = 0.0;  // vj >= 0.
+      m[j] = mj;
+      v[j] = vj;
+      double mhat = mj / bc1;
+      double vhat = vj / bc2;
       val[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
     }
   }

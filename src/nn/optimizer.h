@@ -46,7 +46,9 @@ class Sgd : public Optimizer {
   std::vector<math::Matrix> velocity_;
 };
 
-/// Adam (Kingma & Ba, 2015) with bias correction.
+/// Adam (Kingma & Ba, 2015) with bias correction. Moments that fall below
+/// the smallest normal double are flushed to +0.0, which keeps dead units
+/// off the subnormal slow path without moving any weight (DESIGN.md §8).
 class Adam : public Optimizer {
  public:
   explicit Adam(double lr, double beta1 = 0.9, double beta2 = 0.999,

@@ -1,7 +1,8 @@
 #include "rl/replay_buffer.h"
 
+#include <algorithm>
+
 #include "common/check.h"
-#include "math/stats.h"
 #include "obs/resource.h"
 
 namespace eadrl::rl {
@@ -9,6 +10,7 @@ namespace eadrl::rl {
 ReplayBuffer::ReplayBuffer(size_t capacity) : capacity_(capacity) {
   EADRL_CHECK_GT(capacity, 0u);
   buffer_.reserve(capacity);
+  sorted_rewards_.reserve(capacity);
 }
 
 void ReplayBuffer::Add(Transition t) {
@@ -20,6 +22,18 @@ void ReplayBuffer::Add(Transition t) {
   // struct itself lives in the preallocated ring).
   obs::CountAlloc((t.state.size() + t.action.size() + t.next_state.size()) *
                   sizeof(double));
+  if (buffer_.size() == capacity_) {
+    // Drop the overwritten reward. lower_bound finds it exactly for finite
+    // rewards; the clamp keeps the erase in bounds (and the two containers
+    // the same size) should a NaN slip past a compiled-out contract.
+    auto old = std::lower_bound(sorted_rewards_.begin(), sorted_rewards_.end(),
+                                buffer_[next_].reward);
+    if (old == sorted_rewards_.end()) --old;
+    sorted_rewards_.erase(old);
+  }
+  sorted_rewards_.insert(std::upper_bound(sorted_rewards_.begin(),
+                                          sorted_rewards_.end(), t.reward),
+                         t.reward);
   if (buffer_.size() < capacity_) {
     buffer_.push_back(std::move(t));
   } else {
@@ -30,9 +44,11 @@ void ReplayBuffer::Add(Transition t) {
 
 double ReplayBuffer::RewardMedian() const {
   EADRL_CHECK(!buffer_.empty());
-  math::Vec rewards(buffer_.size());
-  for (size_t i = 0; i < buffer_.size(); ++i) rewards[i] = buffer_[i].reward;
-  return math::Median(std::move(rewards));
+  // The same middle order statistic(s) math::Median selects.
+  const size_t mid = sorted_rewards_.size() / 2;
+  const double hi = sorted_rewards_[mid];
+  if (sorted_rewards_.size() % 2 == 1) return hi;
+  return 0.5 * (sorted_rewards_[mid - 1] + hi);
 }
 
 std::vector<Transition> ReplayBuffer::Sample(size_t n,
@@ -48,9 +64,15 @@ std::vector<Transition> ReplayBuffer::Sample(size_t n,
     return batch;
   }
 
-  // Median split: indices with reward >= median vs. below.
+  // Median split: indices with reward >= median vs. below, in buffer order.
+  // The sorted rewards give both list sizes up front.
   double median = RewardMedian();
+  const size_t n_at_or_above = static_cast<size_t>(
+      sorted_rewards_.end() - std::lower_bound(sorted_rewards_.begin(),
+                                               sorted_rewards_.end(), median));
   std::vector<size_t> high, low;
+  high.reserve(n_at_or_above);
+  low.reserve(buffer_.size() - n_at_or_above);
   for (size_t i = 0; i < buffer_.size(); ++i) {
     if (buffer_[i].reward >= median) {
       high.push_back(i);

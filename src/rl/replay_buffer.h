@@ -42,13 +42,16 @@ class ReplayBuffer {
   std::vector<Transition> Sample(size_t n, SamplingStrategy strategy,
                                  Rng& rng) const;
 
-  /// Median of the stored rewards (used by median-split sampling and tests).
+  /// Median of the stored rewards (used by median-split sampling and tests):
+  /// the same value as math::Median over them, read in O(1).
   double RewardMedian() const;
 
  private:
   size_t capacity_;
   size_t next_ = 0;  // ring-buffer write position once full.
   std::vector<Transition> buffer_;
+  // buffer_'s rewards in ascending order; Add keeps it in step with buffer_.
+  std::vector<double> sorted_rewards_;
 };
 
 }  // namespace eadrl::rl

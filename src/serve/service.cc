@@ -5,6 +5,7 @@
 #include <cmath>
 #include <functional>
 #include <future>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -21,6 +22,23 @@ namespace {
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+// The payload checks of the public boundary, after the session lookup:
+// returns the rejection reason, or nullptr for a well-formed request. The
+// drain wave's contracts guard internal invariants and must never be the
+// first to see a caller's malformed input.
+const char* InvalidPayload(const Request& request) {
+  if (request.kind == Request::Kind::kObserve) {
+    return std::isfinite(request.actual) ? nullptr : "nonfinite_actual";
+  }
+  if (request.preds.size() != request.session->policy->combiner->num_models()) {
+    return "preds_size";
+  }
+  for (double pred : request.preds) {
+    if (!std::isfinite(pred)) return "nonfinite_preds";
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -186,6 +204,17 @@ Status ForecastService::Admit(Request request, const std::string& tenant) {
   request.session = table_.Lookup(tenant);
   if (request.session == nullptr) {
     return Status::NotFound("no session for tenant '" + tenant + "'");
+  }
+  if (const char* reason = InvalidPayload(request)) {
+    obs::MetricRegistry::Default()
+        .GetCounter("eadrl_serve_rejected_total", {{"reason", reason}})
+        ->Inc();
+    span.SetAttr("rejected", reason);
+    EADRL_TELEMETRY("serve_reject", {"tenant", tenant}, {"kind", kind},
+                    {"reason", reason});
+    return Status::InvalidArgument(std::string("malformed ") + kind +
+                                   " request for tenant '" + tenant +
+                                   "': " + reason);
   }
   request.enqueue_time = std::chrono::steady_clock::now();
   // The in-flight slot is taken BEFORE the enqueue: on a serial pool the

@@ -85,7 +85,7 @@ struct ServeStats {
   uint64_t evictions_explicit = 0;
   uint64_t predicts = 0;          ///< completed predict requests.
   uint64_t observes = 0;          ///< completed observe requests.
-  uint64_t shed = 0;              ///< admission rejections.
+  uint64_t shed = 0;              ///< admission rejections under load.
   uint64_t batches = 0;           ///< processed waves.
   uint64_t act_batches = 0;       ///< batched actor passes.
   uint64_t act_batch_rows = 0;    ///< total rows across actor passes.
@@ -148,6 +148,9 @@ struct SessionInfo {
 /// the queue is at max_queue or admitted-but-incomplete requests reach
 /// max_inflight. Shedding is the backpressure signal of an open-loop load
 /// driver (tools/eadrl_serve.cc --expect-shed).
+/// A malformed payload -- a predict whose member forecasts are not one
+/// finite value per pool member, or an observe with a non-finite actual --
+/// is refused with Status::InvalidArgument and never reaches the drain wave.
 ///
 /// Threading: all public entry points are thread-safe. Per-session state is
 /// guarded by the session mutex, sessions are striped across the table's
@@ -189,16 +192,18 @@ class ForecastService {
   Status ResetSession(const std::string& tenant);
 
   /// Admits a predict request: `preds` are the member forecasts in tenant
-  /// units; `done` receives the combined forecast (tenant units) on the
-  /// drainer thread. Returns the admission decision: NotFound (no session)
-  /// or ResourceExhausted (shed); once Ok is returned, `done` will be
-  /// called. `done` must not throw.
+  /// units, one per member of the session policy's pool; `done` receives
+  /// the combined forecast (tenant units) on the drainer thread. Returns the
+  /// admission decision: NotFound (no session), ResourceExhausted (shed) or
+  /// InvalidArgument (wrong length or a non-finite forecast); once Ok is
+  /// returned, `done` will be called. `done` must not throw.
   Status PredictAsync(const std::string& tenant, math::Vec preds,
                       std::function<void(StatusOr<double>)> done);
 
   /// Admits an observe request feeding the tenant's realized value (tenant
   /// units) to its drift detector. `done` (optional) runs on the drainer
-  /// thread; same admission semantics as PredictAsync.
+  /// thread; same admission semantics as PredictAsync (InvalidArgument for
+  /// a non-finite `actual`).
   Status ObserveActualAsync(const std::string& tenant, double actual,
                             std::function<void(Status)> done = {});
 

@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -19,6 +21,8 @@
 #include "core/eadrl.h"
 #include "exp/experiment.h"
 #include "math/vec.h"
+#include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "serve/service.h"
 #include "ts/datasets.h"
 #include "ts/scaler.h"
@@ -124,6 +128,79 @@ TEST(ForecastServiceTest, ErrorCodes) {
 
   ASSERT_TRUE(service.EvictSession("a").ok());
   EXPECT_EQ(service.EvictSession("a").code(), StatusCode::kNotFound);
+}
+
+double RejectedTotal(const char* reason) {
+  return obs::MetricRegistry::Default()
+      .GetCounter("eadrl_serve_rejected_total", {{"reason", reason}})
+      ->Value();
+}
+
+// Malformed payloads are refused at admission with a typed status, counted
+// per reason and announced by a serve_reject event. None reaches the drain
+// wave, where a non-finite forecast would trip a contract (aborting the
+// server) and a wrong-length one would be indexed out of bounds, and none
+// touches the session: it keeps serving exactly as an untouched one does.
+TEST(ForecastServiceTest, MalformedPayloadsRejectedAtAdmission) {
+  serve::ForecastService service(ManualConfig());
+  const size_t policy_id = service.RegisterPolicy(NewCombiner());
+  ASSERT_TRUE(service.CreateSession("a", policy_id).ok());
+  ASSERT_TRUE(service.CreateSession("untouched", policy_id).ok());
+  const double size_before = RejectedTotal("preds_size");
+  const double preds_before = RejectedTotal("nonfinite_preds");
+  const double actual_before = RejectedTotal("nonfinite_actual");
+
+  const math::Vec good = Preds(0);
+  math::Vec short_preds = good;
+  short_preds.pop_back();
+  math::Vec long_preds = good;
+  long_preds.push_back(1.0);
+  math::Vec nan_preds = good;
+  nan_preds[1] = std::numeric_limits<double>::quiet_NaN();
+  math::Vec inf_preds = good;
+  inf_preds.back() = std::numeric_limits<double>::infinity();
+
+  obs::CollectingSink sink;
+  obs::SetTelemetrySink(&sink);
+  for (const math::Vec& preds :
+       {short_preds, long_preds, math::Vec{}, nan_preds, inf_preds}) {
+    EXPECT_EQ(service.Predict("a", preds).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  for (double actual : {std::numeric_limits<double>::quiet_NaN(),
+                        -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(service.ObserveActual("a", actual).code(),
+              StatusCode::kInvalidArgument);
+  }
+  obs::SetTelemetrySink(nullptr);
+
+  EXPECT_EQ(RejectedTotal("preds_size") - size_before, 3.0);
+  EXPECT_EQ(RejectedTotal("nonfinite_preds") - preds_before, 2.0);
+  EXPECT_EQ(RejectedTotal("nonfinite_actual") - actual_before, 2.0);
+  size_t reject_events = 0;
+  for (const obs::TelemetryEvent& event : sink.TakeEvents()) {
+    if (std::string(event.kind) == "serve_reject") ++reject_events;
+  }
+  EXPECT_EQ(reject_events, 7u);
+  serve::ServeStats stats = service.Stats();
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.inflight, 0u);
+  EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_EQ(stats.predicts, 0u);
+  EXPECT_EQ(stats.observes, 0u);
+
+  for (size_t step = 0; step < 3; ++step) {
+    StatusOr<double> got = service.Predict("a", Preds(step));
+    StatusOr<double> want = service.Predict("untouched", Preds(step));
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(*got, *want);
+    ASSERT_TRUE(service.ObserveActual("a", Actual(step)).ok());
+    ASSERT_TRUE(service.ObserveActual("untouched", Actual(step)).ok());
+  }
+  stats = service.Stats();
+  EXPECT_EQ(stats.predicts, 6u);
+  EXPECT_EQ(stats.observes, 6u);
 }
 
 TEST(ForecastServiceTest, QueueBoundShedsWithTypedStatus) {

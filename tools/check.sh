@@ -16,15 +16,20 @@
 #                    sub-millisecond SLO must fire slo_breach telemetry
 #                    (--expect-slo-breach), and its exported Prometheus/JSON
 #                    metric snapshots must validate under eadrl_metrics_check
-#   stage 7  wthread clang -Wthread-safety analysis over the EADRL_GUARDED_BY
+#   stage 7  perfbench  the repository benchmark's serve workload, untraced
+#                    and traced, at 3 s: its output checks (serve == serial
+#                    replay, identical retraining and traced forecasts,
+#                    exactly-once completion, the manifest's metric names)
+#                    gate every library change
+#   stage 8  wthread clang -Wthread-safety analysis over the EADRL_GUARDED_BY
 #                    annotations (skipped with a note when clang++ is not
 #                    installed; eadrl_lint's guarded-by rules still gate)
-#   stage 8  tsan    tier-1 suite under ThreadSanitizer, EADRL_THREADS=N,
+#   stage 9  tsan    tier-1 suite under ThreadSanitizer, EADRL_THREADS=N,
 #                    with the runtime lock-order tracker forced on
 #                    (EADRL_LOCKDEP=1) so lockdep sees sanitizer-grade
 #                    interleavings
-#   stage 9  asan    tier-1 suite under AddressSanitizer
-#   stage 10 ubsan   tier-1 suite under UndefinedBehaviorSanitizer
+#   stage 10 asan    tier-1 suite under AddressSanitizer
+#   stage 11 ubsan   tier-1 suite under UndefinedBehaviorSanitizer
 #                    (-fno-sanitize-recover=all: any UB aborts the test)
 #
 # Each stage reports wall-clock seconds; the summary at the end shows all of
@@ -166,6 +171,20 @@ stage_slo_smoke() {
   rm -rf "$slo_dir"
 }
 
+stage_perfbench() {
+  # Repository-benchmark smoke (see perfbench/README.md): perfbench/run.py
+  # builds the library from src/ in its own Release configuration (into the
+  # gitignored .bench_build/ by default) and exits nonzero when any of the
+  # benchmark's output checks fails or its result line's metrics are not
+  # exactly BENCHMARK.json's. One untraced and one traced run of the serve
+  # workload, ~10 s each once built.
+  local trace
+  for trace in 0 1; do
+    python3 "$SRC_DIR/perfbench/run.py" --workload serve --seed 1 \
+      --seconds 3 --trace "$trace"
+  done
+}
+
 stage_thread_safety() {
   # Static lock analysis, compiler half: build libeadrl under clang with
   # -Wthread-safety, which checks the EADRL_GUARDED_BY/REQUIRES annotations
@@ -204,6 +223,7 @@ run_stage trace stage_trace_smoke
 run_stage bench stage_bench_smoke
 run_stage serve stage_serve_smoke
 run_stage slo stage_slo_smoke
+run_stage perfbench stage_perfbench
 run_stage wthread stage_thread_safety
 run_stage tsan stage_sanitizer thread
 run_stage asan stage_sanitizer address
@@ -212,6 +232,6 @@ run_stage ubsan stage_sanitizer undefined
 echo
 echo "==== all stages passed ===="
 for i in "${!STAGE_NAMES[@]}"; do
-  printf '  %-8s %ss\n' "${STAGE_NAMES[$i]}" "${STAGE_SECONDS[$i]}"
+  printf '  %-9s %ss\n' "${STAGE_NAMES[$i]}" "${STAGE_SECONDS[$i]}"
 done
 echo "tier-1 suite is clean under TSan, ASan and UBSan (EADRL_THREADS=$THREADS)"
