@@ -88,8 +88,10 @@ void BM_MlpForwardBatch(benchmark::State& state) {
   eadrl::nn::Mlp net({10, 64, 64, 43}, eadrl::nn::Activation::kRelu,
                      eadrl::nn::Activation::kIdentity, rng);
   const eadrl::math::Matrix x = RandomMatrix(batch, 10, 17);
+  eadrl::math::Matrix y;
+  eadrl::math::Matrix scratch;
   for (auto _ : state) {
-    const eadrl::math::Matrix& y = net.ForwardBatch(x, /*train=*/false);
+    net.Infer(x, &y, &scratch);
     benchmark::DoNotOptimize(y.data());
   }
   eadrl::bench::RegisterThreads(state, 1);
@@ -103,11 +105,16 @@ void BM_MlpForwardPerSample(benchmark::State& state) {
   eadrl::nn::Mlp net({10, 64, 64, 43}, eadrl::nn::Activation::kRelu,
                      eadrl::nn::Activation::kIdentity, rng);
   const eadrl::math::Matrix x = RandomMatrix(batch, 10, 17);
-  std::vector<eadrl::math::Vec> rows;
-  for (size_t b = 0; b < batch; ++b) rows.push_back(x.Row(b));
+  std::vector<eadrl::math::Matrix> rows;
+  for (size_t b = 0; b < batch; ++b) {
+    rows.push_back(eadrl::math::Matrix::FromRows({x.Row(b)}));
+  }
+  eadrl::math::Matrix y;
+  eadrl::math::Matrix scratch;
   for (auto _ : state) {
-    for (const eadrl::math::Vec& row : rows) {
-      benchmark::DoNotOptimize(net.Predict(row));
+    for (const eadrl::math::Matrix& row : rows) {
+      net.Infer(row, &y, &scratch);
+      benchmark::DoNotOptimize(y.data());
     }
   }
   eadrl::bench::RegisterThreads(state, 1);
@@ -128,12 +135,11 @@ std::vector<eadrl::rl::Transition> MakeBatch(size_t n) {
   return batch;
 }
 
-// The full DDPG update on the batch-major path (the production default)...
+// The full DDPG update: one batched pass per network over the minibatch.
 void BM_DdpgUpdateBatched(benchmark::State& state) {
   eadrl::rl::DdpgConfig cfg;
   cfg.state_dim = 10;
   cfg.action_dim = 43;
-  cfg.batched_update = true;
   eadrl::rl::DdpgAgent agent(cfg);
   const auto batch = MakeBatch(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
@@ -143,21 +149,6 @@ void BM_DdpgUpdateBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_DdpgUpdateBatched)->Arg(16)->Arg(64);
 
-// ... versus the per-transition scalar reference it matches bit for bit.
-void BM_DdpgUpdateScalar(benchmark::State& state) {
-  eadrl::rl::DdpgConfig cfg;
-  cfg.state_dim = 10;
-  cfg.action_dim = 43;
-  cfg.batched_update = false;
-  eadrl::rl::DdpgAgent agent(cfg);
-  const auto batch = MakeBatch(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(agent.Update(batch));
-  }
-  eadrl::bench::RegisterThreads(state, 1);
-}
-BENCHMARK(BM_DdpgUpdateScalar)->Arg(16)->Arg(64);
-
 // Cross-request serving: B states answered in one ActBatch pass.
 void BM_DdpgActBatch(benchmark::State& state) {
   eadrl::rl::DdpgConfig cfg;
@@ -166,8 +157,11 @@ void BM_DdpgActBatch(benchmark::State& state) {
   eadrl::rl::DdpgAgent agent(cfg);
   const eadrl::math::Matrix states = RandomMatrix(
       static_cast<size_t>(state.range(0)), 10, 19);
+  eadrl::math::Matrix actions;
+  eadrl::math::Matrix scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(agent.ActBatch(states));
+    agent.ActBatch(states, &actions, &scratch);
+    benchmark::DoNotOptimize(actions.data());
   }
   eadrl::bench::RegisterThreads(state, 1);
 }

@@ -93,12 +93,15 @@ void BM_ParallelBatchedForwardFanout(benchmark::State& state) {
   }
   eadrl::math::Matrix x(64, 10);
   for (double& v : x.data()) v = rng.Uniform(-1.0, 1.0);
+  std::vector<eadrl::math::Matrix> outs(kNets);
+  std::vector<eadrl::math::Matrix> scratch(kNets);
   eadrl::par::ThreadPool exec(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     eadrl::par::ParallelFor(
         0, kNets,
         [&](size_t m) {
-          benchmark::DoNotOptimize(nets[m]->ForwardBatch(x, /*train=*/false));
+          nets[m]->Infer(x, &outs[m], &scratch[m]);
+          benchmark::DoNotOptimize(outs[m].data());
         },
         {1, &exec});
   }

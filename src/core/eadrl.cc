@@ -31,10 +31,11 @@ EadrlCombiner::EadrlCombiner(EadrlConfig config)
   EADRL_CHECK_GT(config_.max_episodes, 0u);
 }
 
-math::Vec OnlineStateVec(const std::deque<double>& window, double state_std) {
+math::Vec OnlineStateVec(const OnlineState& state) {
   // Same window-relative standardize-and-clip transform as
   // EnsembleEnv::StateVec, so online states match the policy's training
   // distribution even when the series trends outside the validation range.
+  const std::deque<double>& window = state.window;
   EADRL_CHECK(!window.empty());
   double mean = 0.0;
   for (double v : window) mean += v;
@@ -42,11 +43,24 @@ math::Vec OnlineStateVec(const std::deque<double>& window, double state_std) {
   double var = 0.0;
   for (double v : window) var += (v - mean) * (v - mean);
   var /= static_cast<double>(window.size());
-  double sd = std::max(std::sqrt(var), 0.1 * state_std);
+  double sd = std::max(std::sqrt(var), 0.1 * state.state_std);
   if (sd <= 1e-12) sd = 1.0;
   math::Vec s(window.begin(), window.end());
   for (double& v : s) v = std::clamp((v - mean) / sd, -4.0, 4.0);
   return s;
+}
+
+double CombineAndRoll(const math::Vec& action, const math::Vec& reduced_preds,
+                      OnlineState* state) {
+  // The paper's normalization guarantee: every served combination is a
+  // convex mixture of the member forecasts.
+  EADRL_CHK_SIMPLEX(action, 1e-6, "EA-DRL online action");
+  const double pred = Combine(action, reduced_preds);
+  EADRL_CHK_FINITE_VALUE(pred, "EA-DRL online ensemble output");
+  // Algorithm 1: the state window rolls forward with the ensemble output.
+  state->window.push_back(pred);
+  state->window.pop_front();
+  return pred;
 }
 
 Status EadrlCombiner::Initialize(const math::Matrix& val_preds,
@@ -350,18 +364,18 @@ Status EadrlCombiner::Initialize(const math::Matrix& val_preds,
   // Online state initialization (Algorithm 1, line 1): seed the window with
   // the policy-weighted ensemble outputs over the tail of the validation
   // segment.
-  state_mean_ = math::Mean(val_actuals);
-  state_std_ = math::Stddev(val_actuals);
-  if (state_std_ <= 1e-12) state_std_ = 1.0;
+  online_.state_mean = math::Mean(val_actuals);
+  online_.state_std = math::Stddev(val_actuals);
+  if (online_.state_std <= 1e-12) online_.state_std = 1.0;
 
-  window_.clear();
+  online_.window.clear();
   // Warm-up with uniform weights for the first omega tail points (matching
   // EnsembleEnv::Reset), then we are ready to query the policy online.
   const size_t tail_begin = reduced.rows() - config_.omega;
   for (size_t t = tail_begin; t < reduced.rows(); ++t) {
     double s = 0.0;
     for (size_t k = 0; k < m_active; ++k) s += reduced(t, k);
-    window_.push_back(s / static_cast<double>(m_active));
+    online_.window.push_back(s / static_cast<double>(m_active));
   }
 
   // Online-update extension state.
@@ -379,17 +393,9 @@ Status EadrlCombiner::Initialize(const math::Matrix& val_preds,
   return Status::Ok();
 }
 
-math::Vec EadrlCombiner::CurrentState() const {
-  return OnlineStateVec(window_, state_std_);
-}
-
 OnlineState EadrlCombiner::ExportOnlineState() const {
   EADRL_CHECK(initialized_);
-  OnlineState state;
-  state.window = window_;
-  state.state_mean = state_mean_;
-  state.state_std = state_std_;
-  return state;
+  return online_;
 }
 
 math::Vec EadrlCombiner::ReduceToActive(const math::Vec& preds) const {
@@ -404,8 +410,7 @@ math::Vec EadrlCombiner::ReduceToActive(const math::Vec& preds) const {
 math::Vec EadrlCombiner::Weights() const {
   SessionCallGuard guard(&busy_, "concurrent EadrlCombiner::Weights");
   EADRL_CHECK(initialized_);
-  math::Vec reduced = agent_->Act(CurrentState());
-  EADRL_CHK_SIMPLEX(reduced, 1e-6, "EadrlCombiner::Weights action");
+  math::Vec reduced = agent_->Act(OnlineStateVec(online_));
   if (active_models_.size() == num_models_) return reduced;
   // Expand pruned weights back to the full pool (zeros elsewhere).
   math::Vec full(num_models_, 0.0);
@@ -429,20 +434,11 @@ double EadrlCombiner::Predict(const math::Vec& preds) {
   EADRL_CHK_FINITE(preds, "EadrlCombiner::Predict member predictions");
   obs::Span span("predict");
   obs::ScopedTimer timer(predict_latency_hist_);
-  last_state_ = CurrentState();
-  math::Vec reduced_action = agent_->Act(last_state_);
-  // The paper's normalization guarantee: every served combination is a
-  // convex mixture of the member forecasts.
-  EADRL_CHK_SIMPLEX(reduced_action, 1e-6, "EadrlCombiner::Predict action");
-  last_action_ = reduced_action;
+  last_state_ = OnlineStateVec(online_);
+  last_action_ = agent_->Act(last_state_);
   has_last_action_ = true;
-
-  math::Vec reduced_preds = ReduceToActive(preds);
-  double pred = Combine(reduced_action, reduced_preds);
-  EADRL_CHK_FINITE_VALUE(pred, "EadrlCombiner::Predict ensemble output");
-  // Algorithm 1: the state window rolls forward with the ensemble output.
-  window_.push_back(pred);
-  window_.pop_front();
+  const double pred =
+      CombineAndRoll(last_action_, ReduceToActive(preds), &online_);
 
   ++predict_count_;
   predict_counter_->Inc();
@@ -452,7 +448,7 @@ double EadrlCombiner::Predict(const math::Vec& preds) {
     // near-uniform mixture, near zero means single-model selection.
     double entropy = 0.0;
     double max_weight = 0.0;
-    for (double w : reduced_action) {
+    for (double w : last_action_) {
       if (w > 0.0) entropy -= w * std::log(w);
       max_weight = std::max(max_weight, w);
     }
@@ -506,7 +502,7 @@ void EadrlCombiner::MaybeOnlineUpdate(const math::Vec& reduced_preds,
     t.state = last_state_;
     t.action = last_action_;
     t.reward = OnlineRankReward(last_action_);
-    t.next_state = CurrentState();
+    t.next_state = OnlineStateVec(online_);
     t.terminal = false;
     online_buffer_->Add(std::move(t));
   }
@@ -516,7 +512,7 @@ void EadrlCombiner::MaybeOnlineUpdate(const math::Vec& reduced_preds,
     trigger = (online_steps_ % config_.online_update_every == 0);
   } else {
     double err = std::fabs(Combine(last_action_, reduced_preds) - actual);
-    double sd = state_std_ > 0 ? state_std_ : 1.0;
+    double sd = online_.state_std > 0 ? online_.state_std : 1.0;
     trigger = has_last_action_ && online_detector_.Update(err / sd);
     if (trigger) {
       EADRL_TELEMETRY("drift", {"step", online_steps_},
@@ -561,10 +557,11 @@ Status EadrlCombiner::SavePolicy(const std::string& path) const {
   out << active_models_.size();
   for (size_t idx : active_models_) out << " " << idx;
   out << "\n";
-  out << std::setprecision(17) << state_mean_ << " " << state_std_ << "\n";
-  for (size_t i = 0; i < window_.size(); ++i) {
+  out << std::setprecision(17) << online_.state_mean << " "
+      << online_.state_std << "\n";
+  for (size_t i = 0; i < online_.window.size(); ++i) {
     if (i > 0) out << " ";
-    out << window_[i];
+    out << online_.window[i];
   }
   out << "\n";
   EADRL_RETURN_IF_ERROR(nn::WriteMatrices(out, agent_->ActorWeights()));
@@ -642,9 +639,9 @@ Status EadrlCombiner::LoadPolicy(const std::string& path) {
   agent_ = std::move(agent);
   num_models_ = m;
   active_models_ = std::move(active);
-  state_mean_ = mean;
-  state_std_ = sd;
-  window_ = std::move(window);
+  online_.state_mean = mean;
+  online_.state_std = sd;
+  online_.window = std::move(window);
   episode_rewards_.clear();
   converged_episode_ = 0;
   online_buffer_ =

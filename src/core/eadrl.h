@@ -114,7 +114,14 @@ struct OnlineState {
 /// explicit session state: both EadrlCombiner's in-object online loop and the
 /// serving layer's extracted sessions go through here, so their states are
 /// bit-identical by construction.
-math::Vec OnlineStateVec(const std::deque<double>& window, double state_std);
+math::Vec OnlineStateVec(const OnlineState& state);
+
+/// Algorithm 1's step after the actor pass, shared by EadrlCombiner::Predict
+/// and the serving layer's waves: checks `action` is on the simplex, combines
+/// the active members' forecasts, checks the result is finite and rolls
+/// `state`'s window with it. Returns the forecast (policy units).
+double CombineAndRoll(const math::Vec& action, const math::Vec& reduced_preds,
+                      OnlineState* state);
 
 /// Debug-mode sentinel enforcing the per-session serialization contract:
 /// EadrlCombiner's online entry points (Predict/Update/Weights, and the
@@ -197,10 +204,10 @@ class EadrlCombiner : public WeightedCombiner {
   Status LoadPolicy(const std::string& path);
 
   /// Trained agent (diagnostics and the serving layer's batched actor
-  /// passes; null before Initialize). The agent's inference entry points
-  /// reuse internal workspace buffers, so callers that share one combiner
-  /// across threads must serialize access (src/serve guards each policy with
-  /// a mutex).
+  /// passes; null before Initialize). Its const ActBatch writes only the
+  /// caller's buffers, so threads sharing one combiner may call it
+  /// concurrently; Act and ActWithNoise use the agent's own workspace and
+  /// must not overlap with each other or with the combiner's entry points.
   rl::DdpgAgent* agent() { return agent_.get(); }
 
   /// Copies the current online session state (window + state statistics) out
@@ -214,11 +221,9 @@ class EadrlCombiner : public WeightedCombiner {
   math::Vec ReduceToActive(const math::Vec& preds) const;
 
   /// The state the online stage would act on right now.
-  math::Vec DebugCurrentState() const { return CurrentState(); }
+  math::Vec DebugCurrentState() const { return OnlineStateVec(online_); }
 
  private:
-  math::Vec CurrentState() const;
-
   /// Rank reward of `action` over the current online window (used by the
   /// online-update extension), scaled to [0, 1].
   double OnlineRankReward(const math::Vec& action) const;
@@ -232,10 +237,7 @@ class EadrlCombiner : public WeightedCombiner {
   math::Vec eval_scores_;
   size_t converged_episode_ = 0;
 
-  // Online state (Algorithm 1).
-  std::deque<double> window_;  // last omega ensemble outputs.
-  double state_mean_ = 0.0;
-  double state_std_ = 1.0;
+  OnlineState online_;  // Algorithm 1's per-step state.
   size_t num_models_ = 0;
   std::vector<size_t> active_models_;  // subset the policy acts on.
   bool initialized_ = false;

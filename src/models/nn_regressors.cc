@@ -1,6 +1,7 @@
 #include "models/nn_regressors.h"
 
 #include <numeric>
+#include <utility>
 
 #include "common/check.h"
 #include "nn/activation.h"
@@ -63,15 +64,17 @@ Status MlpRegressor::Fit(const math::Matrix& x, const math::Vec& y) {
 }
 
 double MlpRegressor::Predict(const math::Vec& x) const {
-  EADRL_CHECK(net_ != nullptr);
-  return net_->Predict(x)[0];  // no-grad path: nothing stashed, no scratch.
+  math::Vec out;
+  PredictBatch(math::Matrix::FromRows({x}), &out);
+  return out[0];
 }
 
 bool MlpRegressor::PredictBatch(const math::Matrix& x, math::Vec* out) const {
   EADRL_CHECK(net_ != nullptr);
-  const math::Matrix& y = net_->ForwardBatch(x, /*train=*/false);
-  out->resize(x.rows());
-  for (size_t b = 0; b < x.rows(); ++b) (*out)[b] = y(b, 0);
+  math::Matrix y;
+  math::Matrix scratch;
+  net_->Infer(x, &y, &scratch);
+  *out = std::move(y.data());  // B x 1: the column is the flat data.
   return true;
 }
 

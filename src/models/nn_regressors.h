@@ -36,7 +36,7 @@ class MlpRegressor : public Regressor {
  private:
   std::vector<size_t> hidden_sizes_;
   NnTrainParams train_;
-  mutable std::unique_ptr<nn::Mlp> net_;
+  std::unique_ptr<nn::Mlp> net_;
 };
 
 /// LSTM regressor: the k-lag window is consumed as a length-k sequence of

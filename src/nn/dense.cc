@@ -19,49 +19,43 @@ Dense::Dense(size_t in_dim, size_t out_dim, Activation act, Rng& rng)
 }
 
 math::Vec Dense::Forward(const math::Vec& input) {
-  obs::CountAlloc(out_dim_ * sizeof(double));  // the returned vector.
-  math::Vec out;
-  ForwardInto(input, &out, /*train=*/true);
-  return out;
-}
-
-void Dense::ForwardInto(const math::Vec& input, math::Vec* out, bool train) {
   EADRL_CHK_DIM(input.size(), in_dim_, "Dense::Forward input");
   EADRL_CHK_FINITE(input, "Dense::Forward input");
   EADRL_CHECK_EQ(input.size(), in_dim_);
-  EADRL_CHECK(out != &input);
-  math::Vec* pre = out;
-  if (train) {
-    last_input_ = input;  // capacity-reusing copy, not a fresh buffer.
-    pre = &last_pre_activation_;
-  }
-  weight_.value.MatVecInto(input, pre);
+  obs::CountAlloc(out_dim_ * sizeof(double));  // the returned vector.
+  last_input_ = input;  // capacity-reusing copy, not a fresh buffer.
+  weight_.value.MatVecInto(input, &last_pre_activation_);
   const math::Vec& b = bias_.value.data();
-  for (size_t i = 0; i < out_dim_; ++i) (*pre)[i] += b[i];
-  if (train) *out = last_pre_activation_;
-  ApplyActivationInPlace(act_, out->data(), out_dim_);
+  for (size_t i = 0; i < out_dim_; ++i) last_pre_activation_[i] += b[i];
+  math::Vec out = last_pre_activation_;
+  ApplyActivationInPlace(act_, out.data(), out_dim_);
+  return out;
 }
 
-void Dense::ForwardBatch(const math::Matrix& batch, math::Matrix* out,
-                         bool train) {
-  EADRL_CHK_DIM(batch.cols(), in_dim_, "Dense::ForwardBatch input width");
-  EADRL_CHK_FINITE(batch.data(), "Dense::ForwardBatch input");
-  EADRL_CHECK_EQ(batch.cols(), in_dim_);
-  EADRL_CHECK(out != &batch);
-  const size_t n = batch.rows();
-  math::Matrix* pre = train ? &batch_pre_activation_ : out;
-  // Z = X W^T: row b of Z equals the scalar MatVec for sample b (same
-  // ascending-k dot per element), fused so W is never transposed.
-  batch.MatMulTransposeBInto(weight_.value, pre);
+void Dense::Affine(const math::Matrix& x, math::Matrix* z) const {
+  EADRL_CHK_DIM(x.cols(), in_dim_, "Dense batch input width");
+  EADRL_CHK_FINITE(x.data(), "Dense batch input");
+  EADRL_CHECK_EQ(x.cols(), in_dim_);
+  EADRL_CHECK(z != &x);
+  // Fused so W is never transposed.
+  x.MatMulTransposeBInto(weight_.value, z);
   const math::Vec& b = bias_.value.data();
-  for (size_t r = 0; r < n; ++r) {
-    double* zrow = pre->RowPtr(r);
+  for (size_t r = 0; r < x.rows(); ++r) {
+    double* zrow = z->RowPtr(r);
     for (size_t i = 0; i < out_dim_; ++i) zrow[i] += b[i];
   }
-  if (train) {
-    last_batch_ = &batch;
-    *out = batch_pre_activation_;  // capacity-reusing copy.
-  }
+}
+
+void Dense::Apply(const math::Matrix& x, math::Matrix* out) const {
+  Affine(x, out);
+  ApplyActivationInPlace(act_, out->data().data(), out->size());
+}
+
+void Dense::ForwardBatch(const math::Matrix& batch, math::Matrix* out) {
+  EADRL_CHECK(out != &batch);
+  Affine(batch, &batch_pre_activation_);
+  last_batch_ = &batch;
+  *out = batch_pre_activation_;  // capacity-reusing copy.
   ApplyActivationInPlace(act_, out->data().data(), out->size());
 }
 

@@ -13,18 +13,16 @@ namespace eadrl::nn {
 
 /// Fully connected layer y = act(W x + b) with hand-written backprop.
 ///
-/// Two execution modes share the parameters:
-///  - scalar: Forward/Backward on one sample (the historical reference path;
-///    ForwardInto adds an allocation-free, optionally no-grad variant);
-///  - batched: ForwardBatch/BackwardBatch on a row-major B x dim minibatch,
-///    one GEMM per call instead of B MatVecs. Batched results match the
-///    scalar path bit for bit except for the sign of exact-zero gradients
-///    (see DESIGN.md, "Batch-major kernels").
+/// Three passes share the parameters: the scalar train-mode Forward/Backward
+/// on one sample (the historical reference path), the batched train-mode
+/// ForwardBatch/BackwardBatch on a row-major B x dim minibatch (one GEMM per
+/// call instead of B MatVecs), and the const no-grad Apply. Batched results
+/// match the scalar path bit for bit except for the sign of exact-zero
+/// gradients (see DESIGN.md, "Batch-major kernels").
 ///
-/// Train-mode forwards cache what the following Backward needs; inference
-/// (`train == false`) stashes nothing at all. Backward accumulates parameter
-/// gradients (callers zero them via the optimizer) and returns the gradient
-/// with respect to the input.
+/// Train-mode forwards cache what the following Backward needs. Backward
+/// accumulates parameter gradients (callers zero them via the optimizer) and
+/// returns the gradient with respect to the input.
 class Dense {
  public:
   Dense(size_t in_dim, size_t out_dim, Activation act, Rng& rng);
@@ -32,17 +30,16 @@ class Dense {
   /// Forward pass for a single sample (train mode).
   math::Vec Forward(const math::Vec& input);
 
-  /// Allocation-free scalar forward into *out (resized; warm after one
-  /// call). With `train`, the input and pre-activation are cached for
-  /// Backward via capacity-reusing copies; without, nothing is stashed.
-  void ForwardInto(const math::Vec& input, math::Vec* out, bool train);
+  /// No-grad forward over a row-major B x in_dim batch into the B x out_dim
+  /// *out. Reads only the parameters, so concurrent calls on one layer with
+  /// distinct outputs are safe.
+  void Apply(const math::Matrix& x, math::Matrix* out) const;
 
-  /// Batched forward over a row-major B x in_dim batch (row b = sample b)
-  /// into the B x out_dim *out. With `train`, the layer caches `batch` BY
+  /// Train-mode batched forward into *out. The layer caches `batch` BY
   /// REFERENCE — no copy — so the matrix must outlive and stay unmodified
-  /// until the matching BackwardBatch (the Mlp/agent workspaces guarantee
-  /// this; see DESIGN.md for the lifetime rule).
-  void ForwardBatch(const math::Matrix& batch, math::Matrix* out, bool train);
+  /// until the matching BackwardBatch (Mlp::ForwardBatch guarantees this;
+  /// see DESIGN.md for the lifetime rule).
+  void ForwardBatch(const math::Matrix& batch, math::Matrix* out);
 
   /// Backward pass: `grad_output` is dL/dy; returns dL/dx and accumulates
   /// dL/dW, dL/db. Must follow a train-mode Forward with the matching input.
@@ -68,6 +65,9 @@ class Dense {
   void ReinitUniform(double r, Rng& rng);
 
  private:
+  /// Z = X W^T + b; row b equals the scalar MatVec (same ascending-k dots).
+  void Affine(const math::Matrix& x, math::Matrix* z) const;
+
   /// dz = grad_output ⊙ act'(last_pre_activation_) into scratch_dz_, with
   /// the same per-element formulas as ActivationDerivative.
   void ComputeScalarDz(const math::Vec& grad_output);

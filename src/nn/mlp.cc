@@ -25,20 +25,6 @@ math::Vec Mlp::Forward(const math::Vec& input) {
   return h;
 }
 
-const math::Vec& Mlp::Predict(const math::Vec& input) {
-  const math::Vec* cur = &input;
-  math::Vec* bufs[2] = {&predict_a_, &predict_b_};
-  size_t which = 0;
-  for (auto& layer : layers_) {
-    math::Vec* next = bufs[which];
-    layer->ForwardInto(*cur, next, /*train=*/false);
-    cur = next;
-    which ^= 1;
-  }
-  EADRL_CHK_FINITE(*cur, "Mlp::Forward output");
-  return *cur;
-}
-
 math::Vec Mlp::Backward(const math::Vec& grad_output) {
   math::Vec g = grad_output;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
@@ -47,11 +33,25 @@ math::Vec Mlp::Backward(const math::Vec& grad_output) {
   return g;
 }
 
-const math::Matrix& Mlp::ForwardBatch(const math::Matrix& batch, bool train) {
+void Mlp::Infer(const math::Matrix& x, math::Matrix* out,
+                math::Matrix* scratch) const {
+  EADRL_CHECK(out != scratch && out != &x && scratch != &x);
+  // Ping-pong so the last layer lands in *out: a layer writes *out when an
+  // even number of layers follow it.
+  const math::Matrix* cur = &x;
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    math::Matrix* next = (layers_.size() - 1 - i) % 2 == 0 ? out : scratch;
+    layers_[i]->Apply(*cur, next);
+    cur = next;
+  }
+  EADRL_CHK_FINITE(out->data(), "Mlp::Infer output");
+}
+
+const math::Matrix& Mlp::ForwardBatch(const math::Matrix& batch) {
   batch_acts_.resize(layers_.size());
   const math::Matrix* cur = &batch;
   for (size_t i = 0; i < layers_.size(); ++i) {
-    layers_[i]->ForwardBatch(*cur, &batch_acts_[i], train);
+    layers_[i]->ForwardBatch(*cur, &batch_acts_[i]);
     cur = &batch_acts_[i];
   }
   EADRL_CHK_FINITE(cur->data(), "Mlp::ForwardBatch output");

@@ -17,34 +17,38 @@ namespace eadrl::nn {
 /// This is the network family used for the DDPG actor and critic (the paper's
 /// "policy network" and "value network") and for the MLP forecaster.
 ///
-/// Beyond the scalar Forward/Backward it exposes a no-grad scalar Predict and
+/// Beyond the train-mode scalar Forward/Backward it exposes the train-mode
 /// batch-major ForwardBatch/BackwardBatch (one GEMM per layer for a B-row
-/// minibatch) whose per-sample results match the scalar path bit for bit
-/// except for exact-zero signs (see DESIGN.md, "Batch-major kernels"). The
-/// batched and Predict paths run on member workspaces, so a warmed-up network
-/// performs no per-call scratch allocation.
+/// minibatch, on member workspaces) and the const no-grad Infer, the only
+/// inference pass, which writes nothing but the caller's buffers. Batched
+/// and Infer results match the scalar path bit for bit except for exact-zero
+/// signs (see DESIGN.md, "Batch-major kernels").
 class Mlp {
  public:
   /// `layer_sizes` = {input, hidden..., output}; requires at least 2 entries.
   Mlp(const std::vector<size_t>& layer_sizes, Activation hidden_act,
       Activation output_act, Rng& rng);
 
+  /// Train-mode scalar forward (caches what Backward needs).
   math::Vec Forward(const math::Vec& input);
-
-  /// No-grad scalar forward (nothing cached for Backward, no allocation once
-  /// warm). Returns a reference to an internal buffer, valid until the next
-  /// Predict call on this network.
-  const math::Vec& Predict(const math::Vec& input);
 
   /// Backward from dL/d(output); returns dL/d(input).
   math::Vec Backward(const math::Vec& grad_output);
 
-  /// Batched forward over a row-major B x in_dim batch (row = sample).
-  /// Returns a reference to the internal B x out_dim output, valid until the
-  /// next batched call. In train mode the layers cache their inputs by
-  /// reference into this network's activation workspace, so `batch` must
-  /// stay alive and unmodified until the matching BackwardBatch returns.
-  const math::Matrix& ForwardBatch(const math::Matrix& batch, bool train);
+  /// No-grad forward over a row-major B x in_dim batch (row = sample) into
+  /// the B x out_dim *out; *scratch holds the hidden activations. Reads only
+  /// the weights, so threads sharing one network may call it concurrently,
+  /// each with its own buffers, while nothing trains it. Warm buffers make it
+  /// allocation-free.
+  void Infer(const math::Matrix& x, math::Matrix* out,
+             math::Matrix* scratch) const;
+
+  /// Train-mode batched forward. Returns a reference to the internal
+  /// B x out_dim output, valid until the next batched call. The layers cache
+  /// their inputs by reference into this network's activation workspace, so
+  /// `batch` must stay alive and unmodified until the matching BackwardBatch
+  /// returns.
+  const math::Matrix& ForwardBatch(const math::Matrix& batch);
 
   /// Batched backward from dL/d(output) (B x out_dim); accumulates parameter
   /// gradients and returns a reference to the internal dL/d(input), valid
@@ -69,9 +73,6 @@ class Mlp {
   std::vector<math::Matrix> batch_acts_;
   math::Matrix batch_grad_a_;
   math::Matrix batch_grad_b_;
-  // Predict-path ping-pong buffers.
-  math::Vec predict_a_;
-  math::Vec predict_b_;
 };
 
 }  // namespace eadrl::nn

@@ -22,20 +22,26 @@ std::vector<size_t> LayerSizes(size_t in, const std::vector<size_t>& hidden,
   return sizes;
 }
 
-// Workspace slot map for UpdateBatched: each slot is a stable, reusable
-// batch-major buffer (see math::Workspace). Warm after the first update.
+// Workspace slot map for Update, Act and ActWithNoise: each slot is a
+// stable, reusable batch-major buffer (see math::Workspace). Warm after the
+// first call.
 enum WsSlot : size_t {
   kWsStates = 0,      // n x state_dim
   kWsNextStates,      // n x state_dim
   kWsActions,         // n x action_dim (replay actions)
   kWsNextActions,     // n x action_dim (target policy, post-softmax)
+  kWsNextQ,           // n x critic-out (target critic)
   kWsCriticDz,        // n x critic-out
   kWsScaledLogits,    // n x action_dim
   kWsProbs,           // n x action_dim
+  kWsDqDa,            // n x action_dim, linear critic only
   kWsActorDz,         // n x action_dim
   kWsCriticIn,        // n x (state_dim + action_dim), monolithic critic only
   kWsNextCriticIn,    // n x (state_dim + action_dim), monolithic critic only
   kWsOnes,            // n x 1, monolithic critic only
+  kWsScratch,         // hidden activations of every Infer pass
+  kWsActState,        // 1 x state_dim
+  kWsActOut,          // 1 x action_dim
 };
 
 /// Dot of row `b` of two equally-shaped matrices, columns in ascending
@@ -46,6 +52,18 @@ double RowDot(const math::Matrix& a, const math::Matrix& b, size_t row) {
   double s = 0.0;
   for (size_t j = 0; j < a.cols(); ++j) s += x[j] * y[j];
   return s;
+}
+
+/// Row b of *out = [row b of `states`, row b of `actions`]: the batched
+/// CriticInput of the monolithic critic.
+void ConcatRows(const math::Matrix& states, const math::Matrix& actions,
+                math::Matrix* out) {
+  for (size_t b = 0; b < states.rows(); ++b) {
+    double* row = out->RowPtr(b);
+    std::copy(states.RowPtr(b), states.RowPtr(b) + states.cols(), row);
+    std::copy(actions.RowPtr(b), actions.RowPtr(b) + actions.cols(),
+              row + states.cols());
+  }
 }
 
 }  // namespace
@@ -113,40 +131,48 @@ math::Vec DdpgAgent::CriticInput(const math::Vec& state,
   return input;
 }
 
+void DdpgAgent::ActBatch(const math::Matrix& states, math::Matrix* actions,
+                         math::Matrix* scratch) const {
+  actor_->Infer(states, actions, scratch);
+  actions->Scale(config_.logit_scale);
+  math::SoftmaxRowsInPlace(actions);
+}
+
+const math::Matrix& DdpgAgent::StateRow(const math::Vec& state) {
+  math::Matrix& row = ws_.mat(kWsActState, 1, state.size());
+  row.SetRow(0, state);
+  return row;
+}
+
 math::Vec DdpgAgent::Act(const math::Vec& state) {
-  // Inference-mode forward: no backprop state is stashed and the only
-  // allocation left on the predict hot path is the returned action itself.
-  math::Vec& logits = ws_.vec(0, config_.action_dim);
-  logits = actor_->Predict(state);
-  for (double& v : logits) v *= config_.logit_scale;
-  math::Vec action = math::Softmax(logits);
+  math::Matrix& actions = ws_.mat(kWsActOut, 1, config_.action_dim);
+  ActBatch(StateRow(state), &actions, &ws_.mat(kWsScratch, 1, 0));
+  math::Vec action = actions.Row(0);
   EADRL_CHK_SIMPLEX(action, 1e-6, "DdpgAgent::Act action");
   return action;
 }
 
-math::Matrix DdpgAgent::ActBatch(const math::Matrix& states) {
-  math::Matrix actions = actor_->ForwardBatch(states, /*train=*/false);
-  actions.Scale(config_.logit_scale);
-  math::SoftmaxRowsInPlace(&actions);
-  return actions;
-}
-
 math::Vec DdpgAgent::ActWithNoise(const math::Vec& state,
                                   const math::Vec& noise) {
-  math::Vec& logits = ws_.vec(0, config_.action_dim);
-  logits = actor_->Predict(state);
-  EADRL_CHECK_EQ(logits.size(), noise.size());
-  for (size_t i = 0; i < logits.size(); ++i) {
-    logits[i] = config_.logit_scale * logits[i] + noise[i];
+  EADRL_CHECK_EQ(noise.size(), config_.action_dim);
+  math::Matrix& logits = ws_.mat(kWsActOut, 1, config_.action_dim);
+  actor_->Infer(StateRow(state), &logits, &ws_.mat(kWsScratch, 1, 0));
+  math::Vec& z = logits.data();
+  for (size_t i = 0; i < z.size(); ++i) {
+    z[i] = config_.logit_scale * z[i] + noise[i];
   }
-  return math::Softmax(logits);
+  return math::Softmax(z);
 }
 
-double DdpgAgent::QValue(const math::Vec& state, const math::Vec& action) {
-  if (config_.critic_form == CriticForm::kLinearInAction) {
-    return math::Dot(action, critic_->Predict(state));
-  }
-  return critic_->Predict(CriticInput(state, action))[0];
+double DdpgAgent::QValue(const math::Vec& state,
+                         const math::Vec& action) const {
+  const bool linear = config_.critic_form == CriticForm::kLinearInAction;
+  math::Matrix q;
+  math::Matrix scratch;
+  critic_->Infer(math::Matrix::FromRows(
+                     {linear ? state : CriticInput(state, action)}),
+                 &q, &scratch);
+  return linear ? math::Dot(action, q.data()) : q(0, 0);
 }
 
 math::Vec DdpgAgent::SoftmaxJacobianVjp(const math::Vec& probs,
@@ -189,11 +215,6 @@ double DdpgAgent::Update(const std::vector<Transition>& batch) {
     span.SetAttr("batch", batch.size());
     span.SetAttr("update", num_updates_ + 1);
   }
-  if (config_.batched_update) return UpdateBatched(batch);
-  return UpdateScalar(batch);
-}
-
-double DdpgAgent::UpdateBatched(const std::vector<Transition>& batch) {
   const size_t n = batch.size();
   const double inv_n = 1.0 / static_cast<double>(n);
   const bool linear_critic =
@@ -218,7 +239,8 @@ double DdpgAgent::UpdateBatched(const std::vector<Transition>& batch) {
   // Every per-row quantity below is computed by exactly the arithmetic the
   // scalar path applies per transition, and every accumulation (loss, |Q|,
   // and the gradients inside BackwardBatch) runs over rows in ascending
-  // order — which is what makes this path bit-identical to UpdateScalar.
+  // order — which is what makes this path bit-identical to
+  // UpdateScalarForTest.
   double critic_loss = 0.0;
   double abs_q_sum = 0.0;
   {
@@ -226,39 +248,28 @@ double DdpgAgent::UpdateBatched(const std::vector<Transition>& batch) {
     // Target policy actions for all next states (terminal rows are computed
     // too and simply never read — target nets are pure functions, so the
     // extra rows cost a few flops and change nothing).
+    math::Matrix& scratch = ws_.mat(kWsScratch, n, 0);
     math::Matrix& next_actions = ws_.mat(kWsNextActions, n, a_dim);
-    next_actions = target_actor_->ForwardBatch(next_states, /*train=*/false);
+    target_actor_->Infer(next_states, &next_actions, &scratch);
     next_actions.Scale(config_.logit_scale);
     math::SoftmaxRowsInPlace(&next_actions);
 
-    const math::Matrix* next_q;
+    math::Matrix& next_q = ws_.mat(kWsNextQ, n, linear_critic ? a_dim : 1);
     if (linear_critic) {
-      next_q = &target_critic_->ForwardBatch(next_states, /*train=*/false);
+      target_critic_->Infer(next_states, &next_q, &scratch);
     } else {
       math::Matrix& next_in = ws_.mat(kWsNextCriticIn, n, s_dim + a_dim);
-      for (size_t b = 0; b < n; ++b) {
-        double* row = next_in.RowPtr(b);
-        const double* s = next_states.RowPtr(b);
-        const double* a = next_actions.RowPtr(b);
-        for (size_t j = 0; j < s_dim; ++j) row[j] = s[j];
-        for (size_t j = 0; j < a_dim; ++j) row[s_dim + j] = a[j];
-      }
-      next_q = &target_critic_->ForwardBatch(next_in, /*train=*/false);
+      ConcatRows(next_states, next_actions, &next_in);
+      target_critic_->Infer(next_in, &next_q, &scratch);
     }
 
     const math::Matrix* q;
     if (linear_critic) {
-      q = &critic_->ForwardBatch(states, /*train=*/true);
+      q = &critic_->ForwardBatch(states);
     } else {
       math::Matrix& critic_in = ws_.mat(kWsCriticIn, n, s_dim + a_dim);
-      for (size_t b = 0; b < n; ++b) {
-        double* row = critic_in.RowPtr(b);
-        const double* s = states.RowPtr(b);
-        const double* a = actions.RowPtr(b);
-        for (size_t j = 0; j < s_dim; ++j) row[j] = s[j];
-        for (size_t j = 0; j < a_dim; ++j) row[s_dim + j] = a[j];
-      }
-      q = &critic_->ForwardBatch(critic_in, /*train=*/true);
+      ConcatRows(states, actions, &critic_in);
+      q = &critic_->ForwardBatch(critic_in);
     }
 
     math::Matrix& dz = ws_.mat(kWsCriticDz, n, linear_critic ? a_dim : 1);
@@ -266,8 +277,8 @@ double DdpgAgent::UpdateBatched(const std::vector<Transition>& batch) {
       const Transition& t = batch[b];
       double target = t.reward;
       if (!t.terminal) {
-        double nq = linear_critic ? RowDot(next_actions, *next_q, b)
-                                  : (*next_q)(b, 0);
+        double nq = linear_critic ? RowDot(next_actions, next_q, b)
+                                  : next_q(b, 0);
         target += config_.gamma * nq;
       }
       double qv = linear_critic ? RowDot(actions, *q, b) : (*q)(b, 0);
@@ -294,7 +305,7 @@ double DdpgAgent::UpdateBatched(const std::vector<Transition>& batch) {
   {
     obs::Span actor_span("actor_update");
     math::Matrix& logits = ws_.mat(kWsScaledLogits, n, a_dim);
-    logits = actor_->ForwardBatch(states, /*train=*/true);
+    logits = actor_->ForwardBatch(states);
     logits.Scale(config_.logit_scale);
     math::Matrix& probs = ws_.mat(kWsProbs, n, a_dim);
     probs = logits;
@@ -302,19 +313,13 @@ double DdpgAgent::UpdateBatched(const std::vector<Transition>& batch) {
 
     // dQ/da for every row, then the softmax-Jacobian VJP row-wise.
     const math::Matrix* dinput = nullptr;
-    const math::Matrix* dq_da = nullptr;
+    math::Matrix& dq_da = ws_.mat(kWsDqDa, n, a_dim);
     if (linear_critic) {
-      dq_da = &critic_->ForwardBatch(states, /*train=*/false);
+      critic_->Infer(states, &dq_da, &ws_.mat(kWsScratch, n, 0));
     } else {
       math::Matrix& critic_in = ws_.mat(kWsCriticIn, n, s_dim + a_dim);
-      for (size_t b = 0; b < n; ++b) {
-        double* row = critic_in.RowPtr(b);
-        const double* s = states.RowPtr(b);
-        const double* a = probs.RowPtr(b);
-        for (size_t j = 0; j < s_dim; ++j) row[j] = s[j];
-        for (size_t j = 0; j < a_dim; ++j) row[s_dim + j] = a[j];
-      }
-      critic_->ForwardBatch(critic_in, /*train=*/true);
+      ConcatRows(states, probs, &critic_in);
+      critic_->ForwardBatch(critic_in);
       math::Matrix& ones = ws_.mat(kWsOnes, n, 1);
       ones.Fill(1.0);
       dinput = &critic_->BackwardBatch(ones);
@@ -326,7 +331,7 @@ double DdpgAgent::UpdateBatched(const std::vector<Transition>& batch) {
       for (size_t j = 0; j < a_dim; ++j) {
         if (prow[j] > 0.0) entropy_sum -= prow[j] * std::log(prow[j]);
       }
-      const double* grow = linear_critic ? dq_da->RowPtr(b)
+      const double* grow = linear_critic ? dq_da.RowPtr(b)
                                          : dinput->RowPtr(b) + s_dim;
       // SoftmaxJacobianVjp on the row, then the same chain as the scalar
       // path: descent on -Q through the logit scale plus the L2 pull of the
@@ -346,7 +351,7 @@ double DdpgAgent::UpdateBatched(const std::vector<Transition>& batch) {
   return FinishUpdate(critic_loss, abs_q_sum, entropy_sum, inv_n);
 }
 
-double DdpgAgent::UpdateScalar(const std::vector<Transition>& batch) {
+double DdpgAgent::UpdateScalarForTest(const std::vector<Transition>& batch) {
   const double inv_n = 1.0 / static_cast<double>(batch.size());
 
   // --- Critic update: minimize (Q(s,a) - y)^2, y from target networks. ----

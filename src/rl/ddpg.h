@@ -50,12 +50,6 @@ struct DdpgConfig {
   size_t batch_size = 16;
   double grad_clip = 5.0;
   uint64_t seed = 42;
-  /// Batch-major Update path: every actor/critic/target evaluation runs as
-  /// one batched pass over the minibatch (one GEMM per layer) on reusable
-  /// workspace buffers. The per-transition scalar path is kept as the
-  /// reference implementation for parity tests; the two match bit for bit
-  /// except for the sign of exact-zero gradients (see DESIGN.md).
-  bool batched_update = true;
 };
 
 /// Per-Update training diagnostics — the telemetry both ensemble-RL lines of
@@ -78,31 +72,39 @@ class DdpgAgent {
  public:
   explicit DdpgAgent(const DdpgConfig& config);
 
-  /// Deterministic action (ensemble weights) for a state. Inference-mode:
-  /// runs on reusable buffers and stashes no backprop state.
+  /// Deterministic actions (ensemble weights) for a batch of states: row b
+  /// of *actions is the simplex weight vector for row b of `states`. The
+  /// policy's single inference entry point: it writes only the caller's
+  /// buffers, so threads sharing one agent may call it concurrently, each
+  /// with its own `actions` and `scratch`, while nothing updates the agent
+  /// (cross-request batching for the serving path).
+  void ActBatch(const math::Matrix& states, math::Matrix* actions,
+                math::Matrix* scratch) const;
+
+  /// Deterministic action for one state: a 1-row ActBatch on the agent's
+  /// own workspace, so calls on one agent must not overlap.
   math::Vec Act(const math::Vec& state);
 
-  /// Batched deterministic actions: row b of the result is Act(row b of
-  /// `states`), bit for bit — one batched forward instead of B scalar ones
-  /// (cross-request batching for the serving path).
-  math::Matrix ActBatch(const math::Matrix& states);
-
-  /// Exploratory action: softmax(logits + noise).
+  /// Exploratory action: softmax(logits + noise), on the agent's workspace.
   math::Vec ActWithNoise(const math::Vec& state, const math::Vec& noise);
 
   /// One DDPG update from a minibatch: critic regression toward the Bellman
   /// target using the target networks, then a deterministic policy-gradient
   /// step on the actor, then soft target updates. Returns the critic loss.
   ///
-  /// By default the whole minibatch is evaluated in single batched passes
-  /// (config.batched_update): gradient accumulation is one fused-transpose
-  /// GEMM per layer whose batch-index summation order equals the scalar
-  /// per-transition walk, so results are bit-identical to the reference path
-  /// (modulo exact-zero signs) and independent of the thread count.
+  /// The whole minibatch is evaluated in single batched passes: gradient
+  /// accumulation is one fused-transpose GEMM per layer whose batch-index
+  /// summation order equals the per-transition walk of UpdateScalarForTest,
+  /// so results are bit-identical to it (modulo exact-zero signs) and
+  /// independent of the thread count.
   double Update(const std::vector<Transition>& batch);
 
+  /// The per-transition reference implementation of Update, kept only as
+  /// the oracle the batched path is tested against.
+  double UpdateScalarForTest(const std::vector<Transition>& batch);
+
   /// Q-value estimate for diagnostics/tests.
-  double QValue(const math::Vec& state, const math::Vec& action);
+  double QValue(const math::Vec& state, const math::Vec& action) const;
 
   /// Snapshot/restore of the actor parameters (used for best-checkpoint
   /// selection during offline training).
@@ -123,16 +125,12 @@ class DdpgAgent {
 
   math::Vec CriticInput(const math::Vec& state, const math::Vec& action) const;
 
-  /// Batch-major Update path (the default; see Update's contract).
-  double UpdateBatched(const std::vector<Transition>& batch);
+  /// `state` as a 1-row batch in the agent's workspace.
+  const math::Matrix& StateRow(const math::Vec& state);
 
-  /// Per-transition scalar reference path (config.batched_update == false);
-  /// the ground truth the batched kernels are tested against.
-  double UpdateScalar(const std::vector<Transition>& batch);
-
-  /// Shared tail of both Update paths: discard stray critic gradients from
-  /// the actor phase, clip + step the actor, soft-update the targets, and
-  /// publish stats/telemetry. Returns the critic loss.
+  /// Shared tail of Update and UpdateScalarForTest: discard stray critic
+  /// gradients from the actor phase, clip + step the actor, soft-update the
+  /// targets, and publish stats/telemetry. Returns the critic loss.
   double FinishUpdate(double critic_loss, double abs_q_sum,
                       double entropy_sum, double inv_n);
 
@@ -144,9 +142,10 @@ class DdpgAgent {
   std::unique_ptr<nn::Mlp> target_critic_;
   nn::Adam actor_opt_;
   nn::Adam critic_opt_;
-  /// Reusable batch-major staging buffers for UpdateBatched (warm after the
-  /// first update; slot map in ddpg.cc). Not thread-safe — an agent's Update
-  /// runs single-threaded, like the rest of its mutable state.
+  /// Reusable batch-major staging buffers for Update, Act and ActWithNoise
+  /// (warm after the first call; slot map in ddpg.cc). Not thread-safe —
+  /// those entry points run single-threaded, like the rest of the agent's
+  /// mutable state.
   math::Workspace ws_;
 
   DdpgUpdateStats last_stats_;

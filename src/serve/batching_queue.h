@@ -29,8 +29,8 @@ struct Request {
 
   Kind kind = Kind::kPredict;
   std::shared_ptr<Session> session;
-  math::Vec preds;     ///< predict: member forecasts, tenant units.
-  double actual = 0.0; ///< observe: realized value, tenant units.
+  math::Vec preds;     ///< predict: member forecasts, scaled by Admit.
+  double actual = 0.0; ///< observe: realized value, scaled by Admit.
   std::chrono::steady_clock::time_point enqueue_time{};
   std::function<void(StatusOr<double>)> on_predict;  ///< tenant-unit forecast.
   std::function<void(Status)> on_observe;            ///< may be empty.

@@ -19,24 +19,38 @@
 namespace eadrl::serve {
 namespace {
 
+// Workspace slots of a batch's actor passes (ProcessWave).
+enum WaveSlot : size_t { kWsStates = 0, kWsActions, kWsScratch };
+
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
 
 // The payload checks of the public boundary, after the session lookup:
-// returns the rejection reason, or nullptr for a well-formed request. The
-// drain wave's contracts guard internal invariants and must never be the
-// first to see a caller's malformed input.
-const char* InvalidPayload(const Request& request) {
-  if (request.kind == Request::Kind::kObserve) {
-    return std::isfinite(request.actual) ? nullptr : "nonfinite_actual";
+// converts a well-formed payload to policy units in place and returns
+// nullptr, or returns the rejection reason. The drain wave's contracts guard
+// internal invariants and must never be the first to see a caller's
+// malformed input -- including a finite value whose scaling overflows.
+const char* AdmitPayload(Request* request) {
+  const Session& session = *request->session;
+  if (request->kind == Request::Kind::kObserve) {
+    if (!std::isfinite(request->actual)) return "nonfinite_actual";
+    if (session.has_scaler) {
+      request->actual = session.scaler.Transform(request->actual);
+    }
+    return std::isfinite(request->actual) ? nullptr : "scaled_overflow";
   }
-  if (request.preds.size() != request.session->policy->combiner->num_models()) {
+  if (request->preds.size() != session.policy->combiner->num_models()) {
     return "preds_size";
   }
-  for (double pred : request.preds) {
+  for (double pred : request->preds) {
     if (!std::isfinite(pred)) return "nonfinite_preds";
+  }
+  if (!session.has_scaler) return nullptr;
+  for (double& pred : request->preds) {
+    pred = session.scaler.Transform(pred);
+    if (!std::isfinite(pred)) return "scaled_overflow";
   }
   return nullptr;
 }
@@ -205,7 +219,7 @@ Status ForecastService::Admit(Request request, const std::string& tenant) {
   if (request.session == nullptr) {
     return Status::NotFound("no session for tenant '" + tenant + "'");
   }
-  if (const char* reason = InvalidPayload(request)) {
+  if (const char* reason = AdmitPayload(&request)) {
     obs::MetricRegistry::Default()
         .GetCounter("eadrl_serve_rejected_total", {{"reason", reason}})
         ->Inc();
@@ -373,12 +387,6 @@ void ForecastService::Flush() { queue_.Flush(); }
 
 bool ForecastService::DrainOnce() { return queue_.DrainOnce(); }
 
-core::EadrlCombiner* ForecastService::policy_combiner(size_t policy_id) {
-  std::lock_guard<chk::OrderedMutex> lock(policies_mu_);
-  EADRL_CHECK_LT(policy_id, policies_.size());
-  return policies_[policy_id]->combiner.get();
-}
-
 void ForecastService::ProcessBatch(std::vector<Request> batch) {
   // Waves: each takes at most one request per session (per-session FIFO
   // order is the queue order restricted to that session) and at most
@@ -387,6 +395,7 @@ void ForecastService::ProcessBatch(std::vector<Request> batch) {
   size_t processed = 0;
   std::vector<size_t> wave;
   std::unordered_set<const Session*> wave_sessions;
+  math::Workspace ws;
   while (processed < batch.size()) {
     wave.clear();
     wave_sessions.clear();
@@ -398,7 +407,7 @@ void ForecastService::ProcessBatch(std::vector<Request> batch) {
       wave_sessions.insert(session);
       wave.push_back(i);
     }
-    ProcessWave(&batch, wave);
+    ProcessWave(&batch, wave, &ws);
     for (size_t i : wave) done[i] = 1;
     processed += wave.size();
   }
@@ -410,7 +419,8 @@ void ForecastService::ProcessBatch(std::vector<Request> batch) {
 }
 
 void ForecastService::ProcessWave(std::vector<Request>* batch,
-                                  const std::vector<size_t>& wave) {
+                                  const std::vector<size_t>& wave,
+                                  math::Workspace* ws) {
   obs::Span span("serve_batch");
   batches_.fetch_add(1, std::memory_order_relaxed);
   batch_counter_->Inc();
@@ -448,18 +458,15 @@ void ForecastService::ProcessWave(std::vector<Request>* batch,
       bool drifted = false;
       {
         std::lock_guard<chk::OrderedMutex> lock(session.session_mu);
-        const double actual = session.has_scaler
-                                  ? session.scaler.Transform(request.actual)
-                                  : request.actual;
         ++session.observes;
         if (session.has_last_prediction) {
-          // Scale-free one-step absolute error feeds the per-tenant
-          // Page-Hinkley detector (same signal family as the combiner's
-          // online drift mode).
+          // Scale-free one-step absolute error (policy units, as admitted)
+          // feeds the per-tenant Page-Hinkley detector (same signal family
+          // as the combiner's online drift mode).
           const double sd =
               session.state.state_std > 0.0 ? session.state.state_std : 1.0;
           const double err =
-              std::fabs(session.last_prediction - actual) / sd;
+              std::fabs(session.last_prediction - request.actual) / sd;
           if (session.drift.Update(err)) {
             ++session.drift_events;
             drifted = true;
@@ -486,13 +493,9 @@ void ForecastService::ProcessWave(std::vector<Request>* batch,
       Pending p;
       p.index = i;
       p.lock = std::unique_lock<chk::OrderedMutex>(session.session_mu);
-      const math::Vec scaled = session.has_scaler
-                                   ? session.scaler.Transform(request.preds)
-                                   : request.preds;
-      EADRL_CHK_FINITE(scaled, "serve predict member predictions");
-      p.reduced = session.policy->combiner->ReduceToActive(scaled);
-      p.state = core::OnlineStateVec(session.state.window,
-                                     session.state.state_std);
+      EADRL_CHK_FINITE(request.preds, "serve predict member predictions");
+      p.reduced = session.policy->combiner->ReduceToActive(request.preds);
+      p.state = core::OnlineStateVec(session.state);
       pending.push_back(std::move(p));
     }
   }
@@ -506,6 +509,7 @@ void ForecastService::ProcessWave(std::vector<Request>* batch,
   // Group the wave's predicts by policy (first-appearance order) and run one
   // batched actor pass per group — the cross-tenant batching step.
   std::vector<char> dispatched(pending.size(), 0);
+  math::Vec action;
   for (size_t lead = 0; lead < pending.size(); ++lead) {
     if (dispatched[lead] != 0) continue;
     Policy* policy = (*batch)[pending[lead].index].session->policy.get();
@@ -516,17 +520,14 @@ void ForecastService::ProcessWave(std::vector<Request>* batch,
         group.push_back(j);
       }
     }
-    math::Matrix states(group.size(), pending[group[0]].state.size());
+    math::Matrix& states =
+        ws->mat(kWsStates, group.size(), pending[group[0]].state.size());
     for (size_t g = 0; g < group.size(); ++g) {
       states.SetRow(g, pending[group[g]].state);
     }
-    math::Matrix actions;
-    {
-      // The agent's inference workspace is shared across every session of
-      // this policy; the policy mutex serializes batched passes.
-      std::lock_guard<chk::OrderedMutex> lock(policy->agent_mu);
-      actions = policy->combiner->agent()->ActBatch(states);
-    }
+    math::Matrix& actions = ws->mat(kWsActions, group.size(), 0);
+    policy->combiner->agent()->ActBatch(states, &actions,
+                                        &ws->mat(kWsScratch, group.size(), 0));
     act_batches_.fetch_add(1, std::memory_order_relaxed);
     act_batch_rows_.fetch_add(group.size(), std::memory_order_relaxed);
     batch_rows_counter_->Inc(static_cast<double>(group.size()));
@@ -544,13 +545,9 @@ void ForecastService::ProcessWave(std::vector<Request>* batch,
       Request& request = (*batch)[p.index];
       Session& session = *request.session;
       obs::Span rspan("serve_request");
-      const math::Vec action = actions.Row(g);
-      EADRL_CHK_SIMPLEX(action, 1e-6, "serve batched action");
-      const double pred = core::Combine(action, p.reduced);
-      EADRL_CHK_FINITE_VALUE(pred, "serve batched prediction");
-      // Algorithm 1's window roll, on the session's extracted state.
-      session.state.window.push_back(pred);
-      session.state.window.pop_front();
+      actions.RowInto(g, &action);
+      const double pred =
+          core::CombineAndRoll(action, p.reduced, &session.state);
       session.last_prediction = pred;
       session.has_last_prediction = true;
       ++session.predicts;

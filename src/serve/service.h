@@ -15,6 +15,7 @@
 #include "common/status.h"
 #include "core/eadrl.h"
 #include "math/vec.h"
+#include "math/workspace.h"
 #include "obs/cardinality.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
@@ -138,24 +139,26 @@ struct SessionInfo {
 /// wave takes at most one request per session (preserving per-session FIFO
 /// order), groups the predicts by policy, and runs ONE batched actor pass
 /// (rl::DdpgAgent::ActBatch) per policy group — the cross-tenant batching
-/// that amortizes actor inference. Because ActBatch row b is bit-identical
-/// to Act on row b (the PR-7 batched-kernel guarantee) and the state/reduce/
-/// combine steps share code with EadrlCombiner::Predict, a batched serving
-/// replay is bit-identical to per-session serial evaluation
+/// that amortizes actor inference. Because Act is a 1-row ActBatch whose
+/// rows never interact, and the state/reduce/combine-and-roll steps are the
+/// functions EadrlCombiner::Predict calls, a batched serving replay is
+/// bit-identical to per-session serial evaluation
 /// (tests/serve_parity_test.cc).
 ///
 /// Admission control: a request is shed with Status::ResourceExhausted when
 /// the queue is at max_queue or admitted-but-incomplete requests reach
 /// max_inflight. Shedding is the backpressure signal of an open-loop load
 /// driver (tools/eadrl_serve.cc --expect-shed).
-/// A malformed payload -- a predict whose member forecasts are not one
-/// finite value per pool member, or an observe with a non-finite actual --
-/// is refused with Status::InvalidArgument and never reaches the drain wave.
+/// Admission converts the payload to policy units with the session's
+/// scaler. A malformed payload -- a predict whose member forecasts are not
+/// one finite value per pool member, an observe with a non-finite actual, or
+/// a value whose scaling overflows -- is refused with
+/// Status::InvalidArgument and never reaches the drain wave.
 ///
 /// Threading: all public entry points are thread-safe. Per-session state is
-/// guarded by the session mutex, sessions are striped across the table's
-/// shard locks, and each policy's agent workspace is serialized by the
-/// policy mutex.
+/// guarded by the session mutex and sessions are striped across the table's
+/// shard locks; the shared policies are read-only (their actor passes run on
+/// wave-owned buffers).
 class ForecastService {
  public:
   /// SLO objective indices within slo_tracker().
@@ -195,15 +198,16 @@ class ForecastService {
   /// units, one per member of the session policy's pool; `done` receives
   /// the combined forecast (tenant units) on the drainer thread. Returns the
   /// admission decision: NotFound (no session), ResourceExhausted (shed) or
-  /// InvalidArgument (wrong length or a non-finite forecast); once Ok is
-  /// returned, `done` will be called. `done` must not throw.
+  /// InvalidArgument (wrong length, or a forecast that is non-finite before
+  /// or after the tenant's scaling); once Ok is returned, `done` will be
+  /// called. `done` must not throw.
   Status PredictAsync(const std::string& tenant, math::Vec preds,
                       std::function<void(StatusOr<double>)> done);
 
   /// Admits an observe request feeding the tenant's realized value (tenant
   /// units) to its drift detector. `done` (optional) runs on the drainer
   /// thread; same admission semantics as PredictAsync (InvalidArgument for
-  /// a non-finite `actual`).
+  /// an `actual` that is non-finite before or after scaling).
   Status ObserveActualAsync(const std::string& tenant, double actual,
                             std::function<void(Status)> done = {});
 
@@ -250,19 +254,15 @@ class ForecastService {
   /// calling thread. Returns false when the queue was empty.
   bool DrainOnce();
 
-  /// The registered combiner (tests and offline tooling). Callers must not
-  /// use it while requests are in flight — it shares the policy's agent
-  /// workspace with the serving path.
-  core::EadrlCombiner* policy_combiner(size_t policy_id);
-
   const ServeConfig& config() const { return config_; }
 
  private:
   void ProcessBatch(std::vector<Request> batch);
   /// One wave: at most one request per session, batched actor passes
-  /// grouped by policy, then per-request apply + completion.
+  /// grouped by policy (on `ws`, which the batch reuses across its waves),
+  /// then per-request apply + completion.
   void ProcessWave(std::vector<Request>* batch,
-                   const std::vector<size_t>& wave);
+                   const std::vector<size_t>& wave, math::Workspace* ws);
   Status Admit(Request request, const std::string& tenant);
 
   ServeConfig config_;

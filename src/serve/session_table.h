@@ -21,15 +21,14 @@
 namespace eadrl::serve {
 
 /// A trained EA-DRL policy shared by many tenant sessions. The combiner is
-/// immutable online (paper default OnlineUpdateMode::kNone) except for the
-/// agent's inference workspace, which `mu` serializes — this is what allows
-/// one actor network to serve cross-tenant batched passes. `fresh_state`
-/// snapshots the combiner's online state right after training; every new (or
-/// reset) session starts from a copy of it.
+/// immutable online (paper default OnlineUpdateMode::kNone), and its agent's
+/// const ActBatch writes only the caller's buffers, so concurrent waves share
+/// one actor network without a lock — which is what allows cross-tenant
+/// batched passes. `fresh_state` snapshots the combiner's online state right
+/// after training; every new (or reset) session starts from a copy of it.
 struct Policy {
   /// Immutable after RegisterPolicy publishes the policy (online updates are
-  /// off in serving); only the agent's scratch workspace mutates, under
-  /// agent_mu.
+  /// off in serving); waves only call its const inference paths.
   std::unique_ptr<core::EadrlCombiner> combiner EADRL_UNGUARDED;
   core::OnlineState fresh_state EADRL_UNGUARDED;  ///< written pre-publication.
   /// Registration index, written pre-publication — the per-policy
@@ -38,11 +37,6 @@ struct Policy {
   /// `id` rendered once at registration so the per-request drill-down
   /// observation never allocates a label string on the serving path.
   std::string label EADRL_UNGUARDED;
-  /// Serializes access to the combiner's agent workspace (ActBatch reuses
-  /// internal buffers; see EadrlCombiner::agent()). Innermost serve lock:
-  /// held while session locks are held (ProcessWave), never the reverse.
-  chk::OrderedMutex agent_mu{EADRL_LOCK_RANK(serve_policy),
-                             "serve::Policy::agent_mu"};
 };
 
 /// One resident tenant session: a reference to the shared policy plus
@@ -76,7 +70,8 @@ struct Session {
   /// it to prove state did not leak across recreation.
   const uint64_t generation;
   /// Affine map between the tenant's series units and the policy's training
-  /// units (absent: the tenant already speaks policy units).
+  /// units (absent: the tenant already speaks policy units). Admission maps
+  /// payloads into policy units; the wave maps forecasts back.
   const bool has_scaler;
   const ts::StandardScaler scaler;
   const double drift_delta;

@@ -1,8 +1,8 @@
 // Batched-vs-scalar parity: the batch-major kernels must reproduce the
-// per-sample reference paths bit for bit (modulo exact-zero signs, which
-// EXPECT_DOUBLE_EQ already treats as equal). Runs with the chk contract
-// layer forced on so every shape/finite/simplex contract is live while the
-// two paths are compared.
+// per-sample reference paths bit for bit. Every comparison is exact `==`,
+// which treats +0 and -0 as equal: the sign of an exact zero is the one
+// documented divergence. Runs with the chk contract layer forced on so every
+// shape/finite/simplex contract is live while the two paths are compared.
 #define EADRL_CHK_FORCE_ON 1
 
 #include <cmath>
@@ -52,12 +52,12 @@ TEST(BatchedParityTest, DenseForwardBackwardMatchesScalar) {
       const math::Matrix g = RandomBatch(batch, out, &rng);
 
       math::Matrix batched_out;
-      batched.ForwardBatch(x, &batched_out, /*train=*/true);
+      batched.ForwardBatch(x, &batched_out);
       std::vector<math::Vec> scalar_dx;
       for (size_t b = 0; b < batch; ++b) {
         math::Vec y = scalar.Forward(x.Row(b));
         for (size_t j = 0; j < out; ++j) {
-          EXPECT_DOUBLE_EQ(batched_out(b, j), y[j]);
+          EXPECT_EQ(batched_out(b, j), y[j]);
         }
         scalar_dx.push_back(scalar.Backward(g.Row(b)));
       }
@@ -65,7 +65,7 @@ TEST(BatchedParityTest, DenseForwardBackwardMatchesScalar) {
       batched.BackwardBatch(g, &batched_dx);
       for (size_t b = 0; b < batch; ++b) {
         for (size_t j = 0; j < in; ++j) {
-          EXPECT_DOUBLE_EQ(batched_dx(b, j), scalar_dx[b][j]);
+          EXPECT_EQ(batched_dx(b, j), scalar_dx[b][j]);
         }
       }
       auto sp = scalar.Params();
@@ -73,7 +73,7 @@ TEST(BatchedParityTest, DenseForwardBackwardMatchesScalar) {
       for (size_t p = 0; p < sp.size(); ++p) {
         ASSERT_EQ(sp[p]->grad.size(), bp[p]->grad.size());
         for (size_t i = 0; i < sp[p]->grad.size(); ++i) {
-          EXPECT_DOUBLE_EQ(bp[p]->grad.data()[i], sp[p]->grad.data()[i])
+          EXPECT_EQ(bp[p]->grad.data()[i], sp[p]->grad.data()[i])
               << "act=" << static_cast<int>(act) << " batch=" << batch;
         }
       }
@@ -95,44 +95,48 @@ TEST(BatchedParityTest, MlpForwardBackwardMatchesScalar) {
     const math::Matrix x = RandomBatch(batch, 6, &rng);
     const math::Matrix g = RandomBatch(batch, 3, &rng);
 
-    const math::Matrix& batched_out = batched.ForwardBatch(x, /*train=*/true);
+    const math::Matrix& batched_out = batched.ForwardBatch(x);
     std::vector<math::Vec> scalar_dx;
     for (size_t b = 0; b < batch; ++b) {
       math::Vec y = scalar.Forward(x.Row(b));
-      for (size_t j = 0; j < 3u; ++j) EXPECT_DOUBLE_EQ(batched_out(b, j), y[j]);
+      for (size_t j = 0; j < 3u; ++j) EXPECT_EQ(batched_out(b, j), y[j]);
       scalar_dx.push_back(scalar.Backward(g.Row(b)));
     }
     const math::Matrix& batched_dx = batched.BackwardBatch(g);
     for (size_t b = 0; b < batch; ++b) {
       for (size_t j = 0; j < 6u; ++j) {
-        EXPECT_DOUBLE_EQ(batched_dx(b, j), scalar_dx[b][j]);
+        EXPECT_EQ(batched_dx(b, j), scalar_dx[b][j]);
       }
     }
     auto sp = scalar.Params();
     auto bp = batched.Params();
     for (size_t p = 0; p < sp.size(); ++p) {
       for (size_t i = 0; i < sp[p]->grad.size(); ++i) {
-        EXPECT_DOUBLE_EQ(bp[p]->grad.data()[i], sp[p]->grad.data()[i]);
+        EXPECT_EQ(bp[p]->grad.data()[i], sp[p]->grad.data()[i]);
       }
     }
   }
 }
 
-// Predict (no-grad) and ForwardBatch(train=false) also agree with Forward.
+// The no-grad Infer agrees with the train-mode scalar Forward, for a single
+// row and for a batch.
 TEST(BatchedParityTest, InferencePathsMatchTrainForward) {
   Rng rng(17);
   Rng init(123);
   nn::Mlp net({5, 12, 2}, nn::Activation::kTanh, nn::Activation::kIdentity,
               init);
   const math::Matrix x = RandomBatch(8, 5, &rng);
-  const math::Matrix infer = net.ForwardBatch(x, /*train=*/false);
+  math::Matrix infer;
+  math::Matrix scratch;
+  net.Infer(x, &infer, &scratch);
+  math::Matrix one;
   for (size_t b = 0; b < 8u; ++b) {
     const math::Vec row = x.Row(b);
-    const math::Vec& pred = net.Predict(row);
+    net.Infer(math::Matrix::FromRows({row}), &one, &scratch);
     math::Vec fwd = net.Forward(row);
     for (size_t j = 0; j < 2u; ++j) {
-      EXPECT_DOUBLE_EQ(pred[j], fwd[j]);
-      EXPECT_DOUBLE_EQ(infer(b, j), fwd[j]);
+      EXPECT_EQ(one(0, j), fwd[j]);
+      EXPECT_EQ(infer(b, j), fwd[j]);
     }
   }
 }
@@ -159,8 +163,9 @@ std::vector<rl::Transition> MakeDdpgBatch(size_t n, size_t state_dim,
 
 class DdpgUpdateParity : public ::testing::TestWithParam<rl::CriticForm> {};
 
-// One Update on two same-seed agents — batched vs scalar path — must leave
-// identical weights, stats and Q-values, for both critic forms.
+// Updates on two same-seed agents — Update vs the per-transition
+// UpdateScalarForTest oracle — must leave identical weights, stats and
+// Q-values, for both critic forms.
 TEST_P(DdpgUpdateParity, SingleUpdateEquivalence) {
   rl::DdpgConfig cfg;
   cfg.state_dim = 4;
@@ -170,23 +175,21 @@ TEST_P(DdpgUpdateParity, SingleUpdateEquivalence) {
   cfg.critic_form = GetParam();
   cfg.seed = 5;
 
-  cfg.batched_update = true;
   rl::DdpgAgent batched(cfg);
-  cfg.batched_update = false;
   rl::DdpgAgent scalar(cfg);
 
   Rng rng(21);
   const auto batch = MakeDdpgBatch(16, cfg.state_dim, cfg.action_dim, &rng);
   for (int step = 0; step < 3; ++step) {
     const double loss_b = batched.Update(batch);
-    const double loss_s = scalar.Update(batch);
-    EXPECT_DOUBLE_EQ(loss_b, loss_s);
-    EXPECT_DOUBLE_EQ(batched.last_update_stats().mean_abs_q,
-                     scalar.last_update_stats().mean_abs_q);
-    EXPECT_DOUBLE_EQ(batched.last_update_stats().action_entropy,
-                     scalar.last_update_stats().action_entropy);
-    EXPECT_DOUBLE_EQ(batched.last_update_stats().actor_grad_norm,
-                     scalar.last_update_stats().actor_grad_norm);
+    const double loss_s = scalar.UpdateScalarForTest(batch);
+    EXPECT_EQ(loss_b, loss_s);
+    EXPECT_EQ(batched.last_update_stats().mean_abs_q,
+              scalar.last_update_stats().mean_abs_q);
+    EXPECT_EQ(batched.last_update_stats().action_entropy,
+              scalar.last_update_stats().action_entropy);
+    EXPECT_EQ(batched.last_update_stats().actor_grad_norm,
+              scalar.last_update_stats().actor_grad_norm);
   }
   const auto wb = batched.ActorWeights();
   const auto ws = scalar.ActorWeights();
@@ -194,17 +197,16 @@ TEST_P(DdpgUpdateParity, SingleUpdateEquivalence) {
   for (size_t m = 0; m < wb.size(); ++m) {
     ASSERT_EQ(wb[m].size(), ws[m].size());
     for (size_t i = 0; i < wb[m].size(); ++i) {
-      EXPECT_DOUBLE_EQ(wb[m].data()[i], ws[m].data()[i]);
+      EXPECT_EQ(wb[m].data()[i], ws[m].data()[i]);
     }
   }
   const math::Vec probe_s = batch[0].state;
   const math::Vec act_b = batched.Act(probe_s);
   const math::Vec act_s = scalar.Act(probe_s);
   for (size_t j = 0; j < cfg.action_dim; ++j) {
-    EXPECT_DOUBLE_EQ(act_b[j], act_s[j]);
+    EXPECT_EQ(act_b[j], act_s[j]);
   }
-  EXPECT_DOUBLE_EQ(batched.QValue(probe_s, act_b),
-                   scalar.QValue(probe_s, act_s));
+  EXPECT_EQ(batched.QValue(probe_s, act_b), scalar.QValue(probe_s, act_s));
 }
 
 INSTANTIATE_TEST_SUITE_P(CriticForms, DdpgUpdateParity,
@@ -219,10 +221,12 @@ TEST(BatchedParityTest, ActBatchMatchesScalarAct) {
   rl::DdpgAgent agent(cfg);
   Rng rng(31);
   const math::Matrix states = RandomBatch(7, 4, &rng);
-  const math::Matrix batched = agent.ActBatch(states);
+  math::Matrix batched;
+  math::Matrix scratch;
+  agent.ActBatch(states, &batched, &scratch);
   for (size_t b = 0; b < 7u; ++b) {
     const math::Vec want = agent.Act(states.Row(b));
-    for (size_t j = 0; j < 6u; ++j) EXPECT_DOUBLE_EQ(batched(b, j), want[j]);
+    for (size_t j = 0; j < 6u; ++j) EXPECT_EQ(batched(b, j), want[j]);
   }
 }
 
@@ -259,10 +263,10 @@ TEST(BatchedParityTest, RollingForecastMatchesScalarWalk) {
   }
   ASSERT_EQ(batched_preds.size(), scalar_preds.size());
   for (size_t t = 0; t < scalar_preds.size(); ++t) {
-    EXPECT_DOUBLE_EQ(batched_preds[t], scalar_preds[t]);
+    EXPECT_EQ(batched_preds[t], scalar_preds[t]);
   }
   // Same post-sweep state: the next one-step forecast agrees too.
-  EXPECT_DOUBLE_EQ(batched->PredictNext(), scalar->PredictNext());
+  EXPECT_EQ(batched->PredictNext(), scalar->PredictNext());
 }
 
 }  // namespace

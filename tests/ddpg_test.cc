@@ -1,10 +1,15 @@
 #include "rl/ddpg.h"
 
+#include <atomic>
 #include <cmath>
 #include <numeric>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "math/matrix.h"
 #include "rl/env.h"
 
 namespace eadrl::rl {
@@ -49,6 +54,39 @@ TEST(DdpgTest, DeterministicForSeed) {
   DdpgAgent a(SmallConfig(2, 2)), b(SmallConfig(2, 2));
   math::Vec s{0.3, -0.3};
   EXPECT_EQ(a.Act(s), b.Act(s));
+}
+
+// ActBatch is const and writes only the caller's buffers, so threads share
+// one agent without a lock (the serving layer's waves rely on this; the TSan
+// stage of tools/check.sh runs this test).
+TEST(DdpgTest, SharedAgentActBatchIsReentrant) {
+  const DdpgAgent agent(SmallConfig(5, 4));
+  constexpr size_t kThreads = 4;
+  constexpr int kRounds = 300;
+  Rng rng(19);
+  std::vector<math::Matrix> states;
+  std::vector<math::Matrix> serial(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    math::Matrix batch(2 + t, 5);
+    for (double& v : batch.data()) v = rng.Uniform(-2.0, 2.0);
+    states.push_back(std::move(batch));
+    math::Matrix scratch;
+    agent.ActBatch(states[t], &serial[t], &scratch);
+  }
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      math::Matrix actions;
+      math::Matrix scratch;
+      for (int r = 0; r < kRounds; ++r) {
+        agent.ActBatch(states[t], &actions, &scratch);
+        if (actions.data() != serial[t].data()) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 // A contextual-bandit-like environment: reward is highest when all weight is

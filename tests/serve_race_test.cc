@@ -3,10 +3,10 @@
 // threads hammer blocking Predict/ObserveActual on disjoint tenant sets
 // while other threads churn session create/evict, sweep TTLs, and read
 // Stats/GetSessionInfo — exercising the striped table locks, per-session
-// mutexes, the policy workspace mutex, and the queue's drainer handoff all
-// at once. The assertions are deliberately coarse (no lost or duplicated
-// completions, balanced in-flight accounting); the sanitizer provides the
-// real verdict.
+// mutexes, the lock-free shared-policy actor passes, and the queue's drainer
+// handoff all at once. The assertions are deliberately coarse (no lost or
+// duplicated completions, balanced in-flight accounting); the sanitizer
+// provides the real verdict.
 
 #include <atomic>
 #include <cstddef>

@@ -203,6 +203,61 @@ TEST(ForecastServiceTest, MalformedPayloadsRejectedAtAdmission) {
   EXPECT_EQ(stats.observes, 6u);
 }
 
+// A finite payload whose tenant scaling overflows is refused at admission
+// too. Unchecked, the predict would trip the drain wave's finiteness
+// contract (or, with contracts compiled out, return inf and leave it in the
+// window), and the observe would turn the drift statistic into NaN.
+TEST(ForecastServiceTest, ScaledOverflowRejectedAtAdmission) {
+  serve::ForecastService service(ManualConfig());
+  const size_t policy_id = service.RegisterPolicy(NewCombiner());
+  const ts::StandardScaler scaler = ts::StandardScaler::FromMoments(0.0, 0.5);
+  ASSERT_TRUE(service.CreateSession("a", policy_id, &scaler).ok());
+  ASSERT_TRUE(service.CreateSession("twin", policy_id, &scaler).ok());
+  const double overflow_before = RejectedTotal("scaled_overflow");
+  constexpr double kHuge = 1.5e308;  // finite; kHuge / 0.5 is not.
+
+  math::Vec huge_preds = Preds(0);
+  huge_preds[0] = kHuge;
+  obs::CollectingSink sink;
+  obs::SetTelemetrySink(&sink);
+  EXPECT_EQ(service.Predict("a", huge_preds).status().code(),
+            StatusCode::kInvalidArgument);
+  // A prediction first, so the observe would reach the drift detector.
+  StatusOr<double> got = service.Predict("a", Preds(0));
+  StatusOr<double> want = service.Predict("twin", Preds(0));
+  ASSERT_TRUE(got.ok());
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(*got, *want);
+  EXPECT_EQ(service.ObserveActual("a", kHuge).code(),
+            StatusCode::kInvalidArgument);
+  obs::SetTelemetrySink(nullptr);
+
+  EXPECT_EQ(RejectedTotal("scaled_overflow") - overflow_before, 2.0);
+  size_t reject_events = 0;
+  for (const obs::TelemetryEvent& event : sink.TakeEvents()) {
+    if (std::string(event.kind) == "serve_reject") ++reject_events;
+  }
+  EXPECT_EQ(reject_events, 2u);
+
+  for (size_t step = 1; step <= 3; ++step) {
+    ASSERT_TRUE(service.ObserveActual("a", Actual(step - 1)).ok());
+    ASSERT_TRUE(service.ObserveActual("twin", Actual(step - 1)).ok());
+    got = service.Predict("a", Preds(step));
+    want = service.Predict("twin", Preds(step));
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(*got, *want);
+  }
+  StatusOr<serve::SessionInfo> a = service.GetSessionInfo("a");
+  StatusOr<serve::SessionInfo> twin = service.GetSessionInfo("twin");
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(twin.ok());
+  EXPECT_EQ(a->predicts, 4u);
+  EXPECT_EQ(a->observes, 3u);
+  EXPECT_TRUE(std::isfinite(a->drift_cumulative));
+  EXPECT_EQ(a->drift_cumulative, twin->drift_cumulative);
+}
+
 TEST(ForecastServiceTest, QueueBoundShedsWithTypedStatus) {
   serve::ServeConfig config = ManualConfig();
   config.max_queue = 3;
@@ -597,6 +652,11 @@ TEST_F(SessionCallGuardTest, SequentialCallsAreFine) {
 }
 
 TEST_F(SessionCallGuardTest, CombinerEntryPointsAreGuarded) {
+  // This file forces contracts on, so chk::Enabled() is true here; whether
+  // the combiner's own guard fires depends on the library's setting.
+  if (!EADRL_CHECKS) {
+    GTEST_SKIP() << "library compiled with EADRL_CHECKS=OFF";
+  }
   // Re-enter the combiner from inside Predict via a telemetry sink that
   // calls back into it — the same shape as two threads sharing one
   // combiner, but deterministic.

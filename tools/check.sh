@@ -29,7 +29,11 @@
 #                    (EADRL_LOCKDEP=1) so lockdep sees sanitizer-grade
 #                    interleavings
 #   stage 10 asan    tier-1 suite under AddressSanitizer
-#   stage 11 ubsan   tier-1 suite under UndefinedBehaviorSanitizer
+#   stage 11 nochecks  tier-1 suite under AddressSanitizer with the contract
+#                    layer compiled out (EADRL_CHECKS=OFF), the configuration
+#                    production serving and the repository benchmark build;
+#                    tests that assert a library contract fires skip there
+#   stage 12 ubsan   tier-1 suite under UndefinedBehaviorSanitizer
 #                    (-fno-sanitize-recover=all: any UB aborts the test)
 #
 # Each stage reports wall-clock seconds; the summary at the end shows all of
@@ -202,12 +206,14 @@ stage_thread_safety() {
   cmake --build "$dir" -j "$JOBS" --target eadrl
 }
 
+# Usage: stage_sanitizer mode [build-dir-suffix [extra cmake args...]]
 stage_sanitizer() {
   local mode="$1"
-  local dir="$SRC_DIR/build-$mode"
+  local dir="$SRC_DIR/build-${2:-$mode}"
+  shift $(($# < 2 ? $# : 2))
   cmake -B "$dir" -S "$SRC_DIR" \
     -DEADRL_SANITIZE="$mode" \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo "$@"
   cmake --build "$dir" -j "$JOBS"
   # EADRL_LOCKDEP=1 forces the runtime lock-order tracker on (its default,
   # but explicit here so a developer's EADRL_LOCKDEP=0 environment cannot
@@ -227,6 +233,7 @@ run_stage perfbench stage_perfbench
 run_stage wthread stage_thread_safety
 run_stage tsan stage_sanitizer thread
 run_stage asan stage_sanitizer address
+run_stage nochecks stage_sanitizer address nochecks -DEADRL_CHECKS=OFF
 run_stage ubsan stage_sanitizer undefined
 
 echo
@@ -234,4 +241,5 @@ echo "==== all stages passed ===="
 for i in "${!STAGE_NAMES[@]}"; do
   printf '  %-9s %ss\n' "${STAGE_NAMES[$i]}" "${STAGE_SECONDS[$i]}"
 done
-echo "tier-1 suite is clean under TSan, ASan and UBSan (EADRL_THREADS=$THREADS)"
+echo "tier-1 suite is clean under TSan, ASan (contracts on and off) and UBSan" \
+  "(EADRL_THREADS=$THREADS)"

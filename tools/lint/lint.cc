@@ -526,8 +526,9 @@ size_t SkipGroup(const std::vector<Token>& toks, size_t i, const char* open,
 }
 
 // Last identifier in [begin, end): the terminal identifier of an expression
-// like `shard.stripe_mu` or `policy->agent_mu` (member names are repo-unique
-// for ranked mutexes, so the terminal identifier is the binding key).
+// like `shard.stripe_mu` or `session->session_mu` (member names are
+// repo-unique for ranked mutexes, so the terminal identifier is the binding
+// key).
 std::string TerminalIdent(const std::vector<Token>& toks, size_t begin,
                           size_t end) {
   std::string last;
