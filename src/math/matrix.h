@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "math/isa.h"
 #include "math/vec.h"
 
 namespace eadrl::math {
@@ -126,6 +127,15 @@ class Matrix {
   size_t cols_ = 0;
   std::vector<double> data_;
 };
+
+/// The three products above on a chosen kernel variant; the members run
+/// HostIsa()'s. Every variant computes the same bits, so these exist for the
+/// tests that hold each one to the naive loops.
+void MatMulInto(Isa isa, const Matrix& a, const Matrix& b, Matrix* out);
+void MatMulTransposeAInto(Isa isa, const Matrix& a, const Matrix& b,
+                          Matrix* out, bool accumulate);
+void MatMulTransposeBInto(Isa isa, const Matrix& a, const Matrix& b,
+                          Matrix* out);
 
 /// Row-wise softmax in place — each row is mapped through exactly the same
 /// max-shift/exp/normalize steps as math::Softmax, so a batched row equals

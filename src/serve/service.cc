@@ -5,6 +5,7 @@
 #include <cmath>
 #include <functional>
 #include <future>
+#include <limits>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -47,10 +48,20 @@ const char* AdmitPayload(Request* request) {
   for (double pred : request->preds) {
     if (!std::isfinite(pred)) return "nonfinite_preds";
   }
-  if (!session.has_scaler) return nullptr;
+  // The combined forecast is a convex mix of the members and joins the
+  // omega-entry window. With every entry within sqrt(DBL_MAX / (4 omega)) in
+  // magnitude, the window's sum and squared deviations in OnlineStateVec
+  // stay finite; a larger member could overflow them into a NaN state.
+  const double omega =
+      static_cast<double>(session.policy->fresh_state.window.size());
+  const double limit =
+      std::sqrt(std::numeric_limits<double>::max() / (4.0 * omega));
   for (double& pred : request->preds) {
-    pred = session.scaler.Transform(pred);
-    if (!std::isfinite(pred)) return "scaled_overflow";
+    if (session.has_scaler) {
+      pred = session.scaler.Transform(pred);
+      if (!std::isfinite(pred)) return "scaled_overflow";
+    }
+    if (std::fabs(pred) > limit) return "magnitude";
   }
   return nullptr;
 }

@@ -6,6 +6,8 @@
 #define EADRL_CHK_FORCE_ON 1
 
 #include <cmath>
+#include <ostream>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -161,25 +163,44 @@ std::vector<rl::Transition> MakeDdpgBatch(size_t n, size_t state_dim,
   return batch;
 }
 
-class DdpgUpdateParity : public ::testing::TestWithParam<rl::CriticForm> {};
+// Agent and minibatch shape of a parity case.
+struct DdpgShape {
+  size_t state_dim;
+  size_t action_dim;
+  std::vector<size_t> hidden;
+  size_t batch;
+};
+
+void PrintTo(const DdpgShape& shape, std::ostream* os) {
+  *os << "state " << shape.state_dim << ", action " << shape.action_dim
+      << ", batch " << shape.batch;
+}
+
+class DdpgUpdateParity
+    : public ::testing::TestWithParam<std::tuple<rl::CriticForm, DdpgShape>> {
+};
 
 // Updates on two same-seed agents — Update vs the per-transition
 // UpdateScalarForTest oracle — must leave identical weights, stats and
-// Q-values, for both critic forms.
+// Q-values, for both critic forms. The small shape runs every product's
+// remainder paths; the paper's shape (state 10, 43 members, hidden {64, 64},
+// batch 16) runs full tiles and remainders of all three kernels.
 TEST_P(DdpgUpdateParity, SingleUpdateEquivalence) {
+  const auto& [form, shape] = GetParam();
   rl::DdpgConfig cfg;
-  cfg.state_dim = 4;
-  cfg.action_dim = 6;
-  cfg.actor_hidden = {16};
-  cfg.critic_hidden = {16};
-  cfg.critic_form = GetParam();
+  cfg.state_dim = shape.state_dim;
+  cfg.action_dim = shape.action_dim;
+  cfg.actor_hidden = shape.hidden;
+  cfg.critic_hidden = shape.hidden;
+  cfg.critic_form = form;
   cfg.seed = 5;
 
   rl::DdpgAgent batched(cfg);
   rl::DdpgAgent scalar(cfg);
 
   Rng rng(21);
-  const auto batch = MakeDdpgBatch(16, cfg.state_dim, cfg.action_dim, &rng);
+  const auto batch =
+      MakeDdpgBatch(shape.batch, cfg.state_dim, cfg.action_dim, &rng);
   for (int step = 0; step < 3; ++step) {
     const double loss_b = batched.Update(batch);
     const double loss_s = scalar.UpdateScalarForTest(batch);
@@ -209,9 +230,13 @@ TEST_P(DdpgUpdateParity, SingleUpdateEquivalence) {
   EXPECT_EQ(batched.QValue(probe_s, act_b), scalar.QValue(probe_s, act_s));
 }
 
-INSTANTIATE_TEST_SUITE_P(CriticForms, DdpgUpdateParity,
-                         ::testing::Values(rl::CriticForm::kLinearInAction,
-                                           rl::CriticForm::kMonolithic));
+INSTANTIATE_TEST_SUITE_P(
+    CriticForms, DdpgUpdateParity,
+    ::testing::Combine(
+        ::testing::Values(rl::CriticForm::kLinearInAction,
+                          rl::CriticForm::kMonolithic),
+        ::testing::Values(DdpgShape{4, 6, {16}, 16},
+                          DdpgShape{10, 43, {64, 64}, 16})));
 
 // ActBatch row b == Act(row b).
 TEST(BatchedParityTest, ActBatchMatchesScalarAct) {

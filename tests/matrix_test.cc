@@ -1,6 +1,12 @@
 #include "math/matrix.h"
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "math/isa.h"
 
 namespace eadrl::math {
 namespace {
@@ -94,8 +100,8 @@ TEST(MatrixTest, FromRows) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch-major kernels. Bit-identical comparisons (EXPECT_DOUBLE_EQ) are
-// deliberate: the determinism contract in matrix.h promises the blocked and
+// Batch-major kernels. Comparisons are exact (EXPECT_EQ, or bit patterns in
+// the sweep): the determinism contract in matrix.h promises the tiled and
 // fused kernels reproduce the naive loops exactly, not just approximately.
 
 Matrix PseudoRandom(size_t rows, size_t cols, unsigned seed) {
@@ -131,7 +137,7 @@ TEST(MatrixKernelTest, BlockedMatMulMatchesNaiveBitwise) {
     Matrix want = NaiveMatMul(a, b);
     ASSERT_EQ(got.rows(), want.rows());
     for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_DOUBLE_EQ(got.data()[i], want.data()[i]) << "m=" << m;
+      EXPECT_EQ(got.data()[i], want.data()[i]) << "m=" << m;
     }
   }
 }
@@ -144,7 +150,7 @@ TEST(MatrixKernelTest, MatMulTransposeAMatchesMaterializedBitwise) {
   ASSERT_EQ(fused.rows(), 4u);
   ASSERT_EQ(fused.cols(), 5u);
   for (size_t i = 0; i < fused.size(); ++i) {
-    EXPECT_DOUBLE_EQ(fused.data()[i], chained.data()[i]);
+    EXPECT_EQ(fused.data()[i], chained.data()[i]);
   }
 }
 
@@ -161,7 +167,7 @@ TEST(MatrixKernelTest, MatMulTransposeAAccumulatesInAscendingRowOrder) {
   Matrix got(3, 2, 0.25);
   a.MatMulTransposeAInto(b, &got, /*accumulate=*/true);
   for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_DOUBLE_EQ(got.data()[i], want.data()[i]);
+    EXPECT_EQ(got.data()[i], want.data()[i]);
   }
 }
 
@@ -173,8 +179,100 @@ TEST(MatrixKernelTest, MatMulTransposeBMatchesMaterializedBitwise) {
     Matrix chained = x.MatMul(w.Transpose());
     ASSERT_EQ(fused.cols(), cols);
     for (size_t i = 0; i < fused.size(); ++i) {
-      EXPECT_DOUBLE_EQ(fused.data()[i], chained.data()[i]) << "cols=" << cols;
+      EXPECT_EQ(fused.data()[i], chained.data()[i]) << "cols=" << cols;
     }
+  }
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+// Index of the first element whose bits differ, or -1 when all agree.
+long FirstMismatch(const Matrix& got, const Matrix& want) {
+  if (got.rows() != want.rows() || got.cols() != want.cols()) return -2;
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (!SameBits(got.data()[i], want.data()[i])) return static_cast<long>(i);
+  }
+  return -1;
+}
+
+// Every product on every kernel variant against the naive ascending-k loop,
+// bit for bit, over row, column and contraction sizes that hit full tiles
+// and every remainder, plus an empty contraction (k = 0).
+TEST(MatrixKernelTest, ProductsMatchNaiveLoopsOnEveryIsa) {
+  const size_t sizes[] = {1, 3, 4, 7, 8, 9, 16, 17, 43, 64};
+  const size_t contractions[] = {0, 1, 3, 4, 7, 8, 9, 16, 17, 43, 64};
+  for (size_t m : sizes) {
+    for (size_t n : sizes) {
+      for (size_t k : contractions) {
+        const Matrix a = PseudoRandom(m, k, 21);     // m x k
+        const Matrix b = PseudoRandom(k, n, 22);     // k x n
+        const Matrix at = PseudoRandom(k, m, 23);    // k x m
+        const Matrix bt = PseudoRandom(n, k, 24);    // n x k
+        const Matrix start = PseudoRandom(m, n, 25);
+        Matrix mm(m, n);
+        Matrix ta(m, n);
+        Matrix ta_acc(m, n);
+        Matrix tb(m, n);
+        for (size_t i = 0; i < m; ++i) {
+          for (size_t j = 0; j < n; ++j) {
+            double s_mm = 0.0;
+            double s_ta = 0.0;
+            double s_acc = start.data()[i * n + j];
+            double s_tb = 0.0;
+            for (size_t q = 0; q < k; ++q) {
+              s_mm += a.data()[i * k + q] * b.data()[q * n + j];
+              s_ta += at.data()[q * m + i] * b.data()[q * n + j];
+              s_acc += at.data()[q * m + i] * b.data()[q * n + j];
+              s_tb += a.data()[i * k + q] * bt.data()[j * k + q];
+            }
+            mm.data()[i * n + j] = s_mm;
+            ta.data()[i * n + j] = s_ta;
+            ta_acc.data()[i * n + j] = s_acc;
+            tb.data()[i * n + j] = s_tb;
+          }
+        }
+        for (Isa isa : {Isa::kBaseline, HostIsa()}) {
+          const std::string shape = "isa=" +
+                                    std::to_string(static_cast<int>(isa)) +
+                                    " m=" + std::to_string(m) +
+                                    " n=" + std::to_string(n) +
+                                    " k=" + std::to_string(k);
+          Matrix got;
+          MatMulInto(isa, a, b, &got);
+          EXPECT_EQ(FirstMismatch(got, mm), -1) << "MatMul " << shape;
+          MatMulTransposeAInto(isa, at, b, &got, /*accumulate=*/false);
+          EXPECT_EQ(FirstMismatch(got, ta), -1) << "TransposeA " << shape;
+          got = start;
+          MatMulTransposeAInto(isa, at, b, &got, /*accumulate=*/true);
+          EXPECT_EQ(FirstMismatch(got, ta_acc), -1)
+              << "TransposeA accumulate " << shape;
+          MatMulTransposeBInto(isa, a, bt, &got);
+          EXPECT_EQ(FirstMismatch(got, tb), -1) << "TransposeB " << shape;
+        }
+      }
+    }
+  }
+}
+
+// A contraction longer than one packed panel (256) continues each chain
+// across panels without reordering it.
+TEST(MatrixKernelTest, LongContractionMatchesNaiveOnEveryIsa) {
+  const Matrix x = PseudoRandom(8, 600, 31);
+  const Matrix w = PseudoRandom(7, 600, 32);
+  Matrix want(8, 7);
+  for (size_t i = 0; i < 8; ++i) {
+    for (size_t j = 0; j < 7; ++j) {
+      double s = 0.0;
+      for (size_t q = 0; q < 600; ++q) s += x(i, q) * w(j, q);
+      want(i, j) = s;
+    }
+  }
+  for (Isa isa : {Isa::kBaseline, HostIsa()}) {
+    Matrix got;
+    MatMulTransposeBInto(isa, x, w, &got);
+    EXPECT_EQ(FirstMismatch(got, want), -1) << static_cast<int>(isa);
   }
 }
 
@@ -224,7 +322,7 @@ TEST(MatrixKernelTest, SoftmaxRowsMatchesVectorSoftmaxBitwise) {
   for (size_t r = 0; r < m.rows(); ++r) {
     Vec want = Softmax(m.Row(r));
     for (size_t j = 0; j < m.cols(); ++j) {
-      EXPECT_DOUBLE_EQ(rows(r, j), want[j]);
+      EXPECT_EQ(rows(r, j), want[j]);
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -73,6 +74,54 @@ TEST(SgdTest, MultipleParamsUpdatedIndependently) {
   opt.Step();
   EXPECT_DOUBLE_EQ(a.value(0, 0), 0.5);
   EXPECT_DOUBLE_EQ(b.value(0, 0), -0.5);
+}
+
+// Adam::Step against the scalar per-element formula (subnormal flush
+// included), bit for bit. Lengths 1-9 put an element in every lane position
+// and every remainder; the gradients mix live values with zeros and
+// subnormals so both flush selects fire on both lanes.
+TEST(AdamTest, StepMatchesScalarFormula) {
+  constexpr double kLr = 0.01;
+  constexpr double kBeta1 = 0.9;
+  constexpr double kBeta2 = 0.999;
+  constexpr double kEps = 1e-8;
+  constexpr double kMinNormal = std::numeric_limits<double>::min();
+  for (size_t len = 1; len <= 9; ++len) {
+    Rng rng(100 + len);
+    Param p(1, len);
+    for (double& w : p.value.data()) w = rng.Normal(0.0, 0.5);
+    std::vector<double> w = p.value.data();
+    std::vector<double> m(len, 0.0);
+    std::vector<double> v(len, 0.0);
+    Adam adam(kLr, kBeta1, kBeta2, kEps);
+    adam.Register({&p});
+    for (int t = 1; t <= 6; ++t) {
+      std::vector<double>& g = p.grad.data();
+      for (size_t j = 0; j < len; ++j) {
+        switch ((j + static_cast<size_t>(t)) % 4) {
+          case 0: g[j] = 0.0; break;
+          case 1: g[j] = (j % 2 == 0 ? 1.0 : -1.0) * 1e-310; break;
+          default: g[j] = rng.Normal(0.0, 1.0); break;
+        }
+      }
+      adam.Step();
+      const double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(t));
+      const double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(t));
+      for (size_t j = 0; j < len; ++j) {
+        double mj = kBeta1 * m[j] + (1.0 - kBeta1) * g[j];
+        double vj = kBeta2 * v[j] + (1.0 - kBeta2) * g[j] * g[j];
+        if (std::fabs(mj) < kMinNormal) mj = 0.0;
+        if (vj < kMinNormal) vj = 0.0;
+        m[j] = mj;
+        v[j] = vj;
+        w[j] -= kLr * (mj / bc1) / (std::sqrt(vj / bc2) + kEps);
+      }
+      EXPECT_EQ(std::memcmp(p.value.data().data(), w.data(),
+                            len * sizeof(double)),
+                0)
+          << "len=" << len << " step=" << t;
+    }
+  }
 }
 
 // Textbook Adam with nn::Adam's arithmetic before it flushed subnormal

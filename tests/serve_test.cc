@@ -258,6 +258,65 @@ TEST(ForecastServiceTest, ScaledOverflowRejectedAtAdmission) {
   EXPECT_EQ(a->drift_cumulative, twin->drift_cumulative);
 }
 
+// A finite member forecast large enough to overflow the online window's
+// statistics is refused at admission. Unchecked, with no scaler, two such
+// predicts are accepted and the third aborts on the actor pass's
+// finite-input contract (with contracts compiled out it would serve a
+// NaN-driven action and poison the window).
+TEST(ForecastServiceTest, WindowOverflowingMagnitudeRejectedAtAdmission) {
+  serve::ForecastService service(ManualConfig());
+  const size_t policy_id = service.RegisterPolicy(NewCombiner());
+  ASSERT_TRUE(service.CreateSession("a", policy_id).ok());
+  ASSERT_TRUE(service.CreateSession("twin", policy_id).ok());
+  ASSERT_TRUE(service.CreateSession("edge", policy_id).ok());
+  const double magnitude_before = RejectedTotal("magnitude");
+  const size_t members = Preds(0).size();
+
+  obs::CollectingSink sink;
+  obs::SetTelemetrySink(&sink);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(service.Predict("a", math::Vec(members, 1e308)).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  obs::SetTelemetrySink(nullptr);
+  EXPECT_EQ(RejectedTotal("magnitude") - magnitude_before, 3.0);
+  size_t reject_events = 0;
+  for (const obs::TelemetryEvent& event : sink.TakeEvents()) {
+    if (std::string(event.kind) == "serve_reject") ++reject_events;
+  }
+  EXPECT_EQ(reject_events, 3u);
+
+  for (size_t step = 0; step < 3; ++step) {
+    StatusOr<double> got = service.Predict("a", Preds(step));
+    StatusOr<double> want = service.Predict("twin", Preds(step));
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(*got, *want);
+    ASSERT_TRUE(service.ObserveActual("a", Actual(step)).ok());
+    ASSERT_TRUE(service.ObserveActual("twin", Actual(step)).ok());
+  }
+
+  // Just inside the bound sqrt(DBL_MAX / (4 omega)): accepted, and the
+  // window it fills keeps every later state finite.
+  const double omega = static_cast<double>(GetTrained().config.omega);
+  const double limit =
+      std::sqrt(std::numeric_limits<double>::max() / (4.0 * omega));
+  const math::Vec edge(members, std::nextafter(limit, 0.0));
+  for (int i = 0; i < 3; ++i) {
+    StatusOr<double> out = service.Predict("edge", edge);
+    ASSERT_TRUE(out.ok());
+    EXPECT_TRUE(std::isfinite(*out));
+  }
+  // The observe side needs no such bound: extreme finite actuals leave the
+  // drift statistic finite.
+  ASSERT_TRUE(service.ObserveActual("edge", 1.7e308).ok());
+  ASSERT_TRUE(service.Predict("edge", Preds(0)).ok());
+  ASSERT_TRUE(service.ObserveActual("edge", -1.7e308).ok());
+  StatusOr<serve::SessionInfo> info = service.GetSessionInfo("edge");
+  ASSERT_TRUE(info.ok());
+  EXPECT_TRUE(std::isfinite(info->drift_cumulative));
+}
+
 TEST(ForecastServiceTest, QueueBoundShedsWithTypedStatus) {
   serve::ServeConfig config = ManualConfig();
   config.max_queue = 3;

@@ -17,10 +17,13 @@
 #                    (--expect-slo-breach), and its exported Prometheus/JSON
 #                    metric snapshots must validate under eadrl_metrics_check
 #   stage 7  perfbench  the repository benchmark's serve workload, untraced
-#                    and traced, at 3 s: its output checks (serve == serial
-#                    replay, identical retraining and traced forecasts,
-#                    exactly-once completion, the manifest's metric names)
-#                    gate every library change
+#                    and traced, and its train workload untraced, at 3 s: its
+#                    output checks (serve == serial replay, identical
+#                    retraining and traced forecasts, exactly-once
+#                    completion, EA-DRL's online step cheaper than DEMSC's,
+#                    the manifest's metric names) gate every library change,
+#                    the train run on the paper-default training path in
+#                    production configuration
 #   stage 8  wthread clang -Wthread-safety analysis over the EADRL_GUARDED_BY
 #                    annotations (skipped with a note when clang++ is not
 #                    installed; eadrl_lint's guarded-by rules still gate)
@@ -181,12 +184,18 @@ stage_perfbench() {
   # gitignored .bench_build/ by default) and exits nonzero when any of the
   # benchmark's output checks fails or its result line's metrics are not
   # exactly BENCHMARK.json's. One untraced and one traced run of the serve
-  # workload, ~10 s each once built.
+  # workload, ~10 s each once built, whose serial training is brief; then
+  # one untraced run of the train workload (~30 s), which trains at the
+  # paper's defaults with contracts compiled out, so kernel changes are
+  # gated by its checks: every retraining deploys identical forecasts, and
+  # eadrl_step_us < demsc_step_us.
   local trace
   for trace in 0 1; do
     python3 "$SRC_DIR/perfbench/run.py" --workload serve --seed 1 \
       --seconds 3 --trace "$trace"
   done
+  python3 "$SRC_DIR/perfbench/run.py" --workload train --seed 1 \
+    --seconds 3 --trace 0
 }
 
 stage_thread_safety() {
