@@ -5,7 +5,9 @@
 // the whole bench suite completes in minutes on one core; the environment
 // variables below scale the experiments up to paper-fidelity sizes.
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "common/rng.h"
@@ -14,20 +16,32 @@
 
 namespace eadrl::bench {
 
+/// Non-negative integer knob `name`. Unset or malformed values (anything
+/// but decimal digits) give `fallback`; 0 is a value like any other.
 inline size_t EnvSize(const char* name, size_t fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr) return fallback;
-  long parsed = std::atol(v);
-  return parsed > 0 ? static_cast<size_t>(parsed) : fallback;
+  const char* end = v + std::strlen(v);
+  size_t parsed = 0;
+  const std::from_chars_result r = std::from_chars(v, end, parsed);
+  return r.ec == std::errc() && r.ptr == end ? parsed : fallback;
+}
+
+/// EnvSize for counts that must be positive (episodes, epochs,
+/// iterations): 0 falls back too, since EadrlCombiner aborts on
+/// max_episodes == 0.
+inline size_t EnvCount(const char* name, size_t fallback) {
+  const size_t v = EnvSize(name, fallback);
+  return v > 0 ? v : fallback;
 }
 
 /// Dataset length per series. Paper-scale series are 900-1200 points
 /// (EADRL_BENCH_LENGTH=0 keeps each dataset's default length).
 inline size_t BenchLength() { return EnvSize("EADRL_BENCH_LENGTH", 400); }
 
-/// The one seed every bench derives from (EADRL_BENCH_SEED overrides), so
-/// the whole suite shifts coherently when re-seeded and BENCH snapshots
-/// recorded at the same seed are comparable run to run.
+/// The one seed every bench derives from (EADRL_BENCH_SEED overrides, 0
+/// included), so the whole suite shifts coherently when re-seeded and BENCH
+/// snapshots recorded at the same seed are comparable run to run.
 inline uint64_t BenchSeed() { return EnvSize("EADRL_BENCH_SEED", 42); }
 
 /// Deterministic per-benchmark RNG: `stream` keeps benchmarks in the same
@@ -53,10 +67,10 @@ inline void RegisterThreads(State& state, size_t threads) {
 inline exp::ExperimentOptions BenchOptions() {
   exp::ExperimentOptions opt;
   opt.seed = BenchSeed();
-  opt.pool.nn_epochs = EnvSize("EADRL_BENCH_NN_EPOCHS", 6);
+  opt.pool.nn_epochs = EnvCount("EADRL_BENCH_NN_EPOCHS", 6);
   opt.eadrl.omega = 10;  // paper Table II setting.
-  opt.eadrl.max_episodes = EnvSize("EADRL_BENCH_EPISODES", 40);
-  opt.eadrl.max_iterations = EnvSize("EADRL_BENCH_ITERATIONS", 60);
+  opt.eadrl.max_episodes = EnvCount("EADRL_BENCH_EPISODES", 40);
+  opt.eadrl.max_iterations = EnvCount("EADRL_BENCH_ITERATIONS", 60);
   opt.eadrl.early_stop_patience = 8;
   return opt;
 }

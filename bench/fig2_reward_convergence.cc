@@ -26,7 +26,7 @@ constexpr int kDatasetIds[] = {4, 9, 19};
 int main() {
   namespace exp = eadrl::exp;
   const size_t length = eadrl::bench::BenchLength();
-  const size_t episodes = eadrl::bench::EnvSize("EADRL_BENCH_EPISODES", 60);
+  const size_t episodes = eadrl::bench::EnvCount("EADRL_BENCH_EPISODES", 60);
 
   exp::ExperimentOptions opt = eadrl::bench::BenchOptions();
   opt.pool.fast_mode = true;  // the figure is about the RL loop, not the pool.

@@ -43,7 +43,7 @@ int main() {
   exp::ExperimentOptions opt = eadrl::bench::BenchOptions();
   opt.pool.fast_mode = true;
   opt.eadrl.max_episodes =
-      eadrl::bench::EnvSize("EADRL_BENCH_EPISODES", 120);
+      eadrl::bench::EnvCount("EADRL_BENCH_EPISODES", 120);
   opt.eadrl.early_stop = false;
   opt.eadrl.restarts = 1;
   opt.eadrl.counterfactual_actions = 0;  // vanilla collection (see header).

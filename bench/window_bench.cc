@@ -1,11 +1,12 @@
-// Windowed-observability benchmarks (google-benchmark): the PR-10 metrics
-// hot paths that sit on every served request — WindowedCounter::Inc and
-// WindowedHistogram::Observe on the fast (no-rotation) path and across
-// constant rotations, labeled drill-down observes at and past the
-// cardinality cap, SloTracker record + evaluate, and snapshotting while a
-// writer would normally be live. The plain (unwindowed) Counter/Histogram
-// baselines sit alongside so the cost of "live" over "cumulative" is a
-// direct A/B in the same suite.
+// Windowed-observability benchmarks (google-benchmark): the live-metrics
+// hot paths that sit on every served request — a windowed Counter::Inc and
+// Histogram::Observe on the fast (no-rotation) path and across constant
+// rotations, labeled drill-down observes at and past the cardinality cap,
+// SloTracker record + evaluate, and snapshotting while a writer would
+// normally be live. The cumulative Counter/Histogram baselines sit alongside
+// so the cost of "live" over "cumulative" is a direct A/B in the same suite.
+// The BM_Windowed* names predate the merge of the windowed and cumulative
+// types and are kept so BENCH snapshots stay comparable.
 
 #include <benchmark/benchmark.h>
 
@@ -17,7 +18,6 @@
 #include "obs/cardinality.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
-#include "obs/window.h"
 
 namespace {
 
@@ -27,8 +27,6 @@ using eadrl::obs::LabeledWindowedFamily;
 using eadrl::obs::LabeledWindowedFamilyOptions;
 using eadrl::obs::SloTracker;
 using eadrl::obs::SloTrackerOptions;
-using eadrl::obs::WindowedCounter;
-using eadrl::obs::WindowedHistogram;
 using eadrl::obs::WindowOptions;
 
 // Fake clock so rotation frequency is a benchmark parameter, not a property
@@ -55,16 +53,16 @@ BENCHMARK(BM_CounterIncBaseline);
 
 void BM_WindowedCounterInc(benchmark::State& state) {
   g_now_ns.store(0, std::memory_order_relaxed);
-  WindowedCounter counter(FakeWindow());
+  Counter counter(FakeWindow());
   for (auto _ : state) counter.Inc();
-  benchmark::DoNotOptimize(counter.Cumulative());
+  benchmark::DoNotOptimize(counter.Value());
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WindowedCounterInc);
 
 void BM_WindowedCounterIncRotating(benchmark::State& state) {
   g_now_ns.store(0, std::memory_order_relaxed);
-  WindowedCounter counter(FakeWindow());
+  Counter counter(FakeWindow());
   uint64_t now = 0;
   for (auto _ : state) {
     // Advance a full tick every 8 increments: rotation is on the measured
@@ -73,7 +71,7 @@ void BM_WindowedCounterIncRotating(benchmark::State& state) {
     g_now_ns.store(now, std::memory_order_relaxed);
     counter.Inc();
   }
-  benchmark::DoNotOptimize(counter.Cumulative());
+  benchmark::DoNotOptimize(counter.Value());
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WindowedCounterIncRotating);
@@ -92,25 +90,25 @@ BENCHMARK(BM_HistogramObserveBaseline);
 
 void BM_WindowedHistogramObserve(benchmark::State& state) {
   g_now_ns.store(0, std::memory_order_relaxed);
-  WindowedHistogram hist(FakeWindow(), {});
+  Histogram hist(FakeWindow(), {});
   double v = 1e-6;
   for (auto _ : state) {
     hist.Observe(v);
     v = v < 1.0 ? v * 1.0001 : 1e-6;
   }
-  benchmark::DoNotOptimize(hist.CumulativeCount());
+  benchmark::DoNotOptimize(hist.Count());
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WindowedHistogramObserve);
 
 void BM_WindowedHistogramSnapshot(benchmark::State& state) {
   g_now_ns.store(0, std::memory_order_relaxed);
-  WindowedHistogram hist(FakeWindow(), {});
+  Histogram hist(FakeWindow(), {});
   // Past the exact-sample budget: snapshot merges bucket tails, the
   // steady-state shape for a busy service.
   for (int i = 0; i < 4096; ++i) hist.Observe(1e-4 * (1 + i % 100));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hist.Snapshot().values.Quantile(0.99));
+    benchmark::DoNotOptimize(hist.Snapshot().Quantile(0.99));
   }
   state.SetItemsProcessed(state.iterations());
 }

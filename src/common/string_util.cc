@@ -1,6 +1,7 @@
 #include "common/string_util.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -51,17 +52,14 @@ std::string JsonEscaped(const std::string& s) {
   return out;
 }
 
-std::string CsvField(const std::string& s) {
-  if (s.find_first_of(",\"\n\r") == std::string::npos) return s;
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (char c : s) {
-    if (c == '"') out += '"';
-    out += c;
+void AppendJsonNumber(std::string* out, double v) {
+  if (!std::isfinite(v)) {
+    *out += "null";
+    return;
   }
-  out += '"';
-  return out;
+  char buf[32];
+  const std::to_chars_result end = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, end.ptr);
 }
 
 std::string FormatIso8601Utc(double unix_seconds) {

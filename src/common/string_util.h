@@ -38,10 +38,12 @@ void AppendJsonEscaped(std::string* out, const std::string& s);
 /// Convenience wrapper around AppendJsonEscaped.
 std::string JsonEscaped(const std::string& s);
 
-/// Quotes `s` as one CSV field (RFC 4180): returned verbatim unless it
-/// contains a comma, quote or newline, in which case it is wrapped in quotes
-/// with embedded quotes doubled.
-std::string CsvField(const std::string& s);
+/// Appends `v` as a JSON number: the shortest text that parses back to the
+/// same double (std::to_chars), or `null` for NaN and infinities, which JSON
+/// cannot spell. The one number writer of every JSON document the project
+/// emits (metric snapshots, exporter sections, telemetry events, trace
+/// attributes).
+void AppendJsonNumber(std::string* out, double v);
 
 /// Formats a unix timestamp (seconds since the epoch) as ISO-8601 UTC with
 /// millisecond precision, e.g. "2026-08-05T12:00:00.123Z". Used by the

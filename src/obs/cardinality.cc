@@ -1,7 +1,7 @@
 #include "obs/cardinality.h"
 
 #include <algorithm>
-#include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "common/check.h"
@@ -73,7 +73,7 @@ LabeledWindowedFamilySnapshot LabeledWindowedFamily::Snapshot(size_t k) const {
       LabeledWindowSnapshot entry;
       entry.label = label;
       entry.window = slot->window.Snapshot();
-      entry.cumulative_count = slot->window.CumulativeCount();
+      entry.cumulative_count = slot->window.Count();
       snap.top.push_back(std::move(entry));
     }
   }
@@ -81,8 +81,8 @@ LabeledWindowedFamilySnapshot LabeledWindowedFamily::Snapshot(size_t k) const {
   snap.evictions = evictions_.load(std::memory_order_relaxed);
   std::sort(snap.top.begin(), snap.top.end(),
             [](const LabeledWindowSnapshot& a, const LabeledWindowSnapshot& b) {
-              if (a.window.values.count != b.window.values.count) {
-                return a.window.values.count > b.window.values.count;
+              if (a.window.count != b.window.count) {
+                return a.window.count > b.window.count;
               }
               if (a.cumulative_count != b.cumulative_count) {
                 return a.cumulative_count > b.cumulative_count;
@@ -100,54 +100,63 @@ size_t LabeledWindowedFamily::TrackedLabels() const {
 
 std::string LabeledWindowedFamily::ToJsonValue(size_t k) const {
   const LabeledWindowedFamilySnapshot snap = Snapshot(k);
-  std::ostringstream out;
-  out << "{\"label_key\":\"" << JsonEscaped(opt_.label_key)
-      << "\",\"tracked\":" << snap.tracked_labels
-      << ",\"overflow\":" << snap.overflow
-      << ",\"evictions\":" << snap.evictions << ",\"top\":[";
+  std::string out = "{\"label_key\":\"";
+  AppendJsonEscaped(&out, opt_.label_key);
+  out += "\",\"tracked\":" + std::to_string(snap.tracked_labels) +
+         ",\"overflow\":" + std::to_string(snap.overflow) +
+         ",\"evictions\":" + std::to_string(snap.evictions) + ",\"top\":[";
   for (size_t i = 0; i < snap.top.size(); ++i) {
     const LabeledWindowSnapshot& entry = snap.top[i];
-    if (i > 0) out << ",";
-    out << "{\"" << JsonEscaped(opt_.label_key) << "\":\""
-        << JsonEscaped(entry.label)
-        << "\",\"window_count\":" << entry.window.values.count
-        << ",\"cumulative_count\":" << entry.cumulative_count
-        << ",\"window_seconds\":" << entry.window.window_seconds
-        << ",\"rate\":" << entry.window.Rate()
-        << ",\"mean\":" << entry.window.values.Mean()
-        << ",\"p50\":" << entry.window.values.Quantile(0.5)
-        << ",\"p99\":" << entry.window.values.Quantile(0.99) << "}";
+    if (i > 0) out += ',';
+    out += "{\"";
+    AppendJsonEscaped(&out, opt_.label_key);
+    out += "\":\"";
+    AppendJsonEscaped(&out, entry.label);
+    out += "\",\"window_count\":" + std::to_string(entry.window.count) +
+           ",\"cumulative_count\":" + std::to_string(entry.cumulative_count);
+    for (const auto& [key, value] :
+         {std::pair<const char*, double>{"window_seconds",
+                                         entry.window.window_seconds},
+          {"rate", entry.window.Rate()},
+          {"mean", entry.window.Mean()},
+          {"p50", entry.window.Quantile(0.5)},
+          {"p99", entry.window.Quantile(0.99)}}) {
+      out += ",\"";
+      out += key;
+      out += "\":";
+      AppendJsonNumber(&out, value);
+    }
+    out += '}';
   }
-  out << "]}";
-  return out.str();
+  out += "]}";
+  return out;
 }
 
 void LabeledWindowedFamily::AppendPrometheus(std::string* out,
                                              size_t k) const {
   const LabeledWindowedFamilySnapshot snap = Snapshot(k);
-  auto series = [this, out](const char* suffix, const std::string& label,
-                            double value) {
-    std::ostringstream line;
-    line << opt_.name << suffix << "{" << opt_.label_key << "=\"" << label
-         << "\"} " << value << "\n";
-    *out += line.str();
-  };
-  *out += "# TYPE " + opt_.name + "_rate gauge\n";
+  const std::string rate = opt_.name + "_rate";
+  AppendPrometheusType(out, rate, "gauge");
   for (const LabeledWindowSnapshot& entry : snap.top) {
-    series("_rate", entry.label, entry.window.Rate());
+    AppendPrometheusSample(out, rate, {{opt_.label_key, entry.label}},
+                           entry.window.Rate());
   }
-  *out += "# TYPE " + opt_.name + "_p99 gauge\n";
+  const std::string p99 = opt_.name + "_p99";
+  AppendPrometheusType(out, p99, "gauge");
   for (const LabeledWindowSnapshot& entry : snap.top) {
-    series("_p99", entry.label, entry.window.values.Quantile(0.99));
+    AppendPrometheusSample(out, p99, {{opt_.label_key, entry.label}},
+                           entry.window.Quantile(0.99));
   }
-  std::ostringstream tail;
-  tail << "# TYPE " << opt_.name << "_tracked gauge\n"
-       << opt_.name << "_tracked " << snap.tracked_labels << "\n"
-       << "# TYPE " << opt_.name << "_overflow_total counter\n"
-       << opt_.name << "_overflow_total " << snap.overflow << "\n"
-       << "# TYPE " << opt_.name << "_evictions_total counter\n"
-       << opt_.name << "_evictions_total " << snap.evictions << "\n";
-  *out += tail.str();
+  for (const auto& [suffix, type, value] :
+       {std::tuple<const char*, const char*, double>{
+            "_tracked", "gauge", static_cast<double>(snap.tracked_labels)},
+        {"_overflow_total", "counter", static_cast<double>(snap.overflow)},
+        {"_evictions_total", "counter",
+         static_cast<double>(snap.evictions)}}) {
+    const std::string name = opt_.name + suffix;
+    AppendPrometheusType(out, name, type);
+    AppendPrometheusSample(out, name, {}, value);
+  }
 }
 
 }  // namespace eadrl::obs

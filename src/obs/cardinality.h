@@ -12,7 +12,7 @@
 
 #include "chk/lockdep.h"
 #include "chk/thread_annotations.h"
-#include "obs/window.h"
+#include "obs/metrics.h"
 
 // Per-label windowed drill-down with a hard cardinality bound (see DESIGN.md,
 // "Live serving observability"). Labeled time series are the classic metrics
@@ -43,7 +43,7 @@ struct LabeledWindowedFamilyOptions {
 /// One label's drill-down view at snapshot time.
 struct LabeledWindowSnapshot {
   std::string label;
-  WindowedHistogramSnapshot window;
+  HistogramSnapshot window;
   uint64_t cumulative_count = 0;
 };
 
@@ -68,7 +68,7 @@ class LabeledWindowedFamily {
 
   void Observe(const std::string& label, double value);
   /// Observe with a caller-provided reading of this family's window clock
-  /// (NowNs()) — see WindowedCounter::IncAt for the batch-amortization
+  /// (NowNs()) — see SlidingWindow::NowNs for the batch-amortization
   /// contract.
   void ObserveAt(uint64_t now_ns, const std::string& label, double value);
 
@@ -100,7 +100,7 @@ class LabeledWindowedFamily {
     explicit Slot(const LabeledWindowedFamilyOptions& options)
         : window(options.window, options.bounds) {}
 
-    WindowedHistogram window;
+    Histogram window;
     /// now_ns at the last observation; staleness = now - last_seen_ns.
     uint64_t last_seen_ns = 0;
     /// Position in lru_ (front = most recently observed).

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
-#include <sstream>
 #include <utility>
 
 #include "common/check.h"
@@ -14,15 +13,6 @@
 #include "obs/trace.h"
 
 namespace eadrl::obs {
-namespace {
-
-double WallUnixSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 MetricsExporter::MetricsExporter(const Options& options) : opt_(options) {
   EADRL_CHECK(!opt_.path.empty());
@@ -101,22 +91,24 @@ MetricsExporter::Format MetricsExporter::ResolvedFormat(Format format) const {
 std::string MetricsExporter::RenderSnapshot(Format format) const {
   format = ResolvedFormat(format);
   if (format == Format::kJson) {
-    std::ostringstream out;
-    out << "{\"schema\":\"eadrl-metrics-v1\",\"unix_seconds\":"
-        << WallUnixSeconds()
-        << ",\"sequence\":" << exports_.load(std::memory_order_relaxed)
-        << ",\"metrics\":"
-        << (opt_.registry != nullptr ? opt_.registry->ToJson() : "{}");
-    out << ",\"sections\":{";
+    std::string out = "{\"schema\":\"eadrl-metrics-v1\",\"unix_seconds\":";
+    AppendJsonNumber(&out, UnixNowSeconds());
+    out += ",\"sequence\":" +
+           std::to_string(exports_.load(std::memory_order_relaxed)) +
+           ",\"metrics\":" +
+           (opt_.registry != nullptr ? opt_.registry->ToJson() : "{}") +
+           ",\"sections\":{";
     bool first = true;
     for (const Section& section : sections_) {
       if (!section.json) continue;
-      if (!first) out << ",";
+      if (!first) out += ',';
       first = false;
-      out << "\"" << JsonEscaped(section.name) << "\":" << section.json();
+      out += '"';
+      AppendJsonEscaped(&out, section.name);
+      out += "\":" + section.json();
     }
-    out << "}}\n";
-    return out.str();
+    out += "}}\n";
+    return out;
   }
   std::string out;
   if (opt_.registry != nullptr) out += opt_.registry->ToPrometheus();

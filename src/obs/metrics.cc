@@ -1,26 +1,17 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <limits>
-#include <sstream>
 
 #include "common/check.h"
 #include "common/string_util.h"
-#include "obs/window.h"
 
 namespace eadrl::obs {
 namespace {
 
-// Atomic CAS-add for doubles (std::atomic<double>::fetch_add is C++20 but
-// not universally lock-free; the loop compiles to the same code where it is).
-void AtomicAdd(std::atomic<double>* target, double delta) {
-  double cur = target->load(std::memory_order_relaxed);
-  while (!target->compare_exchange_weak(cur, cur + delta,
-                                        std::memory_order_relaxed)) {
-  }
-}
+constexpr size_t kSlotSampleCap = HistogramSnapshot::kExactQuantileSamples;
 
 void AtomicMin(std::atomic<double>* target, double value) {
   double cur = target->load(std::memory_order_relaxed);
@@ -36,6 +27,12 @@ void AtomicMax(std::atomic<double>* target, double value) {
   }
 }
 
+uint64_t TickNanos(double tick_seconds) {
+  EADRL_CHECK_GT(tick_seconds, 0.0);
+  const double ns = tick_seconds * 1e9;
+  return ns < 1.0 ? 1 : static_cast<uint64_t>(std::llround(ns));
+}
+
 std::string LabelSignature(const Labels& sorted) {
   std::string sig;
   for (size_t i = 0; i < sorted.size(); ++i) {
@@ -47,155 +44,113 @@ std::string LabelSignature(const Labels& sorted) {
 
 // Prometheus metric names allow [a-zA-Z_:][a-zA-Z0-9_:]*; anything else is
 // mapped to '_' so an arbitrary registry name still exposes cleanly.
-std::string PrometheusName(const std::string& name) {
-  std::string out = name;
-  for (size_t i = 0; i < out.size(); ++i) {
-    char c = out[i];
-    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
-              c == ':' || (i > 0 && c >= '0' && c <= '9');
-    if (!ok) out[i] = '_';
+void AppendPrometheusName(std::string* out, const std::string& name) {
+  if (name.empty()) *out += '_';
+  for (size_t i = 0; i < name.size(); ++i) {
+    const char c = name[i];
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    c == '_' || c == ':' || (i > 0 && c >= '0' && c <= '9');
+    *out += ok ? c : '_';
   }
-  return out.empty() ? "_" : out;
-}
-
-// Label values in the exposition format escape backslash, quote and newline.
-std::string PrometheusLabelValue(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-std::string PrometheusLabels(const Labels& labels) {
-  if (labels.empty()) return "";
-  std::string out = "{";
-  for (size_t i = 0; i < labels.size(); ++i) {
-    if (i > 0) out += ",";
-    out += PrometheusName(labels[i].first) + "=\"" +
-           PrometheusLabelValue(labels[i].second) + "\"";
-  }
-  out += "}";
-  return out;
 }
 
 std::string PrometheusNumber(double v) {
   if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-void AppendJsonNumber(std::ostringstream* out, double v) {
-  if (std::isfinite(v)) {
-    *out << v;
-  } else {
-    // JSON has no inf/nan literals; null keeps the document parseable.
-    *out << "null";
-  }
+  const std::to_chars_result end = std::to_chars(
+      buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+  return std::string(buf, end.ptr);
 }
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// StreamingQuantile (P-squared, Jain & Chlamtac 1985).
-// ---------------------------------------------------------------------------
-
-StreamingQuantile::StreamingQuantile(double q) : q_(q) {
-  EADRL_CHECK(q > 0.0 && q < 1.0);
-  for (int i = 0; i < 5; ++i) {
-    heights_[i] = 0.0;
-    positions_[i] = static_cast<double>(i + 1);
-  }
-  desired_[0] = 1.0;
-  desired_[1] = 1.0 + 2.0 * q_;
-  desired_[2] = 1.0 + 4.0 * q_;
-  desired_[3] = 3.0 + 2.0 * q_;
-  desired_[4] = 5.0;
-  increments_[0] = 0.0;
-  increments_[1] = q_ / 2.0;
-  increments_[2] = q_;
-  increments_[3] = (1.0 + q_) / 2.0;
-  increments_[4] = 1.0;
+uint64_t MonotonicNowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
 }
 
-void StreamingQuantile::Observe(double value) {
-  if (count_ < 5) {
-    heights_[count_++] = value;
-    if (count_ == 5) std::sort(heights_, heights_ + 5);
-    return;
-  }
-  ++count_;
+// ---------------------------------------------------------------------------
+// SlidingWindow.
+// ---------------------------------------------------------------------------
 
-  // Locate the cell containing the observation and update extreme markers.
-  int k;
-  if (value < heights_[0]) {
-    heights_[0] = value;
-    k = 0;
-  } else if (value >= heights_[4]) {
-    heights_[4] = value;
-    k = 3;
+namespace internal_metrics {
+
+SlidingWindow::SlidingWindow(const WindowOptions& options)
+    : opt_(options), tick_ns_(TickNanos(options.tick_seconds)) {
+  EADRL_CHECK_GT(opt_.buckets, 0u);
+  first_epoch_ = NowNs() / tick_ns_;
+  cur_epoch_.store(first_epoch_, std::memory_order_relaxed);
+}
+
+size_t SlidingWindow::SlotAt(uint64_t now_ns) const {
+  const uint64_t epoch = now_ns / tick_ns_;
+  if (epoch != cur_epoch_.load(std::memory_order_acquire)) {
+    std::lock_guard<chk::OrderedMutex> lock(window_mu_);
+    RotateTo(epoch);
+  }
+  return static_cast<size_t>(epoch % opt_.buckets);
+}
+
+double SlidingWindow::RotateForSnapshot() const {
+  RotateTo(NowNs() / tick_ns_);
+  const uint64_t elapsed =
+      cur_epoch_.load(std::memory_order_relaxed) - first_epoch_ + 1;
+  const uint64_t resident =
+      std::min<uint64_t>(elapsed, static_cast<uint64_t>(opt_.buckets));
+  return static_cast<double>(resident) * static_cast<double>(tick_ns_) * 1e-9;
+}
+
+void SlidingWindow::RotateTo(uint64_t epoch) const {
+  uint64_t cur = cur_epoch_.load(std::memory_order_relaxed);
+  if (epoch <= cur) return;
+  const size_t n = opt_.buckets;
+  if (epoch - cur >= n) {
+    // The whole window slid past: every slot is stale.
+    for (size_t i = 0; i < n; ++i) ResetSlot(i);
   } else {
-    k = 0;
-    while (k < 3 && value >= heights_[k + 1]) ++k;
-  }
-  for (int i = k + 1; i < 5; ++i) positions_[i] += 1.0;
-  for (int i = 0; i < 5; ++i) desired_[i] += increments_[i];
-
-  // Adjust the three interior markers toward their desired positions with a
-  // piecewise-parabolic (hence P-squared) height interpolation.
-  for (int i = 1; i <= 3; ++i) {
-    double d = desired_[i] - positions_[i];
-    double right_gap = positions_[i + 1] - positions_[i];
-    double left_gap = positions_[i - 1] - positions_[i];
-    if ((d >= 1.0 && right_gap > 1.0) || (d <= -1.0 && left_gap < -1.0)) {
-      double sign = d >= 1.0 ? 1.0 : -1.0;
-      double np = positions_[i] + sign;
-      double parabolic =
-          heights_[i] +
-          sign / (positions_[i + 1] - positions_[i - 1]) *
-              ((positions_[i] - positions_[i - 1] + sign) *
-                   (heights_[i + 1] - heights_[i]) / right_gap +
-               (positions_[i + 1] - positions_[i] - sign) *
-                   (heights_[i] - heights_[i - 1]) / (-left_gap));
-      if (heights_[i - 1] < parabolic && parabolic < heights_[i + 1]) {
-        heights_[i] = parabolic;
-      } else {
-        // Fall back to linear interpolation toward the chosen neighbour.
-        int j = sign > 0 ? i + 1 : i - 1;
-        heights_[i] += sign * (heights_[j] - heights_[i]) /
-                       (positions_[j] - positions_[i]);
-      }
-      positions_[i] = np;
+    while (cur < epoch) {
+      ++cur;
+      ResetSlot(static_cast<size_t>(cur % n));
     }
   }
+  cur_epoch_.store(epoch, std::memory_order_release);
 }
 
-double StreamingQuantile::Value() const {
-  if (count_ == 0) return 0.0;
-  if (count_ < 5) {
-    // Exact small-sample quantile (nearest-rank on the sorted prefix).
-    double sorted[5];
-    std::copy(heights_, heights_ + count_, sorted);
-    std::sort(sorted, sorted + count_);
-    size_t idx = static_cast<size_t>(q_ * static_cast<double>(count_));
-    return sorted[std::min(idx, count_ - 1)];
+}  // namespace internal_metrics
+
+// ---------------------------------------------------------------------------
+// Counter.
+// ---------------------------------------------------------------------------
+
+Counter::Counter(const WindowOptions& window)
+    : SlidingWindow(window), slots_(num_slots()) {}
+
+void Counter::IncAt(uint64_t now_ns, double delta) {
+  total_.fetch_add(delta, std::memory_order_relaxed);
+  if (windowed()) {
+    slots_[SlotAt(now_ns)].fetch_add(delta, std::memory_order_relaxed);
   }
-  return heights_[2];
+}
+
+void Counter::ResetSlot(size_t index) const {
+  slots_[index].store(0.0, std::memory_order_relaxed);
+}
+
+CounterSnapshot Counter::Snapshot() const {
+  CounterSnapshot snap;
+  if (!windowed()) {
+    snap.total = Value();
+    return snap;
+  }
+  std::lock_guard<chk::OrderedMutex> lock(window_mu_);
+  snap.window_seconds = RotateForSnapshot();
+  for (const std::atomic<double>& slot : slots_) {
+    snap.total += slot.load(std::memory_order_relaxed);
+  }
+  return snap;
 }
 
 // ---------------------------------------------------------------------------
@@ -203,87 +158,132 @@ double StreamingQuantile::Value() const {
 // ---------------------------------------------------------------------------
 
 Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)) {
-  EADRL_CHECK(!bounds_.empty());
+    : bounds_(bounds.empty() ? DefaultLatencyBounds() : std::move(bounds)) {
+  AllocateSlots();
+}
+
+Histogram::Histogram(const WindowOptions& window, std::vector<double> bounds)
+    : SlidingWindow(window),
+      bounds_(bounds.empty() ? DefaultLatencyBounds() : std::move(bounds)) {
+  AllocateSlots();
+}
+
+void Histogram::AllocateSlots() {
   for (size_t i = 1; i < bounds_.size(); ++i) {
     EADRL_CHECK_GT(bounds_[i], bounds_[i - 1]);
   }
-  counts_ = std::make_unique<std::atomic<uint64_t>[]>(bounds_.size() + 1);
-  for (size_t i = 0; i <= bounds_.size(); ++i) counts_[i] = 0;
-  samples_ = std::make_unique<std::atomic<double>[]>(
-      HistogramSnapshot::kExactQuantileSamples);
-  sample_ready_ = std::make_unique<std::atomic<uint8_t>[]>(
-      HistogramSnapshot::kExactQuantileSamples);
-  for (size_t i = 0; i < HistogramSnapshot::kExactQuantileSamples; ++i) {
-    sample_ready_[i] = 0;
+  slots_ = std::vector<Slot>(num_slots());
+  for (size_t k = 0; k < slots_.size(); ++k) {
+    Slot& slot = slots_[k];
+    slot.counts = std::make_unique<std::atomic<uint64_t>[]>(bounds_.size() + 1);
+    slot.samples = std::make_unique<std::atomic<double>[]>(kSlotSampleCap);
+    slot.sample_ready = std::make_unique<std::atomic<uint8_t>[]>(kSlotSampleCap);
+    ResetSlot(k);
   }
 }
 
-void Histogram::Observe(double value) {
+void Histogram::ResetSlot(size_t index) const {
+  Slot& slot = slots_[index];
+  for (size_t i = 0; i <= bounds_.size(); ++i) {
+    slot.counts[i].store(0, std::memory_order_relaxed);
+  }
+  for (size_t s = 0; s < kSlotSampleCap; ++s) {
+    slot.sample_ready[s].store(0, std::memory_order_relaxed);
+  }
+  slot.sample_slots.store(0, std::memory_order_relaxed);
+  slot.sum.store(0.0, std::memory_order_relaxed);
+  slot.min.store(std::numeric_limits<double>::infinity(),
+                 std::memory_order_relaxed);
+  slot.max.store(-std::numeric_limits<double>::infinity(),
+                 std::memory_order_relaxed);
+  slot.count.store(0, std::memory_order_relaxed);
+}
+
+void Histogram::ObserveAt(uint64_t now_ns, double value) {
+  size_t index = 0;
+  if (windowed()) {
+    count_.fetch_add(1, std::memory_order_relaxed);
+    index = SlotAt(now_ns);
+  }
+  Slot& slot = slots_[index];
   // Inclusive upper bounds (Prometheus "le" semantics): bucket i counts
   // values in (bounds[i-1], bounds[i]].
-  size_t idx = static_cast<size_t>(
+  const size_t bucket = static_cast<size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), value) -
       bounds_.begin());
-  counts_[idx].fetch_add(1, std::memory_order_relaxed);
-  AtomicAdd(&sum_, value);
+  slot.counts[bucket].fetch_add(1, std::memory_order_relaxed);
+  slot.sum.fetch_add(value, std::memory_order_relaxed);
   // Update min/max before publishing the new count: a reader that sees
   // count >= 1 then also sees finite (non-sentinel) min/max.
-  AtomicMin(&min_, value);
-  AtomicMax(&max_, value);
+  AtomicMin(&slot.min, value);
+  AtomicMax(&slot.max, value);
   // Raw-sample capture for the exact-small quantile path. The cheap relaxed
   // pre-check keeps the fetch_add off the hot path once the budget is spent
   // (so the counter cannot creep toward wraparound either).
-  uint32_t slot = sample_slots_.load(std::memory_order_relaxed);
-  if (slot < HistogramSnapshot::kExactQuantileSamples) {
-    slot = sample_slots_.fetch_add(1, std::memory_order_relaxed);
-    if (slot < HistogramSnapshot::kExactQuantileSamples) {
-      samples_[slot].store(value, std::memory_order_relaxed);
-      sample_ready_[slot].store(1, std::memory_order_release);
+  uint32_t s = slot.sample_slots.load(std::memory_order_relaxed);
+  if (s < kSlotSampleCap) {
+    s = slot.sample_slots.fetch_add(1, std::memory_order_relaxed);
+    if (s < kSlotSampleCap) {
+      slot.samples[s].store(value, std::memory_order_relaxed);
+      slot.sample_ready[s].store(1, std::memory_order_release);
     }
   }
-  count_.fetch_add(1, std::memory_order_release);
+  slot.count.fetch_add(1, std::memory_order_release);
+}
+
+uint64_t Histogram::Count() const {
+  return windowed() ? count_.load(std::memory_order_relaxed)
+                    : slots_[0].count.load(std::memory_order_relaxed);
 }
 
 HistogramSnapshot Histogram::Snapshot() const {
-  HistogramSnapshot snap;
-  snap.bounds = bounds_;
-  snap.bounds.push_back(std::numeric_limits<double>::infinity());
-  snap.counts.resize(bounds_.size() + 1);
-  for (size_t i = 0; i <= bounds_.size(); ++i) {
-    snap.counts[i] = counts_[i].load(std::memory_order_relaxed);
-  }
-  snap.count = count_.load(std::memory_order_acquire);
-  snap.sum = sum_.load(std::memory_order_relaxed);
-  if (snap.count == 0) {
-    // Empty histogram: report 0/0 rather than the +-inf sentinels.
-    snap.min = 0.0;
-    snap.max = 0.0;
-  } else {
-    snap.min = min_.load(std::memory_order_relaxed);
-    snap.max = max_.load(std::memory_order_relaxed);
-  }
-  if (snap.count > 0 &&
-      snap.count <= HistogramSnapshot::kExactQuantileSamples) {
-    // Collect the raw population for the exact quantile path. Slots are
-    // consumed in claim order and only past their ready flag, so a snapshot
-    // racing an observer mid-store just falls short and falls back to bucket
-    // interpolation (samples cleared) instead of reading garbage.
-    snap.samples.reserve(snap.count);
-    for (uint32_t s = 0; s < HistogramSnapshot::kExactQuantileSamples &&
-                         snap.samples.size() < snap.count;
-         ++s) {
-      if (sample_ready_[s].load(std::memory_order_acquire) == 0) break;
-      snap.samples.push_back(samples_[s].load(std::memory_order_relaxed));
-    }
-    if (snap.samples.size() != snap.count) snap.samples.clear();
-  }
+  if (!windowed()) return MergeSlots();
+  std::lock_guard<chk::OrderedMutex> lock(window_mu_);
+  const double window_seconds = RotateForSnapshot();
+  HistogramSnapshot snap = MergeSlots();
+  snap.window_seconds = window_seconds;
   return snap;
 }
 
-double Histogram::Mean() const {
-  uint64_t n = Count();
-  return n == 0 ? 0.0 : Sum() / static_cast<double>(n);
+HistogramSnapshot Histogram::MergeSlots() const {
+  HistogramSnapshot snap;
+  snap.bounds = bounds_;
+  snap.bounds.push_back(std::numeric_limits<double>::infinity());
+  snap.counts.assign(bounds_.size() + 1, 0);
+  double mn = std::numeric_limits<double>::infinity();
+  double mx = -std::numeric_limits<double>::infinity();
+  // Raw samples stay exact while the merged population fits the budget and
+  // every slot's published samples cover its count (always true once
+  // concurrent observers quiesce; a snapshot racing an observer mid-store
+  // just falls back to bucket interpolation instead of reading garbage).
+  bool exact = true;
+  for (const Slot& slot : slots_) {
+    // The count is read first (acquire): min/max and the samples it covers
+    // were published before it.
+    const uint64_t c = slot.count.load(std::memory_order_acquire);
+    if (c == 0) continue;
+    snap.count += c;
+    snap.sum += slot.sum.load(std::memory_order_relaxed);
+    mn = std::min(mn, slot.min.load(std::memory_order_relaxed));
+    mx = std::max(mx, slot.max.load(std::memory_order_relaxed));
+    for (size_t i = 0; i <= bounds_.size(); ++i) {
+      snap.counts[i] += slot.counts[i].load(std::memory_order_relaxed);
+    }
+    exact = exact && snap.count <= kSlotSampleCap;
+    uint64_t got = 0;
+    for (uint32_t s = 0; exact && s < kSlotSampleCap && got < c; ++s) {
+      if (slot.sample_ready[s].load(std::memory_order_acquire) == 0) break;
+      snap.samples.push_back(slot.samples[s].load(std::memory_order_relaxed));
+      ++got;
+    }
+    exact = exact && got == c;
+  }
+  if (snap.count > 0) {
+    snap.min = mn;
+    snap.max = mx;
+  }
+  if (!exact) snap.samples.clear();
+  return snap;
 }
 
 double HistogramSnapshot::Quantile(double q) const {
@@ -323,8 +323,6 @@ double HistogramSnapshot::Quantile(double q) const {
   }
   return max;
 }
-
-double Histogram::Quantile(double q) const { return Snapshot().Quantile(q); }
 
 void HistogramSnapshot::MergeFrom(const HistogramSnapshot& other) {
   if (other.counts.empty() && other.count == 0) return;
@@ -385,15 +383,58 @@ std::vector<double> Histogram::DefaultLatencyBounds() {
 }
 
 // ---------------------------------------------------------------------------
+// Prometheus writers.
+// ---------------------------------------------------------------------------
+
+void AppendPrometheusType(std::string* out, const std::string& name,
+                          const char* type) {
+  *out += "# TYPE ";
+  AppendPrometheusName(out, name);
+  *out += ' ';
+  *out += type;
+  *out += '\n';
+}
+
+void AppendPrometheusSample(std::string* out, const std::string& name,
+                            const Labels& labels, double value) {
+  AppendPrometheusName(out, name);
+  if (!labels.empty()) {
+    *out += '{';
+    for (size_t i = 0; i < labels.size(); ++i) {
+      if (i > 0) *out += ',';
+      AppendPrometheusName(out, labels[i].first);
+      *out += "=\"";
+      for (const char c : labels[i].second) {
+        switch (c) {
+          case '\\':
+            *out += "\\\\";
+            break;
+          case '"':
+            *out += "\\\"";
+            break;
+          case '\n':
+            *out += "\\n";
+            break;
+          default:
+            *out += c;
+        }
+      }
+      *out += '"';
+    }
+    *out += '}';
+  }
+  *out += ' ';
+  *out += PrometheusNumber(value);
+  *out += '\n';
+}
+
+// ---------------------------------------------------------------------------
 // MetricRegistry.
 // ---------------------------------------------------------------------------
 
-MetricRegistry::MetricRegistry() = default;
-MetricRegistry::~MetricRegistry() = default;
-
 MetricRegistry::Entry* MetricRegistry::FindOrCreate(
     const std::string& name, const Labels& labels, Kind kind,
-    std::vector<double> bounds, const WindowOptions* window) {
+    std::vector<double> bounds) {
   Labels sorted = labels;
   std::sort(sorted.begin(), sorted.end());
   std::string sig = LabelSignature(sorted);
@@ -417,18 +458,7 @@ MetricRegistry::Entry* MetricRegistry::FindOrCreate(
       entry.gauge = std::make_unique<Gauge>();
       break;
     case Kind::kHistogram:
-      entry.histogram = std::make_unique<Histogram>(
-          bounds.empty() ? Histogram::DefaultLatencyBounds()
-                         : std::move(bounds));
-      break;
-    case Kind::kWindowedCounter:
-      EADRL_CHECK(window != nullptr);
-      entry.windowed_counter = std::make_unique<WindowedCounter>(*window);
-      break;
-    case Kind::kWindowedHistogram:
-      EADRL_CHECK(window != nullptr);
-      entry.windowed_histogram =
-          std::make_unique<WindowedHistogram>(*window, std::move(bounds));
+      entry.histogram = std::make_unique<Histogram>(std::move(bounds));
       break;
   }
   return &family.emplace(sig, std::move(entry)).first->second;
@@ -436,186 +466,73 @@ MetricRegistry::Entry* MetricRegistry::FindOrCreate(
 
 Counter* MetricRegistry::GetCounter(const std::string& name,
                                     const Labels& labels) {
-  return FindOrCreate(name, labels, Kind::kCounter, {}, nullptr)
-      ->counter.get();
+  return FindOrCreate(name, labels, Kind::kCounter, {})->counter.get();
 }
 
 Gauge* MetricRegistry::GetGauge(const std::string& name,
                                 const Labels& labels) {
-  return FindOrCreate(name, labels, Kind::kGauge, {}, nullptr)->gauge.get();
+  return FindOrCreate(name, labels, Kind::kGauge, {})->gauge.get();
 }
 
 Histogram* MetricRegistry::GetHistogram(const std::string& name,
                                         std::vector<double> bounds,
                                         const Labels& labels) {
-  return FindOrCreate(name, labels, Kind::kHistogram, std::move(bounds),
-                      nullptr)
+  return FindOrCreate(name, labels, Kind::kHistogram, std::move(bounds))
       ->histogram.get();
-}
-
-WindowedCounter* MetricRegistry::GetWindowedCounter(
-    const std::string& name, const WindowOptions& options,
-    const Labels& labels) {
-  return FindOrCreate(name, labels, Kind::kWindowedCounter, {}, &options)
-      ->windowed_counter.get();
-}
-
-WindowedHistogram* MetricRegistry::GetWindowedHistogram(
-    const std::string& name, const WindowOptions& options,
-    std::vector<double> bounds, const Labels& labels) {
-  return FindOrCreate(name, labels, Kind::kWindowedHistogram,
-                      std::move(bounds), &options)
-      ->windowed_histogram.get();
 }
 
 std::string MetricRegistry::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream out;
-  out << "{";
+  std::string out = "{";
   bool first_family = true;
   for (const auto& [name, family] : families_) {
-    if (!first_family) out << ",";
+    if (!first_family) out += ',';
     first_family = false;
-    out << "\"" << JsonEscaped(name) << "\":{";
+    out += '"';
+    AppendJsonEscaped(&out, name);
+    out += "\":{";
     bool first_metric = true;
     for (const auto& [sig, entry] : family) {
-      if (!first_metric) out << ",";
+      if (!first_metric) out += ',';
       first_metric = false;
-      out << "\"" << JsonEscaped(sig) << "\":";
+      out += '"';
+      AppendJsonEscaped(&out, sig);
+      out += "\":";
       switch (entry.kind) {
         case Kind::kCounter:
-          out << "{\"type\":\"counter\",\"value\":";
+          out += "{\"type\":\"counter\",\"value\":";
           AppendJsonNumber(&out, entry.counter->Value());
-          out << "}";
           break;
         case Kind::kGauge:
-          out << "{\"type\":\"gauge\",\"value\":";
+          out += "{\"type\":\"gauge\",\"value\":";
           AppendJsonNumber(&out, entry.gauge->Value());
-          out << "}";
           break;
         case Kind::kHistogram: {
-          HistogramSnapshot snap = entry.histogram->Snapshot();
-          out << "{\"type\":\"histogram\",\"count\":" << snap.count
-              << ",\"sum\":";
-          AppendJsonNumber(&out, snap.sum);
-          out << ",\"min\":";
-          AppendJsonNumber(&out, snap.min);
-          out << ",\"max\":";
-          AppendJsonNumber(&out, snap.max);
-          out << ",\"mean\":";
-          AppendJsonNumber(&out, snap.Mean());
-          out << ",\"p50\":";
-          AppendJsonNumber(&out, snap.Quantile(0.5));
-          out << ",\"p90\":";
-          AppendJsonNumber(&out, snap.Quantile(0.9));
-          out << ",\"p99\":";
-          AppendJsonNumber(&out, snap.Quantile(0.99));
-          out << "}";
-          break;
-        }
-        case Kind::kWindowedCounter: {
-          const WindowedCounterSnapshot snap =
-              entry.windowed_counter->Snapshot();
-          out << "{\"type\":\"windowed_counter\",\"cumulative\":";
-          AppendJsonNumber(&out, snap.cumulative);
-          out << ",\"window_total\":";
-          AppendJsonNumber(&out, snap.total);
-          out << ",\"window_seconds\":";
-          AppendJsonNumber(&out, snap.window_seconds);
-          out << ",\"rate\":";
-          AppendJsonNumber(&out, snap.Rate());
-          out << "}";
-          break;
-        }
-        case Kind::kWindowedHistogram: {
-          const WindowedHistogramSnapshot snap =
-              entry.windowed_histogram->Snapshot();
-          out << "{\"type\":\"windowed_histogram\",\"cumulative_count\":"
-              << entry.windowed_histogram->CumulativeCount()
-              << ",\"window_count\":" << snap.values.count
-              << ",\"window_seconds\":";
-          AppendJsonNumber(&out, snap.window_seconds);
-          out << ",\"rate\":";
-          AppendJsonNumber(&out, snap.Rate());
-          out << ",\"mean\":";
-          AppendJsonNumber(&out, snap.values.Mean());
-          out << ",\"min\":";
-          AppendJsonNumber(&out, snap.values.min);
-          out << ",\"max\":";
-          AppendJsonNumber(&out, snap.values.max);
-          out << ",\"p50\":";
-          AppendJsonNumber(&out, snap.values.Quantile(0.5));
-          out << ",\"p95\":";
-          AppendJsonNumber(&out, snap.values.Quantile(0.95));
-          out << ",\"p99\":";
-          AppendJsonNumber(&out, snap.values.Quantile(0.99));
-          out << "}";
+          const HistogramSnapshot snap = entry.histogram->Snapshot();
+          out += "{\"type\":\"histogram\",\"count\":";
+          out += std::to_string(snap.count);
+          for (const auto& [key, value] :
+               {std::pair<const char*, double>{"sum", snap.sum},
+                {"min", snap.min},
+                {"max", snap.max},
+                {"mean", snap.Mean()},
+                {"p50", snap.Quantile(0.5)},
+                {"p90", snap.Quantile(0.9)},
+                {"p99", snap.Quantile(0.99)}}) {
+            out += ",\"";
+            out += key;
+            out += "\":";
+            AppendJsonNumber(&out, value);
+          }
           break;
         }
       }
+      out += '}';
     }
-    out << "}";
+    out += '}';
   }
-  out << "}";
-  return out.str();
-}
-
-std::string MetricRegistry::ToCsv() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream out;
-  out << "name,labels,field,value\n";
-  for (const auto& [name, family] : families_) {
-    for (const auto& [sig, entry] : family) {
-      auto row = [&](const char* field, double value) {
-        out << CsvField(name) << "," << CsvField(sig) << "," << field << ","
-            << value << "\n";
-      };
-      switch (entry.kind) {
-        case Kind::kCounter:
-          row("value", entry.counter->Value());
-          break;
-        case Kind::kGauge:
-          row("value", entry.gauge->Value());
-          break;
-        case Kind::kHistogram: {
-          HistogramSnapshot snap = entry.histogram->Snapshot();
-          row("count", static_cast<double>(snap.count));
-          row("sum", snap.sum);
-          row("min", snap.min);
-          row("max", snap.max);
-          row("mean", snap.Mean());
-          row("p50", snap.Quantile(0.5));
-          row("p90", snap.Quantile(0.9));
-          row("p99", snap.Quantile(0.99));
-          break;
-        }
-        case Kind::kWindowedCounter: {
-          const WindowedCounterSnapshot snap =
-              entry.windowed_counter->Snapshot();
-          row("cumulative", snap.cumulative);
-          row("window_total", snap.total);
-          row("window_seconds", snap.window_seconds);
-          row("rate", snap.Rate());
-          break;
-        }
-        case Kind::kWindowedHistogram: {
-          const WindowedHistogramSnapshot snap =
-              entry.windowed_histogram->Snapshot();
-          row("cumulative_count",
-              static_cast<double>(entry.windowed_histogram->CumulativeCount()));
-          row("window_count", static_cast<double>(snap.values.count));
-          row("window_seconds", snap.window_seconds);
-          row("rate", snap.Rate());
-          row("mean", snap.values.Mean());
-          row("p50", snap.values.Quantile(0.5));
-          row("p95", snap.values.Quantile(0.95));
-          row("p99", snap.values.Quantile(0.99));
-          break;
-        }
-      }
-    }
-  }
-  return out.str();
+  out += '}';
+  return out;
 }
 
 std::string MetricRegistry::ToPrometheus() const {
@@ -623,108 +540,38 @@ std::string MetricRegistry::ToPrometheus() const {
   std::string out;
   for (const auto& [name, family] : families_) {
     if (family.empty()) continue;
-    const std::string prom = PrometheusName(name);
-    const Kind family_kind = family.begin()->second.kind;
-    if (family_kind == Kind::kWindowedCounter) {
-      // Windowed counters expose the exact cumulative total as a counter
-      // plus a windowed-rate gauge; the window span rides along as a label
-      // so dashboards know what "rate" is over.
-      std::vector<std::pair<const Entry*, WindowedCounterSnapshot>> snaps;
-      for (const auto& [sig, entry] : family) {
-        static_cast<void>(sig);
-        snaps.emplace_back(&entry, entry.windowed_counter->Snapshot());
-      }
-      out += "# TYPE " + prom + "_total counter\n";
-      for (const auto& [entry, snap] : snaps) {
-        out += prom + "_total" + PrometheusLabels(entry->labels) + " " +
-               PrometheusNumber(snap.cumulative) + "\n";
-      }
-      out += "# TYPE " + prom + "_rate gauge\n";
-      for (const auto& [entry, snap] : snaps) {
-        Labels with_window = entry->labels;
-        with_window.emplace_back("window",
-                                 PrometheusNumber(snap.window_seconds));
-        out += prom + "_rate" + PrometheusLabels(with_window) + " " +
-               PrometheusNumber(snap.Rate()) + "\n";
-      }
-      continue;
-    }
-    if (family_kind == Kind::kWindowedHistogram) {
-      // Windowed histograms expose quantile-gauge series (the summary-style
-      // shape) over the window, plus windowed count and rate gauges.
-      std::vector<std::pair<const Entry*, WindowedHistogramSnapshot>> snaps;
-      for (const auto& [sig, entry] : family) {
-        static_cast<void>(sig);
-        snaps.emplace_back(&entry, entry.windowed_histogram->Snapshot());
-      }
-      out += "# TYPE " + prom + " gauge\n";
-      for (const auto& [entry, snap] : snaps) {
-        for (const double q : {0.5, 0.95, 0.99}) {
-          Labels with_q = entry->labels;
-          with_q.emplace_back("quantile", PrometheusNumber(q));
-          with_q.emplace_back("window", PrometheusNumber(snap.window_seconds));
-          out += prom + PrometheusLabels(with_q) + " " +
-                 PrometheusNumber(snap.values.Quantile(q)) + "\n";
-        }
-      }
-      out += "# TYPE " + prom + "_window_count gauge\n";
-      for (const auto& [entry, snap] : snaps) {
-        out += prom + "_window_count" + PrometheusLabels(entry->labels) + " " +
-               std::to_string(snap.values.count) + "\n";
-      }
-      out += "# TYPE " + prom + "_rate gauge\n";
-      for (const auto& [entry, snap] : snaps) {
-        out += prom + "_rate" + PrometheusLabels(entry->labels) + " " +
-               PrometheusNumber(snap.Rate()) + "\n";
-      }
-      continue;
-    }
-    const char* type = "untyped";
-    switch (family_kind) {
-      case Kind::kCounter:
-        type = "counter";
-        break;
-      case Kind::kGauge:
-        type = "gauge";
-        break;
-      case Kind::kHistogram:
-        type = "histogram";
-        break;
-      case Kind::kWindowedCounter:
-      case Kind::kWindowedHistogram:
-        break;  // handled above.
-    }
-    out += "# TYPE " + prom + " " + type + "\n";
+    const Kind kind = family.begin()->second.kind;
+    AppendPrometheusType(&out, name,
+                         kind == Kind::kCounter ? "counter"
+                         : kind == Kind::kGauge ? "gauge"
+                                                : "histogram");
     for (const auto& [sig, entry] : family) {
       static_cast<void>(sig);
       switch (entry.kind) {
         case Kind::kCounter:
-          out += prom + PrometheusLabels(entry.labels) + " " +
-                 PrometheusNumber(entry.counter->Value()) + "\n";
+          AppendPrometheusSample(&out, name, entry.labels,
+                                 entry.counter->Value());
           break;
         case Kind::kGauge:
-          out += prom + PrometheusLabels(entry.labels) + " " +
-                 PrometheusNumber(entry.gauge->Value()) + "\n";
+          AppendPrometheusSample(&out, name, entry.labels,
+                                 entry.gauge->Value());
           break;
         case Kind::kHistogram: {
           const HistogramSnapshot snap = entry.histogram->Snapshot();
+          Labels with_le = entry.labels;
+          with_le.emplace_back("le", "");
           uint64_t cumulative = 0;
           for (size_t i = 0; i < snap.bounds.size(); ++i) {
             cumulative += snap.counts[i];
-            Labels with_le = entry.labels;
-            with_le.emplace_back("le", PrometheusNumber(snap.bounds[i]));
-            out += prom + "_bucket" + PrometheusLabels(with_le) + " " +
-                   std::to_string(cumulative) + "\n";
+            with_le.back().second = PrometheusNumber(snap.bounds[i]);
+            AppendPrometheusSample(&out, name + "_bucket", with_le,
+                                   static_cast<double>(cumulative));
           }
-          out += prom + "_sum" + PrometheusLabels(entry.labels) + " " +
-                 PrometheusNumber(snap.sum) + "\n";
-          out += prom + "_count" + PrometheusLabels(entry.labels) + " " +
-                 std::to_string(snap.count) + "\n";
+          AppendPrometheusSample(&out, name + "_sum", entry.labels, snap.sum);
+          AppendPrometheusSample(&out, name + "_count", entry.labels,
+                                 static_cast<double>(snap.count));
           break;
         }
-        case Kind::kWindowedCounter:
-        case Kind::kWindowedHistogram:
-          break;  // rendered by the dedicated blocks above.
       }
     }
   }

@@ -3,8 +3,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -12,24 +12,139 @@
 #include <utility>
 #include <vector>
 
+#include "chk/lockdep.h"
 #include "chk/thread_annotations.h"
+
+// One metric model (see DESIGN.md, "Observability"): one Counter and one
+// Histogram type. Built without WindowOptions a metric is cumulative — a
+// single slot that never rotates, so observing reads no clock. Built with
+// WindowOptions it is windowed: a ring of `buckets` sub-window slots, each
+// covering one `tick_seconds` span of the monotonic clock. An observation
+// lands in the slot of its epoch (clock / tick) with atomic adds, and a slot
+// is reset for reuse when the window slides past it. Snapshots merge the
+// resident slots into one consistent view; a windowed snapshot also carries
+// the effective window span, so rates are per second over the last window.
+//
+// Concurrency: observing is lock-free. Only the observer that first lands
+// in a NEW epoch takes `window_mu_` to rotate. An observation racing a
+// rotation can land in the slot that was just retired or recycled; the skew
+// is bounded by one observation per rotation, and since-construction totals
+// (Counter::Value, Histogram::Count) are exact because they bypass the ring.
 
 namespace eadrl::obs {
 
-/// Monotonically increasing counter. Lock-free; safe to Inc from any thread.
-class Counter {
+/// Monotonic nanoseconds (std::chrono::steady_clock). The default clock of
+/// windowed metrics; tests inject a fake via WindowOptions::now_ns.
+uint64_t MonotonicNowNs();
+
+/// Sub-window layout + clock of a windowed metric. The covered span is
+/// buckets * tick_seconds (default 10 x 1 s); resolution is one tick.
+struct WindowOptions {
+  size_t buckets = 10;
+  double tick_seconds = 1.0;
+  /// Clock injection seam: nullptr = MonotonicNowNs. A plain function
+  /// pointer (not std::function) so the hot path pays no indirection-heavy
+  /// call and the options stay trivially copyable.
+  uint64_t (*now_ns)() = nullptr;
+};
+
+namespace internal_metrics {
+
+/// The sub-window ring bookkeeping Counter and Histogram share: the clock,
+/// the newest epoch and the rotation lock. Default-constructed it is
+/// cumulative (one slot, never rotates); the derived class owns the slots
+/// and says how one is reset.
+class SlidingWindow {
  public:
-  void Inc(double delta = 1.0) {
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + delta,
-                                         std::memory_order_relaxed)) {
-    }
+  bool windowed() const { return tick_ns_ != 0; }
+
+  /// Current reading of the window's clock (injected or monotonic). Batch
+  /// completion paths read it once and fan it out to every windowed metric
+  /// sharing the clock through IncAt/ObserveAt, instead of paying one clock
+  /// read per observation (see ForecastService::ProcessBatch).
+  uint64_t NowNs() const {
+    return opt_.now_ns != nullptr ? opt_.now_ns() : MonotonicNowNs();
   }
 
-  double Value() const { return value_.load(std::memory_order_relaxed); }
+ protected:
+  SlidingWindow() = default;
+  explicit SlidingWindow(const WindowOptions& options);
+  ~SlidingWindow() = default;
+
+  /// Slot count: WindowOptions::buckets when windowed, else 1.
+  size_t num_slots() const { return windowed() ? opt_.buckets : 1; }
+
+  /// Index of the slot an observation at `now_ns` lands in, rotating first
+  /// when a new tick began. Windowed metrics only.
+  size_t SlotAt(uint64_t now_ns) const;
+
+  /// Rotates to the current tick, so sub-windows that went stale during a
+  /// quiet spell read 0 rather than the last burst, and returns the
+  /// effective window span in seconds: shorter than the configured span
+  /// until one full window has elapsed, so early rates are not diluted.
+  double RotateForSnapshot() const EADRL_REQUIRES(window_mu_);
+
+  /// Zeroes slot `index` for reuse. Called with window_mu_ held.
+  virtual void ResetSlot(size_t index) const = 0;
+
+  /// Serializes rotation only; never held while observing.
+  mutable chk::OrderedMutex window_mu_{EADRL_LOCK_RANK(obs_window),
+                                       "obs::SlidingWindow::window_mu_"};
 
  private:
-  std::atomic<double> value_{0.0};
+  /// Advances the ring to `epoch`, resetting every slot the window slid
+  /// past.
+  void RotateTo(uint64_t epoch) const EADRL_REQUIRES(window_mu_);
+
+  WindowOptions opt_;
+  uint64_t tick_ns_ = 0;  ///< 0 = cumulative.
+  uint64_t first_epoch_ = 0;
+  mutable std::atomic<uint64_t> cur_epoch_{0};
+};
+
+}  // namespace internal_metrics
+
+/// A counter's view at one point in time. Windowed: the total over the
+/// resident sub-windows and the effective window span. Cumulative: the
+/// since-construction total with window_seconds (and so Rate()) 0.
+struct CounterSnapshot {
+  double total = 0.0;
+  double window_seconds = 0.0;
+
+  double Rate() const {
+    return window_seconds > 0.0 ? total / window_seconds : 0.0;
+  }
+};
+
+/// Monotonically increasing counter. Inc is lock-free from any thread (off
+/// the rotation path when windowed).
+class Counter final : public internal_metrics::SlidingWindow {
+ public:
+  Counter() = default;
+  explicit Counter(const WindowOptions& window);
+
+  void Inc(double delta = 1.0) {
+    if (windowed()) {
+      IncAt(NowNs(), delta);
+    } else {
+      total_.fetch_add(delta, std::memory_order_relaxed);
+    }
+  }
+  /// Inc with a caller-provided reading of THIS counter's clock (NowNs()).
+  void IncAt(uint64_t now_ns, double delta = 1.0);
+
+  /// Exact since-construction total (does not depend on the window).
+  double Value() const { return total_.load(std::memory_order_relaxed); }
+
+  CounterSnapshot Snapshot() const;
+
+ private:
+  void ResetSlot(size_t index) const override;
+
+  std::atomic<double> total_{0.0};
+  /// Per-tick totals, windowed only. Written lock-free by observers; reset
+  /// (rotation) is serialized by window_mu_.
+  mutable std::vector<std::atomic<double>> slots_ EADRL_UNGUARDED;
 };
 
 /// A value that can go up and down (last-write-wins). Lock-free.
@@ -37,12 +152,7 @@ class Gauge {
  public:
   void Set(double v) { value_.store(v, std::memory_order_relaxed); }
 
-  void Add(double delta) {
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + delta,
-                                         std::memory_order_relaxed)) {
-    }
-  }
+  void Add(double delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
 
   double Value() const { return value_.load(std::memory_order_relaxed); }
 
@@ -50,37 +160,12 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Streaming quantile estimator (Jain & Chlamtac's P-squared algorithm):
-/// tracks one quantile of an unbounded stream in O(1) memory without storing
-/// observations. Complements Histogram's fixed buckets when the value range
-/// is unknown up front. Not thread-safe; guard externally or use one per
-/// thread.
-class StreamingQuantile {
- public:
-  explicit StreamingQuantile(double q);
-
-  void Observe(double value);
-
-  /// Current estimate; exact while fewer than five observations were seen.
-  double Value() const;
-
-  size_t count() const { return count_; }
-
- private:
-  double q_;
-  size_t count_ = 0;
-  // P-squared marker state: heights, positions and desired positions.
-  double heights_[5];
-  double positions_[5];
-  double desired_[5];
-  double increments_[5];
-};
-
-/// Immutable view of a histogram's state at one point in time. Derived
-/// statistics (mean, quantiles) are computed on the snapshot itself, so one
-/// Snapshot() call yields a mutually consistent set of numbers — exporters
-/// must not go back to the live histogram per statistic (each trip re-reads
-/// racing atomics and costs another full bucket copy).
+/// Immutable view of a histogram's state at one point in time (windowed:
+/// over the resident sub-windows). Derived statistics (mean, quantiles) are
+/// computed on the snapshot itself, so one Snapshot() call yields a mutually
+/// consistent set of numbers — exporters must not go back to the live
+/// histogram per statistic (each trip re-reads racing atomics and costs
+/// another full bucket copy).
 struct HistogramSnapshot {
   /// Raw-sample budget for the exact-quantile path: populations at or below
   /// this size keep every observation, so Quantile needs no bucket
@@ -99,9 +184,17 @@ struct HistogramSnapshot {
   /// always can; a snapshot racing concurrent observers may fall back to
   /// empty). Unsorted; empty means "bucket interpolation only".
   std::vector<double> samples;
+  /// Effective window span; 0 when the histogram is cumulative.
+  double window_seconds = 0.0;
 
   double Mean() const {
     return count == 0 ? 0.0 : sum / static_cast<double>(count);
+  }
+
+  /// Observations per second over the window; 0 when cumulative.
+  double Rate() const {
+    return window_seconds > 0.0 ? static_cast<double>(count) / window_seconds
+                                : 0.0;
   }
 
   /// Quantile estimate, q in [0, 1] (clamped). Returns 0 when empty. When
@@ -121,27 +214,26 @@ struct HistogramSnapshot {
   void MergeFrom(const HistogramSnapshot& other);
 };
 
-/// Fixed-bucket histogram. `Observe` is lock-free (atomic per-bucket counts;
-/// CAS loops for sum/min/max) so concurrent observation from the serving hot
-/// path is safe. Quantiles are estimated by linear interpolation inside the
-/// bucket containing the requested rank.
-class Histogram {
+/// Fixed-bucket histogram with inclusive ("le") upper bounds. Observe is
+/// lock-free (atomic adds for counts and sum, CAS loops for min/max). Each
+/// slot also keeps its first kExactQuantileSamples raw observations, so
+/// small populations get exact quantiles.
+class Histogram final : public internal_metrics::SlidingWindow {
  public:
-  /// `bounds` are strictly increasing upper bucket bounds; a final +inf
-  /// bucket is appended automatically.
+  /// `bounds` are strictly increasing finite upper bucket bounds; a final
+  /// +inf bucket is appended automatically. Empty = DefaultLatencyBounds().
   explicit Histogram(std::vector<double> bounds);
+  Histogram(const WindowOptions& window, std::vector<double> bounds);
 
-  void Observe(double value);
+  void Observe(double value) { ObserveAt(windowed() ? NowNs() : 0, value); }
+  /// Observe with a caller-provided reading of this histogram's clock
+  /// (NowNs()); cumulative histograms ignore it.
+  void ObserveAt(uint64_t now_ns, double value);
 
   HistogramSnapshot Snapshot() const;
 
-  uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
-  double Sum() const { return sum_.load(std::memory_order_relaxed); }
-  double Mean() const;
-
-  /// Convenience for one-off queries: Snapshot().Quantile(q). Callers that
-  /// need several statistics should take one Snapshot and query that.
-  double Quantile(double q) const;
+  /// Exact since-construction observation count.
+  uint64_t Count() const;
 
   /// `count` bounds starting at `start`, each `factor` times the previous —
   /// the usual latency-histogram shape.
@@ -153,47 +245,64 @@ class Histogram {
   static std::vector<double> DefaultLatencyBounds();
 
  private:
-  std::vector<double> bounds_;  ///< finite upper bounds; overflow is implicit.
-  std::unique_ptr<std::atomic<uint64_t>[]> counts_;  ///< bounds_.size() + 1.
+  struct Slot {
+    std::unique_ptr<std::atomic<uint64_t>[]> counts;  ///< bounds_.size() + 1.
+    std::atomic<uint64_t> count{0};
+    std::atomic<double> sum{0.0};
+    // +-inf sentinels make min/max updates pure CAS races (no
+    // first-observation seeding, which could overwrite a concurrent
+    // observer's tighter value); snapshots skip empty slots.
+    std::atomic<double> min{0.0};
+    std::atomic<double> max{0.0};
+    /// Raw-sample slots claimed (may exceed the stored capacity; stores are
+    /// dropped past it). sample_ready[i] flips to 1 after samples[i] is
+    /// written, so a reader never consumes an unwritten slot.
+    std::atomic<uint32_t> sample_slots{0};
+    std::unique_ptr<std::atomic<double>[]> samples;
+    std::unique_ptr<std::atomic<uint8_t>[]> sample_ready;
+  };
+
+  void AllocateSlots();
+  void ResetSlot(size_t index) const override;
+  /// Merges every slot (the caller rotated first when windowed).
+  HistogramSnapshot MergeSlots() const;
+
+  /// Const after construction.
+  std::vector<double> bounds_ EADRL_UNGUARDED;
+  /// Same discipline as Counter::slots_: lock-free atomic writes, reset
+  /// under window_mu_.
+  mutable std::vector<Slot> slots_ EADRL_UNGUARDED;
+  /// Since-construction count, windowed only (a cumulative histogram's one
+  /// slot already holds it).
   std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  // +-inf sentinels make min/max updates pure CAS races (no first-observation
-  // seeding, which could overwrite a concurrent observer's tighter value);
-  // Snapshot maps the sentinels back to 0 while empty.
-  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
-  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
-  // First kExactQuantileSamples raw observations, for the exact-small
-  // quantile path: observers claim a slot via sample_slots_ and flip the
-  // slot's ready flag after the value store, so Snapshot never reads an
-  // unwritten slot.
-  std::unique_ptr<std::atomic<double>[]> samples_;
-  std::unique_ptr<std::atomic<uint8_t>[]> sample_ready_;
-  std::atomic<uint32_t> sample_slots_{0};
 };
 
 /// Key/value labels distinguishing metrics within a family, e.g.
 /// {{"method", "EA-DRL"}}. Order-insensitive (sorted internally).
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-// Sliding-window metrics (src/obs/window.h). Forward-declared so the
-// registry can own them without metrics.h -> window.h -> metrics.h cycling;
-// metrics.cc includes the full definitions.
-struct WindowOptions;
-class WindowedCounter;
-class WindowedHistogram;
+/// The Prometheus text exposition (version 0.0.4) writers every exposition
+/// goes through: metric and label names are sanitized to
+/// [a-zA-Z_:][a-zA-Z0-9_:]*, label values escape backslash, quote and
+/// newline, and values print round-trip exact (%.17g), non-finite ones as
+/// NaN/+Inf/-Inf.
+/// Appends `# TYPE <name> <type>`.
+void AppendPrometheusType(std::string* out, const std::string& name,
+                          const char* type);
+/// Appends `<name>{<labels>} <value>` (no braces when `labels` is empty).
+void AppendPrometheusSample(std::string* out, const std::string& name,
+                            const Labels& labels, double value);
 
 /// Thread-safe registry of named metric families. Getters create on first
 /// use and return stable pointers that remain valid for the registry's
 /// lifetime, so hot paths can look a metric up once and cache the pointer.
 /// A family's type and (for histograms) bucket layout are fixed by the first
-/// registration; a later lookup with a conflicting type aborts.
+/// registration; a later lookup with a conflicting type aborts. Registry
+/// metrics are cumulative: windowed ones are owned by their component and
+/// exported through MetricsExporter sections.
 class MetricRegistry {
  public:
-  /// Both out of line: Entry holds unique_ptrs to the forward-declared
-  /// windowed metrics, so map teardown (destructor, and the constructor's
-  /// unwind path) must live where they are complete.
-  MetricRegistry();
-  ~MetricRegistry();
+  MetricRegistry() = default;
   MetricRegistry(const MetricRegistry&) = delete;
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
@@ -204,17 +313,6 @@ class MetricRegistry {
   Histogram* GetHistogram(const std::string& name,
                           std::vector<double> bounds = {},
                           const Labels& labels = {});
-  /// Sliding-window variants, rendered with windowed rate/quantile series by
-  /// the exporters below. `options` (and `bounds`) apply only when the
-  /// (name, labels) pair is first created — first registration wins, like
-  /// histogram bounds.
-  WindowedCounter* GetWindowedCounter(const std::string& name,
-                                      const WindowOptions& options,
-                                      const Labels& labels = {});
-  WindowedHistogram* GetWindowedHistogram(const std::string& name,
-                                          const WindowOptions& options,
-                                          std::vector<double> bounds = {},
-                                          const Labels& labels = {});
 
   /// Serializes every metric to a JSON object keyed by family name; each
   /// family maps the label signature ("k=v,k2=v2" or "" for no labels) to
@@ -222,15 +320,9 @@ class MetricRegistry {
   /// DESIGN.md, "Observability".
   std::string ToJson() const;
 
-  /// Flat CSV: name,labels,field,value — one row per scalar statistic.
-  /// Fields containing commas, quotes or newlines are RFC-4180 quoted.
-  std::string ToCsv() const;
-
-  /// Prometheus text exposition (version 0.0.4): one `# TYPE` line per
-  /// family, `name{labels} value` series, histograms expanded into
-  /// cumulative `_bucket{le=...}` series plus `_sum`/`_count`. Metric
-  /// names are sanitized to [a-zA-Z0-9_:]; label values are escaped per the
-  /// exposition format.
+  /// Prometheus text exposition: one `# TYPE` line per family,
+  /// `name{labels} value` series, histograms expanded into cumulative
+  /// `_bucket{le=...}` series plus `_sum`/`_count`.
   std::string ToPrometheus() const;
 
   /// Drops every registered metric (invalidates previously returned
@@ -241,13 +333,7 @@ class MetricRegistry {
   static MetricRegistry& Default();
 
  private:
-  enum class Kind {
-    kCounter,
-    kGauge,
-    kHistogram,
-    kWindowedCounter,
-    kWindowedHistogram,
-  };
+  enum class Kind { kCounter, kGauge, kHistogram };
 
   struct Entry {
     Kind kind;
@@ -255,13 +341,10 @@ class MetricRegistry {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
-    std::unique_ptr<WindowedCounter> windowed_counter;
-    std::unique_ptr<WindowedHistogram> windowed_histogram;
   };
 
   Entry* FindOrCreate(const std::string& name, const Labels& labels,
-                      Kind kind, std::vector<double> bounds,
-                      const WindowOptions* window);
+                      Kind kind, std::vector<double> bounds);
 
   mutable std::mutex mu_;
   // family name -> label signature -> metric.

@@ -1,7 +1,6 @@
 #include "obs/slo.h"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "common/check.h"
@@ -15,15 +14,6 @@ namespace {
 // division finite (any error then burns astronomically, which is the right
 // answer for "nothing may ever fail").
 constexpr double kMinBudget = 1e-9;
-
-void AppendJsonNumberTo(std::ostringstream* out, double v) {
-  if (v == static_cast<double>(static_cast<int64_t>(v)) &&
-      std::abs(v) < 9.0e15) {
-    *out << static_cast<int64_t>(v);
-  } else {
-    *out << v;
-  }
-}
 
 }  // namespace
 
@@ -63,11 +53,9 @@ void SloTracker::RecordAt(uint64_t now_ns, size_t objective, bool good) {
   EADRL_CHECK_LT(objective, objectives_.size());
   Objective& o = *objectives_[objective];
   if (good) {
-    o.good_total.fetch_add(1, std::memory_order_relaxed);
     o.good_long.IncAt(now_ns);
     o.good_short.IncAt(now_ns);
   } else {
-    o.bad_total.fetch_add(1, std::memory_order_relaxed);
     o.bad_long.IncAt(now_ns);
     o.bad_short.IncAt(now_ns);
   }
@@ -96,10 +84,10 @@ double SloTracker::BurnRate(double good, double bad, double target) {
 void SloTracker::Evaluate() {
   for (std::unique_ptr<Objective>& objective : objectives_) {
     Objective& o = *objective;
-    const WindowedCounterSnapshot good_long = o.good_long.Snapshot();
-    const WindowedCounterSnapshot bad_long = o.bad_long.Snapshot();
-    const WindowedCounterSnapshot good_short = o.good_short.Snapshot();
-    const WindowedCounterSnapshot bad_short = o.bad_short.Snapshot();
+    const CounterSnapshot good_long = o.good_long.Snapshot();
+    const CounterSnapshot bad_long = o.bad_long.Snapshot();
+    const CounterSnapshot good_short = o.good_short.Snapshot();
+    const CounterSnapshot bad_short = o.bad_short.Snapshot();
     const double burn_long =
         BurnRate(good_long.total, bad_long.total, o.spec.target);
     const double burn_short =
@@ -137,8 +125,8 @@ void SloTracker::Evaluate() {
 SloObjectiveReport SloTracker::ReportFor(const Objective& o) const {
   SloObjectiveReport report;
   report.name = o.spec.name;
-  report.good = o.good_total.load(std::memory_order_relaxed);
-  report.bad = o.bad_total.load(std::memory_order_relaxed);
+  report.good = static_cast<uint64_t>(o.good_long.Value());
+  report.bad = static_cast<uint64_t>(o.bad_long.Value());
   const double total = static_cast<double>(report.good + report.bad);
   const double budget = std::max(1.0 - o.spec.target, kMinBudget);
   report.budget_consumed =
@@ -165,53 +153,53 @@ SloReport SloTracker::Report() const {
 
 std::string SloTracker::ToJsonValue() const {
   const SloReport report = Report();
-  std::ostringstream out;
-  out << "[";
+  std::string out = "[";
   for (size_t i = 0; i < report.objectives.size(); ++i) {
     const SloObjectiveReport& o = report.objectives[i];
-    if (i > 0) out << ",";
-    out << "{\"objective\":\"" << JsonEscaped(o.name) << "\",\"good\":"
-        << o.good << ",\"bad\":" << o.bad << ",\"budget_consumed\":";
-    AppendJsonNumberTo(&out, o.budget_consumed);
-    out << ",\"burn_rate_long\":";
-    AppendJsonNumberTo(&out, o.burn_rate_long);
-    out << ",\"burn_rate_short\":";
-    AppendJsonNumberTo(&out, o.burn_rate_short);
-    out << ",\"breached\":" << (o.breached ? "true" : "false")
-        << ",\"breaches\":" << o.breaches << ",\"recoveries\":" << o.recoveries
-        << "}";
+    if (i > 0) out += ',';
+    out += "{\"objective\":\"";
+    AppendJsonEscaped(&out, o.name);
+    out += "\",\"good\":" + std::to_string(o.good) +
+           ",\"bad\":" + std::to_string(o.bad) + ",\"budget_consumed\":";
+    AppendJsonNumber(&out, o.budget_consumed);
+    out += ",\"burn_rate_long\":";
+    AppendJsonNumber(&out, o.burn_rate_long);
+    out += ",\"burn_rate_short\":";
+    AppendJsonNumber(&out, o.burn_rate_short);
+    out += std::string(",\"breached\":") + (o.breached ? "true" : "false") +
+           ",\"breaches\":" + std::to_string(o.breaches) +
+           ",\"recoveries\":" + std::to_string(o.recoveries) + "}";
   }
-  out << "]";
-  return out.str();
+  out += "]";
+  return out;
 }
 
 void SloTracker::AppendPrometheus(std::string* out) const {
   const SloReport report = Report();
-  auto gauge = [out](const std::string& metric, const std::string& objective,
-                     double value) {
-    std::ostringstream line;
-    line << metric << "{objective=\"" << objective << "\"} " << value << "\n";
-    *out += line.str();
-  };
-  *out += "# TYPE eadrl_slo_burn_rate gauge\n";
+  AppendPrometheusType(out, "eadrl_slo_burn_rate", "gauge");
   for (const SloObjectiveReport& o : report.objectives) {
-    *out += "eadrl_slo_burn_rate{objective=\"" + o.name +
-            "\",window=\"long\"} " + std::to_string(o.burn_rate_long) + "\n";
-    *out += "eadrl_slo_burn_rate{objective=\"" + o.name +
-            "\",window=\"short\"} " + std::to_string(o.burn_rate_short) + "\n";
+    AppendPrometheusSample(out, "eadrl_slo_burn_rate",
+                           {{"objective", o.name}, {"window", "long"}},
+                           o.burn_rate_long);
+    AppendPrometheusSample(out, "eadrl_slo_burn_rate",
+                           {{"objective", o.name}, {"window", "short"}},
+                           o.burn_rate_short);
   }
-  *out += "# TYPE eadrl_slo_budget_consumed gauge\n";
+  AppendPrometheusType(out, "eadrl_slo_budget_consumed", "gauge");
   for (const SloObjectiveReport& o : report.objectives) {
-    gauge("eadrl_slo_budget_consumed", o.name, o.budget_consumed);
+    AppendPrometheusSample(out, "eadrl_slo_budget_consumed",
+                           {{"objective", o.name}}, o.budget_consumed);
   }
-  *out += "# TYPE eadrl_slo_breached gauge\n";
+  AppendPrometheusType(out, "eadrl_slo_breached", "gauge");
   for (const SloObjectiveReport& o : report.objectives) {
-    gauge("eadrl_slo_breached", o.name, o.breached ? 1.0 : 0.0);
+    AppendPrometheusSample(out, "eadrl_slo_breached", {{"objective", o.name}},
+                           o.breached ? 1.0 : 0.0);
   }
-  *out += "# TYPE eadrl_slo_breaches_total counter\n";
+  AppendPrometheusType(out, "eadrl_slo_breaches_total", "counter");
   for (const SloObjectiveReport& o : report.objectives) {
-    gauge("eadrl_slo_breaches_total", o.name,
-          static_cast<double>(o.breaches));
+    AppendPrometheusSample(out, "eadrl_slo_breaches_total",
+                           {{"objective", o.name}},
+                           static_cast<double>(o.breaches));
   }
 }
 

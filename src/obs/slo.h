@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "chk/thread_annotations.h"
-#include "obs/window.h"
+#include "obs/metrics.h"
 
 // SLO tracking with multi-window burn-rate alerting (see DESIGN.md, "Live
 // serving observability"). An objective declares a target good fraction
@@ -78,7 +78,7 @@ struct SloReport {
   }
 };
 
-/// Thread-safe: Record/RecordLatency are windowed-counter increments (lock
+/// Thread-safe: Record/RecordLatency are windowed Counter increments (lock
 /// free off the rotation tick); Evaluate may run from any thread — edge
 /// transitions are serialized per objective by an atomic exchange, so each
 /// breach/recover emits exactly once.
@@ -93,7 +93,7 @@ class SloTracker {
   /// objectives when the caller classified the outcome itself).
   void Record(size_t objective, bool good);
   /// Record with a caller-provided reading of the objectives' window clock
-  /// (NowNs()) — see WindowedCounter::IncAt for the batch-amortization
+  /// (NowNs()) — see SlidingWindow::NowNs for the batch-amortization
   /// contract.
   void RecordAt(uint64_t now_ns, size_t objective, bool good);
 
@@ -122,12 +122,11 @@ class SloTracker {
     explicit Objective(const SloTrackerOptions& options);
 
     SloObjectiveSpec spec;
-    WindowedCounter good_long;
-    WindowedCounter bad_long;
-    WindowedCounter good_short;
-    WindowedCounter bad_short;
-    std::atomic<uint64_t> good_total{0};
-    std::atomic<uint64_t> bad_total{0};
+    /// The long-window counters' Value() is the cumulative good/bad count.
+    Counter good_long;
+    Counter bad_long;
+    Counter good_short;
+    Counter bad_short;
     std::atomic<bool> breached{false};
     std::atomic<uint64_t> breaches{0};
     std::atomic<uint64_t> recoveries{0};

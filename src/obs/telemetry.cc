@@ -1,8 +1,6 @@
 #include "obs/telemetry.h"
 
-#include <cmath>
 #include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "common/logging.h"
@@ -78,31 +76,32 @@ void Emit(const char* kind, std::vector<TelemetryField> fields) {
 }
 
 std::string EventToJson(const TelemetryEvent& event) {
-  std::ostringstream out;
-  out.precision(17);
-  out << "{\"ts\":\"" << FormatIso8601Utc(event.unix_seconds)
-      << "\",\"unix\":" << event.unix_seconds << ",\"kind\":\""
-      << JsonEscaped(event.kind) << "\"";
+  std::string out = "{\"ts\":\"" + FormatIso8601Utc(event.unix_seconds) +
+                    "\",\"unix\":";
+  AppendJsonNumber(&out, event.unix_seconds);
+  out += ",\"kind\":\"";
+  AppendJsonEscaped(&out, event.kind);
+  out += '"';
   for (const TelemetryField& f : event.fields) {
-    out << ",\"" << JsonEscaped(f.key) << "\":";
+    out += ",\"";
+    AppendJsonEscaped(&out, f.key);
+    out += "\":";
     switch (f.type) {
       case TelemetryField::Type::kDouble:
-        if (std::isfinite(f.num)) {
-          out << f.num;
-        } else {
-          out << "null";  // JSON has no inf/nan literals.
-        }
+        AppendJsonNumber(&out, f.num);
         break;
       case TelemetryField::Type::kInt:
-        out << f.inum;
+        out += std::to_string(f.inum);
         break;
       case TelemetryField::Type::kString:
-        out << "\"" << JsonEscaped(f.str) << "\"";
+        out += '"';
+        AppendJsonEscaped(&out, f.str);
+        out += '"';
         break;
     }
   }
-  out << "}";
-  return out.str();
+  out += '}';
+  return out;
 }
 
 JsonLinesSink::JsonLinesSink(const std::string& path)

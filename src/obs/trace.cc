@@ -1,8 +1,6 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -80,14 +78,6 @@ std::map<uint32_t, std::string>& ThreadNames() {
   return *names;
 }
 
-// Lock-free double accumulation (same CAS loop as the metrics backend).
-void AtomicAddDouble(std::atomic<double>* target, double delta) {
-  double cur = target->load(std::memory_order_relaxed);
-  while (!target->compare_exchange_weak(cur, cur + delta,
-                                        std::memory_order_relaxed)) {
-  }
-}
-
 // Cross-thread aggregate behind SpanProfileSnapshot(): one record per span
 // name, updated with relaxed atomics on every finish. Values are leaked so
 // cached pointers stay valid for the process lifetime (Reset zeroes, never
@@ -152,20 +142,13 @@ ProfilerFamilies ProfilerFor(const char* name) {
   return families;
 }
 
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 void AppendFieldJson(std::string* out, const TelemetryField& field) {
   *out += '"';
   AppendJsonEscaped(out, field.key);
   *out += "\":";
   switch (field.type) {
     case TelemetryField::Type::kDouble:
-      *out += JsonNumber(field.num);
+      AppendJsonNumber(out, field.num);
       break;
     case TelemetryField::Type::kInt:
       *out += std::to_string(field.inum);
@@ -424,8 +407,10 @@ void Span::Finish() {
     families.alloc_bytes->Inc(static_cast<double>(self_alloc_bytes));
   }
   families.stats->count.fetch_add(1, std::memory_order_relaxed);
-  AtomicAddDouble(&families.stats->total_seconds, dur_seconds);
-  AtomicAddDouble(&families.stats->self_seconds, self_seconds);
+  families.stats->total_seconds.fetch_add(dur_seconds,
+                                         std::memory_order_relaxed);
+  families.stats->self_seconds.fetch_add(self_seconds,
+                                        std::memory_order_relaxed);
   families.stats->alloc_count.fetch_add(self_alloc_count,
                                         std::memory_order_relaxed);
   families.stats->alloc_bytes.fetch_add(self_alloc_bytes,

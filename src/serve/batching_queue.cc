@@ -99,7 +99,7 @@ void BatchingQueue::ObserveQueueDelay(const std::vector<Request>& batch) {
   }
 }
 
-obs::WindowedHistogramSnapshot BatchingQueue::QueueDelaySnapshot() const {
+obs::HistogramSnapshot BatchingQueue::QueueDelaySnapshot() const {
   return queue_delay_.Snapshot();
 }
 

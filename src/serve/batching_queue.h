@@ -14,7 +14,7 @@
 #include "chk/thread_annotations.h"
 #include "common/status.h"
 #include "math/vec.h"
-#include "obs/window.h"
+#include "obs/metrics.h"
 #include "par/thread_pool.h"
 #include "serve/session_table.h"
 
@@ -103,7 +103,7 @@ class BatchingQueue {
   /// the backlog before a drainer took them. The SLO-aware-admission signal
   /// (ROADMAP): a rising windowed queue delay is the leading indicator that
   /// admitted requests will miss their latency objective.
-  obs::WindowedHistogramSnapshot QueueDelaySnapshot() const;
+  obs::HistogramSnapshot QueueDelaySnapshot() const;
 
  private:
   /// Observes each taken request's backlog residence time. Called with no
@@ -128,7 +128,7 @@ class BatchingQueue {
   bool drain_active_ EADRL_GUARDED_BY(queue_mu_) = false;
   /// Internally synchronized (obs_window rank, below serve_queue; observed
   /// with queue_mu_ released anyway).
-  obs::WindowedHistogram queue_delay_ EADRL_UNGUARDED;
+  obs::Histogram queue_delay_ EADRL_UNGUARDED;
 };
 
 }  // namespace eadrl::serve

@@ -362,22 +362,21 @@ ServeStats ForecastService::Stats() const {
   stats.inflight = inflight_.load(std::memory_order_relaxed);
   stats.queue_depth = queue_.depth();
 
-  const obs::WindowedCounterSnapshot predicts = predict_window_.Snapshot();
-  const obs::WindowedCounterSnapshot sheds = shed_window_.Snapshot();
-  const obs::WindowedHistogramSnapshot latency =
-      predict_latency_window_.Snapshot();
+  const obs::CounterSnapshot predicts = predict_window_.Snapshot();
+  const obs::CounterSnapshot sheds = shed_window_.Snapshot();
+  const obs::HistogramSnapshot latency = predict_latency_window_.Snapshot();
   stats.window_seconds = predicts.window_seconds;
   stats.window_predict_qps = predicts.Rate();
   stats.window_shed_rate = sheds.Rate();
-  stats.window_predict_p50_s = latency.values.Quantile(0.5);
-  stats.window_predict_p99_s = latency.values.Quantile(0.99);
+  stats.window_predict_p50_s = latency.Quantile(0.5);
+  stats.window_predict_p99_s = latency.Quantile(0.99);
 
-  const obs::WindowedHistogramSnapshot delay = queue_.QueueDelaySnapshot();
-  stats.queue_delay_count = delay.values.count;
-  stats.queue_delay_mean_s = delay.values.Mean();
-  stats.queue_delay_p50_s = delay.values.Quantile(0.5);
-  stats.queue_delay_p99_s = delay.values.Quantile(0.99);
-  stats.queue_delay_max_s = delay.values.max;
+  const obs::HistogramSnapshot delay = queue_.QueueDelaySnapshot();
+  stats.queue_delay_count = delay.count;
+  stats.queue_delay_mean_s = delay.Mean();
+  stats.queue_delay_p50_s = delay.Quantile(0.5);
+  stats.queue_delay_p99_s = delay.Quantile(0.99);
+  stats.queue_delay_max_s = delay.max;
   return stats;
 }
 
@@ -385,12 +384,11 @@ obs::HistogramSnapshot ForecastService::PredictLatencySnapshot() const {
   return predict_latency_hist_->Snapshot();
 }
 
-obs::WindowedHistogramSnapshot ForecastService::PredictLatencyWindowSnapshot()
-    const {
+obs::HistogramSnapshot ForecastService::PredictLatencyWindowSnapshot() const {
   return predict_latency_window_.Snapshot();
 }
 
-obs::WindowedHistogramSnapshot ForecastService::QueueDelaySnapshot() const {
+obs::HistogramSnapshot ForecastService::QueueDelaySnapshot() const {
   return queue_.QueueDelaySnapshot();
 }
 

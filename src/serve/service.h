@@ -19,7 +19,6 @@
 #include "obs/cardinality.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
-#include "obs/window.h"
 #include "par/thread_pool.h"
 #include "serve/batching_queue.h"
 #include "serve/session_table.h"
@@ -94,7 +93,7 @@ struct ServeStats {
   uint64_t inflight = 0;          ///< admitted, not yet completed.
   uint64_t queue_depth = 0;
 
-  // Windowed view (last ServeConfig::window span; see obs/window.h). All
+  // Windowed view (last ServeConfig::window span; see obs/metrics.h). All
   // rates are per second over window_seconds.
   double window_seconds = 0.0;
   double window_predict_qps = 0.0;
@@ -228,10 +227,10 @@ class ForecastService {
   obs::HistogramSnapshot PredictLatencySnapshot() const;
 
   /// Windowed predict latency over the last ServeConfig::window span.
-  obs::WindowedHistogramSnapshot PredictLatencyWindowSnapshot() const;
+  obs::HistogramSnapshot PredictLatencyWindowSnapshot() const;
 
   /// Windowed backlog residence time (see BatchingQueue::QueueDelaySnapshot).
-  obs::WindowedHistogramSnapshot QueueDelaySnapshot() const;
+  obs::HistogramSnapshot QueueDelaySnapshot() const;
 
   /// The service's SLO tracker; nullptr when ServeConfig::slo.enabled is
   /// false. Objective 0 is predict latency, objective 1 availability.
@@ -303,9 +302,9 @@ class ForecastService {
   // ServeConfig::window's injected clock, and each service instance gets its
   // own window — exporters reach them through sections, see DESIGN.md "Live
   // serving observability"). All internally synchronized.
-  obs::WindowedCounter predict_window_ EADRL_UNGUARDED;
-  obs::WindowedCounter shed_window_ EADRL_UNGUARDED;
-  obs::WindowedHistogram predict_latency_window_ EADRL_UNGUARDED;
+  obs::Counter predict_window_ EADRL_UNGUARDED;
+  obs::Counter shed_window_ EADRL_UNGUARDED;
+  obs::Histogram predict_latency_window_ EADRL_UNGUARDED;
   /// Null unless the corresponding config enables them.
   std::unique_ptr<obs::SloTracker> slo_ EADRL_UNGUARDED;
   std::unique_ptr<obs::LabeledWindowedFamily> tenant_family_ EADRL_UNGUARDED;

@@ -1,10 +1,12 @@
 // Labeled drill-down cardinality guard (src/obs/cardinality.h): the label
 // set must stay hard-bounded under adversarial churn — fresh tails reject
-// new labels into `overflow`, stale tails are displaced (`evictions`), and
-// the top-K snapshot orders by windowed activity.
+// new labels into `overflow`, stale tails are displaced (`evictions`), the
+// top-K snapshot orders by windowed activity, and caller-controlled label
+// values cannot forge series in the exposition.
 
 #include <atomic>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -12,7 +14,6 @@
 
 #include "common/json.h"
 #include "obs/cardinality.h"
-#include "obs/window.h"
 
 namespace eadrl::obs {
 namespace {
@@ -89,7 +90,7 @@ TEST(CardinalityTest, TopKOrdersByWindowedActivity) {
   EXPECT_EQ(all.top[0].label, "busy");
   EXPECT_EQ(all.top[1].label, "medium");
   EXPECT_EQ(all.top[2].label, "quiet");
-  EXPECT_EQ(all.top[0].window.values.count, 5u);
+  EXPECT_EQ(all.top[0].window.count, 5u);
   EXPECT_EQ(all.top[0].cumulative_count, 5u);
 
   const LabeledWindowedFamilySnapshot top2 = family.Snapshot(2);
@@ -142,6 +143,29 @@ TEST(CardinalityTest, Renderings) {
   EXPECT_NE(prom.find("tenant=\"a\""), std::string::npos);
   EXPECT_NE(prom.find("test_family_seconds_overflow_total"),
             std::string::npos);
+}
+
+TEST(CardinalityTest, PrometheusEscapesHostileLabelValues) {
+  SetNowSeconds(0.0);
+  LabeledWindowedFamily family(TestOptions(4));
+  // Tenant ids are caller-controlled. Written raw, this one would close the
+  // label block and forge an `evil_metric` series on a line of its own.
+  family.Observe("acme\"} 1\nevil_metric{x=\"", 0.01);
+
+  std::string prom;
+  family.AppendPrometheus(&prom);
+  EXPECT_NE(prom.find(R"({tenant="acme\"} 1\nevil_metric{x=\""})"),
+            std::string::npos)
+      << prom;
+  size_t samples = 0;
+  std::istringstream lines(prom);
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_NE(line.rfind("evil_metric", 0), 0u) << line;
+    if (!line.empty() && line[0] != '#') ++samples;
+  }
+  // _rate and _p99 for the one tenant, then _tracked, _overflow_total and
+  // _evictions_total.
+  EXPECT_EQ(samples, 5u) << prom;
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // MetricsExporter (src/obs/exporter.h): atomic-rename snapshot writes (no
 // .tmp residue, always a complete document), format selection by path,
-// section rendering in both formats, the on-export hook, periodic background
-// exports, and the final flush on Stop.
+// section rendering in both formats, a full-precision timestamp, the
+// on-export hook, periodic background exports, and the final flush on Stop.
 
 #include <cstdint>
 #include <cstdio>
@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "common/string_util.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
 
@@ -93,6 +94,25 @@ TEST(ExporterTest, SectionsRenderInBothFormats) {
   const std::string prom =
       exporter.RenderSnapshot(MetricsExporter::Format::kPrometheus);
   EXPECT_NE(prom.find("demo_answer 42"), std::string::npos);
+}
+
+TEST(ExporterTest, JsonTimestampKeepsSubsecondResolution) {
+  MetricsExporter::Options options;
+  options.path = "unused.json";
+  MetricsExporter exporter(options);
+  exporter.AddSection({"demo", [] { return std::string("{}"); }, nullptr});
+
+  const double before = UnixNowSeconds();
+  const std::string js =
+      exporter.RenderSnapshot(MetricsExporter::Format::kJson);
+  const double after = UnixNowSeconds();
+  auto parsed = json::Parse(js);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const json::Value* unix_seconds = parsed.value().Find("unix_seconds");
+  ASSERT_NE(unix_seconds, nullptr);
+  // Six significant digits (1.79229e+09) would be hours off.
+  EXPECT_GE(unix_seconds->AsNumber(), before - 1.0) << js;
+  EXPECT_LE(unix_seconds->AsNumber(), after + 1.0) << js;
 }
 
 TEST(ExporterTest, OnExportHookRunsPerExport) {

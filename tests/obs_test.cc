@@ -177,7 +177,7 @@ TEST(ObsHistogramTest, BucketAssignment) {
   EXPECT_DOUBLE_EQ(snap.sum, 0.5 + 1.0 + 1.5 + 3.0 + 100.0);
   EXPECT_DOUBLE_EQ(snap.min, 0.5);
   EXPECT_DOUBLE_EQ(snap.max, 100.0);
-  EXPECT_DOUBLE_EQ(h.Mean(), snap.sum / 5.0);
+  EXPECT_DOUBLE_EQ(snap.Mean(), snap.sum / 5.0);
 }
 
 TEST(ObsHistogramTest, QuantileInterpolationIsSane) {
@@ -185,25 +185,28 @@ TEST(ObsHistogramTest, QuantileInterpolationIsSane) {
   for (int i = 1; i <= 1000; ++i) {
     h.Observe(static_cast<double>(i) / 1000.0);  // uniform on (0, 1].
   }
-  EXPECT_NEAR(h.Quantile(0.5), 0.5, 0.06);
-  EXPECT_NEAR(h.Quantile(0.9), 0.9, 0.06);
-  EXPECT_GE(h.Quantile(1.0), h.Quantile(0.5));
-  EXPECT_LE(h.Quantile(0.0), h.Quantile(0.5));
+  const HistogramSnapshot snap = h.Snapshot();
+  EXPECT_NEAR(snap.Quantile(0.5), 0.5, 0.06);
+  EXPECT_NEAR(snap.Quantile(0.9), 0.9, 0.06);
+  EXPECT_GE(snap.Quantile(1.0), snap.Quantile(0.5));
+  EXPECT_LE(snap.Quantile(0.0), snap.Quantile(0.5));
 }
 
 TEST(ObsHistogramTest, QuantileClampsToObservedRange) {
   Histogram h({1.0, 2.0});
   h.Observe(1000.0);  // only the open-ended overflow bucket is hit.
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 1000.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.99), 1000.0);
-  EXPECT_TRUE(std::isfinite(h.Quantile(1.0)));
+  const HistogramSnapshot snap = h.Snapshot();
+  EXPECT_DOUBLE_EQ(snap.Quantile(0.5), 1000.0);
+  EXPECT_DOUBLE_EQ(snap.Quantile(0.99), 1000.0);
+  EXPECT_TRUE(std::isfinite(snap.Quantile(1.0)));
 }
 
 TEST(ObsHistogramTest, EmptyHistogram) {
   Histogram h({1.0});
   EXPECT_EQ(h.Count(), 0u);
-  EXPECT_DOUBLE_EQ(h.Mean(), 0.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 0.0);
+  const HistogramSnapshot snap = h.Snapshot();
+  EXPECT_DOUBLE_EQ(snap.Mean(), 0.0);
+  EXPECT_DOUBLE_EQ(snap.Quantile(0.5), 0.0);
 }
 
 TEST(ObsHistogramTest, ConcurrentObservationsAreLossless) {
@@ -236,33 +239,6 @@ TEST(ObsHistogramTest, BoundHelpers) {
 }
 
 // ---------------------------------------------------------------------------
-// StreamingQuantile (P-squared).
-// ---------------------------------------------------------------------------
-
-TEST(ObsStreamingQuantileTest, SmallSampleIsExact) {
-  StreamingQuantile q(0.5);
-  q.Observe(3.0);
-  EXPECT_DOUBLE_EQ(q.Value(), 3.0);
-  q.Observe(1.0);
-  q.Observe(2.0);
-  EXPECT_DOUBLE_EQ(q.Value(), 2.0);  // median of {1,2,3}.
-}
-
-TEST(ObsStreamingQuantileTest, ConvergesOnUniformStream) {
-  Rng rng(7);
-  StreamingQuantile median(0.5);
-  StreamingQuantile p90(0.9);
-  for (int i = 0; i < 20000; ++i) {
-    double v = rng.Uniform();
-    median.Observe(v);
-    p90.Observe(v);
-  }
-  EXPECT_NEAR(median.Value(), 0.5, 0.03);
-  EXPECT_NEAR(p90.Value(), 0.9, 0.03);
-  EXPECT_EQ(median.count(), 20000u);
-}
-
-// ---------------------------------------------------------------------------
 // MetricRegistry.
 // ---------------------------------------------------------------------------
 
@@ -292,7 +268,7 @@ TEST(ObsRegistryTest, DifferentLabelsAreDistinctMetrics) {
   EXPECT_DOUBLE_EQ(b->Value(), 0.0);
 }
 
-TEST(ObsRegistryTest, JsonAndCsvSnapshots) {
+TEST(ObsRegistryTest, JsonSnapshot) {
   MetricRegistry reg;
   reg.GetCounter("hits", {{"path", "/predict"}})->Inc(3);
   reg.GetGauge("temp")->Set(21.5);
@@ -308,11 +284,29 @@ TEST(ObsRegistryTest, JsonAndCsvSnapshots) {
   EXPECT_NE(json.find("\"type\":\"histogram\""), std::string::npos);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
+}
 
-  std::string csv = reg.ToCsv();
-  EXPECT_NE(csv.find("name,labels,field,value"), std::string::npos);
-  EXPECT_NE(csv.find("hits"), std::string::npos);
-  EXPECT_NE(csv.find("p99"), std::string::npos);
+TEST(ObsRegistryTest, JsonSnapshotKeepsFullPrecision) {
+  MetricRegistry reg;
+  reg.GetCounter("big_total")->Inc(1234567);
+  reg.GetGauge("ratio")->Set(0.1234567891);
+  Histogram* hist = reg.GetHistogram("lat_seconds");
+  hist->Observe(0.1);
+  hist->Observe(0.2);
+  const double sum = hist->Snapshot().sum;  // 0.30000000000000004
+
+  auto parsed = json::Parse(reg.ToJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const auto value = [&](const char* family, const char* field) {
+    const json::Value* f = parsed->Find(family);
+    EXPECT_NE(f, nullptr) << family;
+    if (f == nullptr) return -1.0;
+    return f->AsObject()[0].second.Find(field)->AsNumber();
+  };
+  // Six significant digits would read 1.23457e+06 and 0.123457.
+  EXPECT_EQ(value("big_total", "value"), 1234567.0);
+  EXPECT_EQ(value("ratio", "value"), 0.1234567891);
+  EXPECT_EQ(value("lat_seconds", "sum"), sum);
 }
 
 TEST(ObsRegistryTest, ResetDropsMetrics) {
@@ -456,21 +450,6 @@ TEST(ObsRegistryTest, JsonSnapshotEscapesAwkwardNamesAndLabels) {
   EXPECT_NE(family->AsObject()[0].first.find("a,b\"c\\d"), std::string::npos);
   EXPECT_DOUBLE_EQ(
       family->AsObject()[0].second.Find("value")->AsNumber(), 2.0);
-}
-
-TEST(ObsRegistryTest, CsvSnapshotQuotesAwkwardFields) {
-  MetricRegistry reg;
-  reg.GetCounter("say \"hi\"", {{"k", "a,b"}})->Inc();
-  reg.GetGauge("plain")->Set(1.0);
-
-  const std::string csv = reg.ToCsv();
-  // Quotes are doubled and the whole field wrapped per RFC 4180.
-  EXPECT_NE(csv.find("\"say \"\"hi\"\"\""), std::string::npos) << csv;
-  // A label signature containing a comma must be quoted, or column
-  // positions shift for every row after it.
-  EXPECT_NE(csv.find("\"k=a,b\""), std::string::npos) << csv;
-  // Unremarkable fields stay unquoted.
-  EXPECT_NE(csv.find("plain,,value,1"), std::string::npos) << csv;
 }
 
 TEST(ObsRegistryTest, PrometheusExposition) {

@@ -565,10 +565,10 @@ TEST(ForecastServiceObsTest, WindowedStatsAndQueueDelayExposed) {
   EXPECT_GT(stats.queue_delay_mean_s, 0.0);
   EXPECT_GE(stats.queue_delay_max_s, stats.queue_delay_p99_s * (1.0 - 1e-9));
 
-  const obs::WindowedHistogramSnapshot latency =
+  const obs::HistogramSnapshot latency =
       service.PredictLatencyWindowSnapshot();
-  EXPECT_EQ(latency.values.count, 3u);
-  EXPECT_EQ(service.QueueDelaySnapshot().values.count, 3u);
+  EXPECT_EQ(latency.count, 3u);
+  EXPECT_EQ(service.QueueDelaySnapshot().count, 3u);
 
   // The window slides past the burst: live rates drain to zero while the
   // cumulative counters keep the history.
@@ -667,7 +667,7 @@ TEST(ForecastServiceObsTest, TenantDrilldownBoundedUnderChurn) {
       service.policy_drilldown()->Snapshot();
   ASSERT_EQ(policies.top.size(), 1u);
   EXPECT_EQ(policies.top[0].label, std::to_string(policy_id));
-  EXPECT_EQ(policies.top[0].window.values.count, 10u);
+  EXPECT_EQ(policies.top[0].window.count, 10u);
 }
 
 TEST(ForecastServiceObsTest, DrilldownDisabledByDefault) {

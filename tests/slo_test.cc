@@ -13,7 +13,6 @@
 
 #include "obs/slo.h"
 #include "obs/telemetry.h"
-#include "obs/window.h"
 
 namespace eadrl::obs {
 namespace {

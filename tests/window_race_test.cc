@@ -1,4 +1,4 @@
-// Hammers the PR-10 observability hot paths from thread-pool workers:
+// Hammers the live-observability hot paths from thread-pool workers:
 // windowed counters/histograms rotating on tiny real-clock ticks while being
 // observed and snapshotted, the labeled drill-down family under label churn,
 // SLO record/evaluate from many threads, and a running MetricsExporter
@@ -19,7 +19,6 @@
 #include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
-#include "obs/window.h"
 #include "par/parallel.h"
 #include "par/thread_pool.h"
 
@@ -41,7 +40,7 @@ WindowOptions TinyTickWindow() {
 
 TEST(WindowRaceTest, WindowedCounterCumulativeExactUnderContention) {
   par::ThreadPool pool(kThreads);
-  WindowedCounter counter(TinyTickWindow());
+  Counter counter(TinyTickWindow());
   par::ParallelFor(
       0, kTasks,
       [&](size_t) {
@@ -51,16 +50,16 @@ TEST(WindowRaceTest, WindowedCounterCumulativeExactUnderContention) {
         }
       },
       {1, &pool});
-  const WindowedCounterSnapshot snap = counter.Snapshot();
-  EXPECT_EQ(snap.cumulative, static_cast<double>(kTasks * kOpsPerTask));
+  const CounterSnapshot snap = counter.Snapshot();
+  EXPECT_EQ(counter.Value(), static_cast<double>(kTasks * kOpsPerTask));
   // Windowed total can lag cumulative (old sub-windows expired) but a slot
   // can never invent observations beyond the bounded rotation skew.
-  EXPECT_LE(snap.total, snap.cumulative + static_cast<double>(kThreads));
+  EXPECT_LE(snap.total, counter.Value() + static_cast<double>(kThreads));
 }
 
 TEST(WindowRaceTest, WindowedHistogramCumulativeExactUnderContention) {
   par::ThreadPool pool(kThreads);
-  WindowedHistogram hist(TinyTickWindow(), {});
+  Histogram hist(TinyTickWindow(), {});
   par::ParallelFor(
       0, kTasks,
       [&](size_t task) {
@@ -70,9 +69,9 @@ TEST(WindowRaceTest, WindowedHistogramCumulativeExactUnderContention) {
         }
       },
       {1, &pool});
-  EXPECT_EQ(hist.CumulativeCount(), kTasks * kOpsPerTask);
-  const WindowedHistogramSnapshot snap = hist.Snapshot();
-  EXPECT_LE(snap.values.count, kTasks * kOpsPerTask + kThreads);
+  EXPECT_EQ(hist.Count(), kTasks * kOpsPerTask);
+  const HistogramSnapshot snap = hist.Snapshot();
+  EXPECT_LE(snap.count, kTasks * kOpsPerTask + kThreads);
 }
 
 TEST(WindowRaceTest, LabeledFamilyBoundedUnderConcurrentChurn) {
@@ -132,8 +131,8 @@ TEST(WindowRaceTest, SloRecordEvaluateFromManyThreads) {
 TEST(WindowRaceTest, ExporterRacesLiveWriters) {
   const std::string path = ::testing::TempDir() + "/window_race_metrics.prom";
   par::ThreadPool pool(kThreads);
-  WindowedCounter counter(TinyTickWindow());
-  WindowedHistogram hist(TinyTickWindow(), {});
+  Counter counter(TinyTickWindow());
+  Histogram hist(TinyTickWindow(), {});
   LabeledWindowedFamilyOptions fam_options;
   fam_options.name = "race_export_family";
   fam_options.max_labels = 8;
@@ -145,14 +144,13 @@ TEST(WindowRaceTest, ExporterRacesLiveWriters) {
   options.interval_seconds = 0.002;  // export as fast as possible.
   MetricsExporter exporter(options);
   exporter.AddSection({"race", nullptr, [&](std::string* out) {
-                         const WindowedCounterSnapshot c = counter.Snapshot();
-                         const WindowedHistogramSnapshot h = hist.Snapshot();
-                         char line[160];
-                         std::snprintf(line, sizeof(line),
-                                       "# TYPE race_rate gauge\nrace_rate "
-                                       "%.9g\nrace_p99 %.9g\n",
-                                       c.Rate(), h.values.Quantile(0.99));
-                         out->append(line);
+                         AppendPrometheusType(out, "race_rate", "gauge");
+                         AppendPrometheusSample(out, "race_rate", {},
+                                                counter.Snapshot().Rate());
+                         AppendPrometheusType(out, "race_p99", "gauge");
+                         AppendPrometheusSample(
+                             out, "race_p99", {},
+                             hist.Snapshot().Quantile(0.99));
                          family.AppendPrometheus(out, 4);
                        }});
   exporter.Start();
@@ -169,7 +167,7 @@ TEST(WindowRaceTest, ExporterRacesLiveWriters) {
   exporter.Stop();
   EXPECT_GE(exporter.exports(), 1u);
   EXPECT_EQ(exporter.failures(), 0u);
-  EXPECT_EQ(counter.Cumulative(), static_cast<double>(kTasks * kOpsPerTask));
+  EXPECT_EQ(counter.Value(), static_cast<double>(kTasks * kOpsPerTask));
   std::remove(path.c_str());
 }
 

@@ -1,8 +1,10 @@
-// Sliding-window metrics (src/obs/window.h): rotation at tick boundaries
-// under an injected fake clock, full-window expiry, early-window rate
-// normalization, the exact-when-small quantile path (parity against a
-// sorted-vector order-statistic reference), snapshot merging, and the
-// windowed kinds of MetricRegistry with their exporter renderings.
+// Windowed metrics (Counter/Histogram built with WindowOptions, see
+// src/obs/metrics.h): rotation at tick boundaries under an injected fake
+// clock, full-window expiry, early-window rate normalization, the
+// exact-when-small quantile path (parity against a sorted-vector
+// order-statistic reference), snapshot merging, and parity between a
+// cumulative metric and a windowed one whose window covers every
+// observation — the two are one type.
 
 #include <algorithm>
 #include <atomic>
@@ -13,10 +15,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/json.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
-#include "obs/window.h"
 
 namespace eadrl::obs {
 namespace {
@@ -54,18 +54,18 @@ double ReferenceQuantile(std::vector<double> values, double q) {
 }
 
 // ---------------------------------------------------------------------------
-// WindowedCounter.
+// Windowed Counter.
 // ---------------------------------------------------------------------------
 
 TEST(WindowedCounterTest, RotatesAtTickBoundaries) {
   SetNowSeconds(0.0);
-  WindowedCounter counter(FakeWindow(4, 1.0));
+  Counter counter(FakeWindow(4, 1.0));
 
   SetNowSeconds(0.5);
   counter.Inc(5.0);
-  WindowedCounterSnapshot snap = counter.Snapshot();
+  CounterSnapshot snap = counter.Snapshot();
   EXPECT_DOUBLE_EQ(snap.total, 5.0);
-  EXPECT_DOUBLE_EQ(snap.cumulative, 5.0);
+  EXPECT_DOUBLE_EQ(counter.Value(), 5.0);
   // Only the first sub-window is resident: the rate reflects 1 tick, not 4.
   EXPECT_DOUBLE_EQ(snap.window_seconds, 1.0);
   EXPECT_DOUBLE_EQ(snap.Rate(), 5.0);
@@ -81,43 +81,43 @@ TEST(WindowedCounterTest, RotatesAtTickBoundaries) {
   SetNowSeconds(4.25);
   snap = counter.Snapshot();
   EXPECT_DOUBLE_EQ(snap.total, 3.0);
-  EXPECT_DOUBLE_EQ(snap.cumulative, 8.0);
+  EXPECT_DOUBLE_EQ(counter.Value(), 8.0);
   EXPECT_DOUBLE_EQ(snap.window_seconds, 4.0);
 }
 
 TEST(WindowedCounterTest, WholeWindowExpiresAfterQuietSpell) {
   SetNowSeconds(0.0);
-  WindowedCounter counter(FakeWindow(4, 1.0));
+  Counter counter(FakeWindow(4, 1.0));
   counter.Inc(10.0);
   // A gap of >= buckets ticks invalidates every slot at once (the full-reset
   // rotation path), even though no Inc arrived to trigger rotation.
   SetNowSeconds(100.0);
-  const WindowedCounterSnapshot snap = counter.Snapshot();
+  const CounterSnapshot snap = counter.Snapshot();
   EXPECT_DOUBLE_EQ(snap.total, 0.0);
-  EXPECT_DOUBLE_EQ(snap.cumulative, 10.0);
+  EXPECT_DOUBLE_EQ(counter.Value(), 10.0);
   EXPECT_DOUBLE_EQ(snap.window_seconds, 4.0);
 }
 
 TEST(WindowedCounterTest, SubSecondTicks) {
   SetNowSeconds(0.0);
-  WindowedCounter counter(FakeWindow(10, 0.1));
+  Counter counter(FakeWindow(10, 0.1));
   for (int i = 0; i < 8; ++i) {
     SetNowSeconds(0.1 * i);
     counter.Inc();
   }
-  const WindowedCounterSnapshot snap = counter.Snapshot();
+  const CounterSnapshot snap = counter.Snapshot();
   EXPECT_DOUBLE_EQ(snap.total, 8.0);
   EXPECT_NEAR(snap.window_seconds, 0.8, 1e-9);
   EXPECT_NEAR(snap.Rate(), 10.0, 1e-6);
 }
 
 // ---------------------------------------------------------------------------
-// WindowedHistogram.
+// Windowed Histogram.
 // ---------------------------------------------------------------------------
 
 TEST(WindowedHistogramTest, ExactQuantilesWhenSmall) {
   SetNowSeconds(0.0);
-  WindowedHistogram hist(FakeWindow(5, 1.0), {});
+  Histogram hist(FakeWindow(5, 1.0), {});
   eadrl::Rng rng(7);
   std::vector<double> values;
   for (int i = 0; i < 40; ++i) {
@@ -128,22 +128,22 @@ TEST(WindowedHistogramTest, ExactQuantilesWhenSmall) {
     hist.Observe(v);
   }
   SetNowSeconds(2.5);
-  const WindowedHistogramSnapshot snap = hist.Snapshot();
-  ASSERT_EQ(snap.values.count, 40u);
-  ASSERT_EQ(snap.values.samples.size(), 40u);
+  const HistogramSnapshot snap = hist.Snapshot();
+  ASSERT_EQ(snap.count, 40u);
+  ASSERT_EQ(snap.samples.size(), 40u);
   for (const double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
-    EXPECT_DOUBLE_EQ(snap.values.Quantile(q), ReferenceQuantile(values, q))
+    EXPECT_DOUBLE_EQ(snap.Quantile(q), ReferenceQuantile(values, q))
         << "q=" << q;
   }
-  EXPECT_DOUBLE_EQ(snap.values.min,
+  EXPECT_DOUBLE_EQ(snap.min,
                    *std::min_element(values.begin(), values.end()));
-  EXPECT_DOUBLE_EQ(snap.values.max,
+  EXPECT_DOUBLE_EQ(snap.max,
                    *std::max_element(values.begin(), values.end()));
 }
 
 TEST(WindowedHistogramTest, FallsBackToBucketsPastSampleBudget) {
   SetNowSeconds(0.0);
-  WindowedHistogram hist(FakeWindow(5, 1.0), {});
+  Histogram hist(FakeWindow(5, 1.0), {});
   eadrl::Rng rng(11);
   double mn = 1e300;
   double mx = -1e300;
@@ -153,36 +153,36 @@ TEST(WindowedHistogramTest, FallsBackToBucketsPastSampleBudget) {
     mx = std::max(mx, v);
     hist.Observe(v);
   }
-  const WindowedHistogramSnapshot snap = hist.Snapshot();
-  EXPECT_EQ(snap.values.count, 700u);
-  EXPECT_TRUE(snap.values.samples.empty());
-  const double p50 = snap.values.Quantile(0.5);
+  const HistogramSnapshot snap = hist.Snapshot();
+  EXPECT_EQ(snap.count, 700u);
+  EXPECT_TRUE(snap.samples.empty());
+  const double p50 = snap.Quantile(0.5);
   EXPECT_GE(p50, mn);
   EXPECT_LE(p50, mx);
-  EXPECT_EQ(hist.CumulativeCount(), 700u);
+  EXPECT_EQ(hist.Count(), 700u);
 }
 
 TEST(WindowedHistogramTest, WindowSlidesPastOldObservations) {
   SetNowSeconds(0.0);
-  WindowedHistogram hist(FakeWindow(3, 1.0), {});
+  Histogram hist(FakeWindow(3, 1.0), {});
   hist.Observe(1.0);
   hist.Observe(2.0);
   SetNowSeconds(1.5);
   hist.Observe(8.0);
-  WindowedHistogramSnapshot snap = hist.Snapshot();
-  EXPECT_EQ(snap.values.count, 3u);
+  HistogramSnapshot snap = hist.Snapshot();
+  EXPECT_EQ(snap.count, 3u);
 
   SetNowSeconds(3.5);  // window = epochs 1..3: the two epoch-0 values expire.
   snap = hist.Snapshot();
-  ASSERT_EQ(snap.values.count, 1u);
-  EXPECT_DOUBLE_EQ(snap.values.min, 8.0);
-  EXPECT_DOUBLE_EQ(snap.values.max, 8.0);
-  EXPECT_EQ(hist.CumulativeCount(), 3u);
+  ASSERT_EQ(snap.count, 1u);
+  EXPECT_DOUBLE_EQ(snap.min, 8.0);
+  EXPECT_DOUBLE_EQ(snap.max, 8.0);
+  EXPECT_EQ(hist.Count(), 3u);
 
   SetNowSeconds(50.0);  // everything expires.
   snap = hist.Snapshot();
-  EXPECT_EQ(snap.values.count, 0u);
-  EXPECT_TRUE(snap.values.samples.empty());
+  EXPECT_EQ(snap.count, 0u);
+  EXPECT_TRUE(snap.samples.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -266,41 +266,80 @@ TEST(HistogramSnapshotTest, MergePastBudgetDropsSamplesKeepsTotals) {
 }
 
 // ---------------------------------------------------------------------------
-// MetricRegistry windowed kinds.
+// Cumulative == windowed over a window that covers every observation.
 // ---------------------------------------------------------------------------
 
-TEST(MetricRegistryWindowedTest, StablePointersAndRenderings) {
+/// Feeds `n` observations to a cumulative histogram and to a windowed one
+/// whose 4 s window holds them all (spread over its four sub-windows, so the
+/// slot merge is exercised), then requires equal snapshots. Values are
+/// multiples of 1/1024, so sums are exact in any addition order.
+void ExpectHistogramParity(size_t n) {
   SetNowSeconds(0.0);
-  MetricRegistry registry;
-  const WindowOptions window = FakeWindow(4, 1.0);
-  WindowedCounter* wc = registry.GetWindowedCounter("demo_requests", window);
-  WindowedHistogram* wh =
-      registry.GetWindowedHistogram("demo_latency_seconds", window);
-  ASSERT_NE(wc, nullptr);
-  ASSERT_NE(wh, nullptr);
-  // First registration wins; later lookups return the same instance.
-  EXPECT_EQ(registry.GetWindowedCounter("demo_requests", FakeWindow(99, 9.0)),
-            wc);
-  EXPECT_EQ(registry.GetWindowedHistogram("demo_latency_seconds", window), wh);
+  const std::vector<double> bounds = Histogram::ExponentialBounds(0.01, 2.0, 12);
+  Histogram cumulative(bounds);
+  Histogram windowed(FakeWindow(4, 1.0), bounds);
+  eadrl::Rng rng(23);
+  for (size_t i = 0; i < n; ++i) {
+    SetNowSeconds(static_cast<double>(4 * i / n));
+    const double v = std::floor(rng.Uniform() * 4096.0 + 1.0) / 1024.0;
+    cumulative.Observe(v);
+    windowed.Observe(v);
+  }
+  SetNowSeconds(3.5);
+  const HistogramSnapshot a = cumulative.Snapshot();
+  const HistogramSnapshot b = windowed.Snapshot();
+  EXPECT_EQ(cumulative.Count(), n);
+  EXPECT_EQ(windowed.Count(), n);
+  EXPECT_EQ(a.bounds, b.bounds);
+  EXPECT_EQ(a.counts, b.counts);
+  EXPECT_EQ(a.count, n);
+  EXPECT_EQ(b.count, n);
+  EXPECT_EQ(a.sum, b.sum);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.max, b.max);
+  std::vector<double> sa = a.samples;
+  std::vector<double> sb = b.samples;
+  std::sort(sa.begin(), sa.end());
+  std::sort(sb.begin(), sb.end());
+  EXPECT_EQ(sa, sb);
+  EXPECT_EQ(sa.size(), n <= HistogramSnapshot::kExactQuantileSamples ? n : 0);
+  for (const double q : {0.0, 0.1, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(a.Quantile(q), b.Quantile(q)) << "q=" << q;
+  }
+  // Only the windowed view has a span, so only it has a rate.
+  EXPECT_EQ(a.window_seconds, 0.0);
+  EXPECT_EQ(a.Rate(), 0.0);
+  EXPECT_DOUBLE_EQ(b.window_seconds, 4.0);
+  EXPECT_DOUBLE_EQ(b.Rate(), static_cast<double>(n) / 4.0);
+}
 
-  wc->Inc(3.0);
-  wh->Observe(0.002);
-  wh->Observe(0.004);
+TEST(CumulativeWindowedParityTest, HistogramWithinSampleBudget) {
+  ExpectHistogramParity(200);
+}
 
-  const std::string js = registry.ToJson();
-  auto parsed = json::Parse(js);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const json::Value* family = parsed.value().Find("demo_requests");
-  ASSERT_NE(family, nullptr);
-  EXPECT_NE(js.find("demo_latency_seconds"), std::string::npos);
+TEST(CumulativeWindowedParityTest, HistogramBeyondSampleBudget) {
+  ExpectHistogramParity(1000);
+}
 
-  const std::string prom = registry.ToPrometheus();
-  EXPECT_NE(prom.find("demo_requests"), std::string::npos);
-  EXPECT_NE(prom.find("demo_latency_seconds"), std::string::npos);
-
-  const std::string csv = registry.ToCsv();
-  EXPECT_NE(csv.find("demo_requests"), std::string::npos);
-  EXPECT_NE(csv.find("demo_latency_seconds"), std::string::npos);
+TEST(CumulativeWindowedParityTest, Counter) {
+  SetNowSeconds(0.0);
+  Counter cumulative;
+  Counter windowed(FakeWindow(4, 1.0));
+  eadrl::Rng rng(29);
+  for (int i = 0; i < 400; ++i) {
+    SetNowSeconds(0.01 * i);  // ticks 0..3, all inside the 4 s window.
+    const double delta = std::floor(rng.Uniform() * 64.0) / 16.0;
+    cumulative.Inc(delta);
+    windowed.Inc(delta);
+  }
+  const CounterSnapshot a = cumulative.Snapshot();
+  const CounterSnapshot b = windowed.Snapshot();
+  EXPECT_EQ(cumulative.Value(), b.total);
+  EXPECT_EQ(windowed.Value(), b.total);
+  EXPECT_EQ(a.total, cumulative.Value());
+  EXPECT_EQ(a.window_seconds, 0.0);
+  EXPECT_EQ(a.Rate(), 0.0);
+  EXPECT_DOUBLE_EQ(b.window_seconds, 4.0);
 }
 
 }  // namespace

@@ -26,8 +26,8 @@
 //   --metrics-summary print a snapshot of all metrics on exit (includes
 //                     process resource gauges: peak RSS, faults, context
 //                     switches, scratch-allocation totals)
-//   --metrics-format  snapshot format: json (default), csv, or prom
-//                     (Prometheus text exposition)
+//   --metrics-format  snapshot format: json (default) or prom (Prometheus
+//                     text exposition)
 //   --profile-report  print the span profiler's top self-time table on exit
 //                     (wall time + attributed scratch allocations per span)
 
@@ -149,9 +149,8 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       const char* v = next("--metrics-format");
       if (v == nullptr) return false;
       args->metrics_format = v;
-      if (args->metrics_format != "json" && args->metrics_format != "csv" &&
-          args->metrics_format != "prom") {
-        std::fprintf(stderr, "--metrics-format must be json, csv or prom\n");
+      if (args->metrics_format != "json" && args->metrics_format != "prom") {
+        std::fprintf(stderr, "--metrics-format must be json or prom\n");
         return false;
       }
     } else {
@@ -338,11 +337,9 @@ int main(int argc, char** argv) {
     eadrl::obs::UpdateResourceMetrics();
     const eadrl::obs::MetricRegistry& registry =
         eadrl::obs::MetricRegistry::Default();
-    const std::string snapshot = args.metrics_format == "csv"
-                                     ? registry.ToCsv()
-                                     : args.metrics_format == "prom"
-                                           ? registry.ToPrometheus()
-                                           : registry.ToJson();
+    const std::string snapshot = args.metrics_format == "prom"
+                                     ? registry.ToPrometheus()
+                                     : registry.ToJson();
     std::printf("\nmetrics summary:\n%s\n", snapshot.c_str());
   }
   return 0;

@@ -7,7 +7,11 @@
 // object. Prometheus snapshots are checked line by line against the text
 // exposition grammar: '#' comment lines ("# TYPE <name> <kind>" must be
 // well-formed), blank lines, or samples of the form `name value` /
-// `name{label="v",...} value` with a legal metric name and a finite value.
+// `name{label="v",...} value` with a legal metric name and a non-NaN value.
+// Every sample must belong to the family named by the latest `# TYPE` line
+// (a histogram's `_bucket`, `_sum` and `_count` series included), and no
+// (name, label set) series may appear twice — the two shapes a label value
+// that escaped its quotes would forge.
 //
 // Usage:
 //   eadrl_metrics_check [--format json|prom|auto] [--require NAME]... FILE
@@ -18,12 +22,14 @@
 //
 // Exit status: 0 clean, 1 validation failure, 2 usage/IO error.
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -56,32 +62,39 @@ bool ValidMetricName(const std::string& name) {
 
 /// One exposition line that is not a comment or blank:
 ///   name[{key="value",...}] <float>
-bool ValidSampleLine(const std::string& line, std::string* name) {
+/// On success `*series` is the name plus the label pairs in sorted order
+/// (values kept escaped), the series' identity whatever the label order.
+bool ValidSampleLine(const std::string& line, std::string* name,
+                     std::string* series) {
   size_t i = 0;
   while (i < line.size() && IsMetricNameChar(line[i], i == 0)) ++i;
   *name = line.substr(0, i);
   if (!ValidMetricName(*name)) return false;
+  std::vector<std::string> labels;
   if (i < line.size() && line[i] == '{') {
-    // Scan the label block; quotes may contain anything except a raw
-    // newline (escapes pass through — we only need the closing brace).
     ++i;
-    bool in_quotes = false;
-    for (; i < line.size(); ++i) {
-      if (in_quotes) {
-        if (line[i] == '\\') {
-          ++i;  // skip the escaped char
-        } else if (line[i] == '"') {
-          in_quotes = false;
-        }
-      } else if (line[i] == '"') {
-        in_quotes = true;
-      } else if (line[i] == '}') {
-        break;
+    while (i < line.size() && line[i] != '}') {
+      // key="value" with backslash escapes inside the quotes, then ',' or
+      // the closing brace.
+      const size_t start = i;
+      while (i < line.size() && IsMetricNameChar(line[i], i == start)) ++i;
+      if (i == start || i + 1 >= line.size() || line[i] != '=' ||
+          line[i + 1] != '"') {
+        return false;
       }
+      for (i += 2; i < line.size() && line[i] != '"'; ++i) {
+        if (line[i] == '\\') ++i;  // skip the escaped char
+      }
+      if (i >= line.size()) return false;
+      labels.push_back(line.substr(start, ++i - start));
+      if (i < line.size() && line[i] == ',') ++i;
     }
-    if (i >= line.size() || line[i] != '}') return false;
+    if (i >= line.size()) return false;
     ++i;
   }
+  std::sort(labels.begin(), labels.end());
+  *series = *name;
+  for (const std::string& label : labels) *series += '\n' + label;
   if (i >= line.size() || (line[i] != ' ' && line[i] != '\t')) return false;
   while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
   char* end = nullptr;
@@ -92,6 +105,18 @@ bool ValidSampleLine(const std::string& line, std::string* name) {
   return !std::isnan(v);  // +Inf bucket bounds are legal sample values.
 }
 
+/// True when a sample called `name` belongs to the family declared by
+/// `# TYPE <family> <kind>`.
+bool InFamily(const std::string& name, const std::string& family,
+              const std::string& kind) {
+  if (name == family) return true;
+  if (kind != "histogram") return false;
+  for (const char* suffix : {"_bucket", "_sum", "_count"}) {
+    if (name == family + suffix) return true;
+  }
+  return false;
+}
+
 int CheckPrometheus(const std::string& text,
                     const std::vector<std::string>& required) {
   std::istringstream in(text);
@@ -99,27 +124,39 @@ int CheckPrometheus(const std::string& text,
   size_t lineno = 0;
   size_t samples = 0;
   std::vector<std::string> names;
+  std::string family;
+  std::string kind;
+  std::set<std::string> seen;
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
+    const std::string where = "line " + std::to_string(lineno) + ": ";
     if (line[0] == '#') {
       // "# TYPE <name> <kind>" comments must at least name a legal metric.
       std::istringstream c(line);
-      std::string hash, kw, name, kind;
+      std::string hash, kw, name, type;
       c >> hash >> kw;
       if (kw == "TYPE") {
-        if (!(c >> name >> kind) || !ValidMetricName(name)) {
-          return Fail("line " + std::to_string(lineno) +
-                      ": malformed # TYPE comment");
+        if (!(c >> name >> type) || !ValidMetricName(name)) {
+          return Fail(where + "malformed # TYPE comment");
         }
         names.push_back(name);
+        family = name;
+        kind = type;
       }
       continue;
     }
     std::string name;
-    if (!ValidSampleLine(line, &name)) {
-      return Fail("line " + std::to_string(lineno) +
-                  ": not a valid exposition sample: " + line);
+    std::string series;
+    if (!ValidSampleLine(line, &name, &series)) {
+      return Fail(where + "not a valid exposition sample: " + line);
+    }
+    if (!InFamily(name, family, kind)) {
+      return Fail(where + "sample " + name + " outside the # TYPE family " +
+                  (family.empty() ? "(none)" : family));
+    }
+    if (!seen.insert(series).second) {
+      return Fail(where + "duplicate series: " + line);
     }
     names.push_back(name);
     ++samples;

@@ -40,10 +40,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <sstream>
+#include <utility>
 #include <string>
 #include <thread>
 
+#include "common/string_util.h"
 #include "core/eadrl.h"
 #include "exp/experiment.h"
 #include "obs/exporter.h"
@@ -219,21 +220,32 @@ bool ParseArgs(int argc, char** argv, Args* args) {
 /// "serve" exporter section: one JSON object of live service stats.
 std::string ServeStatsJson(const eadrl::serve::ForecastService& service) {
   const eadrl::serve::ServeStats s = service.Stats();
-  std::ostringstream out;
-  out << "{\"sessions\":" << s.sessions << ",\"predicts\":" << s.predicts
-      << ",\"observes\":" << s.observes << ",\"shed\":" << s.shed
-      << ",\"inflight\":" << s.inflight << ",\"queue_depth\":" << s.queue_depth
-      << ",\"window_seconds\":" << s.window_seconds
-      << ",\"window_predict_qps\":" << s.window_predict_qps
-      << ",\"window_shed_rate\":" << s.window_shed_rate
-      << ",\"window_predict_p50_s\":" << s.window_predict_p50_s
-      << ",\"window_predict_p99_s\":" << s.window_predict_p99_s
-      << ",\"queue_delay_count\":" << s.queue_delay_count
-      << ",\"queue_delay_mean_s\":" << s.queue_delay_mean_s
-      << ",\"queue_delay_p50_s\":" << s.queue_delay_p50_s
-      << ",\"queue_delay_p99_s\":" << s.queue_delay_p99_s
-      << ",\"queue_delay_max_s\":" << s.queue_delay_max_s << "}";
-  return out.str();
+  std::string out = "{";
+  for (const auto& [key, value] :
+       {std::pair<const char*, double>{"sessions", s.sessions},
+        {"predicts", s.predicts},
+        {"observes", s.observes},
+        {"shed", s.shed},
+        {"inflight", s.inflight},
+        {"queue_depth", s.queue_depth},
+        {"window_seconds", s.window_seconds},
+        {"window_predict_qps", s.window_predict_qps},
+        {"window_shed_rate", s.window_shed_rate},
+        {"window_predict_p50_s", s.window_predict_p50_s},
+        {"window_predict_p99_s", s.window_predict_p99_s},
+        {"queue_delay_count", s.queue_delay_count},
+        {"queue_delay_mean_s", s.queue_delay_mean_s},
+        {"queue_delay_p50_s", s.queue_delay_p50_s},
+        {"queue_delay_p99_s", s.queue_delay_p99_s},
+        {"queue_delay_max_s", s.queue_delay_max_s}}) {
+    if (out.size() > 1) out += ',';
+    out += '"';
+    out += key;
+    out += "\":";
+    eadrl::AppendJsonNumber(&out, value);
+  }
+  out += '}';
+  return out;
 }
 
 /// "serve" exporter section, Prometheus flavour: the windowed gauges that a
@@ -241,19 +253,18 @@ std::string ServeStatsJson(const eadrl::serve::ForecastService& service) {
 void AppendServeStatsProm(const eadrl::serve::ForecastService& service,
                           std::string* out) {
   const eadrl::serve::ServeStats s = service.Stats();
-  char line[192];
-  auto emit = [out, &line](const char* name, double value) {
-    std::snprintf(line, sizeof(line), "# TYPE %s gauge\n%s %.9g\n", name, name,
-                  value);
-    out->append(line);
-  };
-  emit("eadrl_serve_window_predict_qps", s.window_predict_qps);
-  emit("eadrl_serve_window_shed_rate", s.window_shed_rate);
-  emit("eadrl_serve_window_predict_p50_seconds", s.window_predict_p50_s);
-  emit("eadrl_serve_window_predict_p99_seconds", s.window_predict_p99_s);
-  emit("eadrl_serve_queue_delay_p50_seconds", s.queue_delay_p50_s);
-  emit("eadrl_serve_queue_delay_p99_seconds", s.queue_delay_p99_s);
-  emit("eadrl_serve_queue_delay_max_seconds", s.queue_delay_max_s);
+  for (const auto& [name, value] :
+       {std::pair<const char*, double>{"eadrl_serve_window_predict_qps",
+                                       s.window_predict_qps},
+        {"eadrl_serve_window_shed_rate", s.window_shed_rate},
+        {"eadrl_serve_window_predict_p50_seconds", s.window_predict_p50_s},
+        {"eadrl_serve_window_predict_p99_seconds", s.window_predict_p99_s},
+        {"eadrl_serve_queue_delay_p50_seconds", s.queue_delay_p50_s},
+        {"eadrl_serve_queue_delay_p99_seconds", s.queue_delay_p99_s},
+        {"eadrl_serve_queue_delay_max_seconds", s.queue_delay_max_s}}) {
+    eadrl::obs::AppendPrometheusType(out, name, "gauge");
+    eadrl::obs::AppendPrometheusSample(out, name, {}, value);
+  }
 }
 
 int Run(const Args& args) {
@@ -490,9 +501,9 @@ int Run(const Args& args) {
     for (const eadrl::obs::LabeledWindowSnapshot& row : fam.top) {
       std::printf("%-16s n=%-6llu rate %6.1f/s p50 %7.3f ms p99 %7.3f ms\n",
                   row.label.c_str(),
-                  static_cast<unsigned long long>(row.window.values.count),
-                  row.window.Rate(), row.window.values.Quantile(0.5) * 1e3,
-                  row.window.values.Quantile(0.99) * 1e3);
+                  static_cast<unsigned long long>(row.window.count),
+                  row.window.Rate(), row.window.Quantile(0.5) * 1e3,
+                  row.window.Quantile(0.99) * 1e3);
     }
   }
 
