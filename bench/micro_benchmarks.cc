@@ -1,6 +1,7 @@
 // Supporting micro-benchmarks (google-benchmark): the per-step costs behind
 // Table III — policy inference, DDPG updates, the Adam step, replay
-// sampling, drift detection and base-model prediction.
+// sampling, drift detection, base-model prediction, and DEMSC's calm step
+// and drift re-cluster.
 
 #include <utility>
 #include <vector>
@@ -195,6 +196,10 @@ void BM_CholeskySolve(benchmark::State& state) {
 }
 BENCHMARK(BM_CholeskySolve)->Arg(32)->Arg(128);
 
+// DEMSC's calm step: Predict + Update at 43 members. The inputs are
+// constant, so every window has zero variance, the drift detector stays
+// quiet and nothing re-clusters; BM_DemscRecluster times what a drift step
+// adds.
 void BM_DemscOnlineStep(benchmark::State& state) {
   eadrl::Rng rng = eadrl::bench::BenchRng(6);
   const size_t m = 43;
@@ -217,6 +222,38 @@ void BM_DemscOnlineStep(benchmark::State& state) {
   eadrl::bench::RegisterThreads(state, 1);
 }
 BENCHMARK(BM_DemscOnlineStep);
+
+// One DEMSC re-cluster, as a drift step runs it: average-link clustering of
+// 43 members by the correlation of their last 10 forecasts, at DEMSC's
+// threshold. Thirteen groups of near-duplicate forecasts force 30 merge
+// passes (the `merges` counter).
+void BM_DemscRecluster(benchmark::State& state) {
+  eadrl::Rng rng = eadrl::bench::BenchRng(7);
+  const size_t m = 43;
+  const size_t window = 10;
+  const size_t groups = 13;
+  eadrl::baselines::SlidingErrorTracker tracker(m, window);
+  eadrl::math::Vec shared(groups), row(m);
+  for (size_t t = 0; t < window; ++t) {
+    for (double& g : shared) g = rng.Normal(0, 1.0);
+    for (size_t i = 0; i < m; ++i) {
+      row[i] = 5.0 + shared[i % groups] + rng.Normal(0, 0.02);
+    }
+    tracker.Add(row, 5.0);
+  }
+  const double threshold =
+      eadrl::baselines::DemscCombiner::Params().distance_threshold;
+  size_t clusters = 0;
+  for (auto _ : state) {
+    auto result = eadrl::baselines::ClusterModelsByCorrelation(tracker,
+                                                               threshold);
+    clusters = result.size();
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["merges"] = static_cast<double>(m - clusters);
+  eadrl::bench::RegisterThreads(state, 1);
+}
+BENCHMARK(BM_DemscRecluster);
 
 // --- Observability hot-path overhead (the baseline BENCH_*.json tracks). ---
 

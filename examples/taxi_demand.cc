@@ -46,7 +46,10 @@ int main() {
               sw.runtime_seconds * 1e3);
 
   std::printf("\nEA-DRL achieves dynamic weighting without any online "
-              "meta-update,\nwhich is where its Table III runtime advantage "
-              "over DEMSC comes from.\n");
+              "meta-update. On this\n%zu-member fast pool the two cost about "
+              "the same online; its Table III runtime\nadvantage over DEMSC "
+              "shows at the paper's 43-member pool, where every drift\n"
+              "re-clusters 43 members.\n",
+              pool.test_preds.cols());
   return 0;
 }

@@ -16,13 +16,15 @@ std::vector<std::vector<size_t>> ClusterModelsByCorrelation(
   clusters.reserve(m);
   for (size_t i = 0; i < m; ++i) clusters.push_back({i});
 
+  // One correlation matrix per re-cluster; every merge pass reads it.
+  const math::Matrix corr = tracker.PredictionCorrelations();
   auto cluster_distance = [&](const std::vector<size_t>& a,
                               const std::vector<size_t>& b) {
     // Average-link distance on 1 - correlation.
     double s = 0.0;
     for (size_t i : a) {
       for (size_t j : b) {
-        s += 1.0 - tracker.PredictionCorrelation(i, j);
+        s += 1.0 - corr(i, j);
       }
     }
     return s / static_cast<double>(a.size() * b.size());

@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "common/check.h"
-#include "math/stats.h"
 
 namespace eadrl::baselines {
 
@@ -71,23 +70,54 @@ math::Vec SlidingErrorTracker::InverseErrorWeights(
 }
 
 std::vector<size_t> SlidingErrorTracker::TopModels(size_t n) const {
+  math::Vec rmse(num_models_);
+  for (size_t i = 0; i < num_models_; ++i) rmse[i] = Rmse(i);
   std::vector<size_t> order(num_models_);
   std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-    return Rmse(a) < Rmse(b);
+  std::stable_sort(order.begin(), order.end(), [&rmse](size_t a, size_t b) {
+    return rmse[a] < rmse[b];
   });
   order.resize(std::min(n, order.size()));
   return order;
 }
 
-double SlidingErrorTracker::PredictionCorrelation(size_t a, size_t b) const {
-  EADRL_CHECK(a < num_models_ && b < num_models_);
-  const auto& pa = recent_preds_[a];
-  const auto& pb = recent_preds_[b];
-  if (pa.size() < 3 || pa.size() != pb.size()) return 0.0;
-  math::Vec va(pa.begin(), pa.end());
-  math::Vec vb(pb.begin(), pb.end());
-  return math::PearsonCorrelation(va, vb);
+math::Matrix SlidingErrorTracker::PredictionCorrelations() const {
+  const size_t m = num_models_;
+  const size_t n = recent_preds_[0].size();  // every window holds n steps
+  math::Matrix corr(m, m, 0.0);
+  if (n < 3) return corr;
+  // The arithmetic of math::PearsonCorrelation, with each window's mean,
+  // deviations and sd computed once: mean = left-to-right sum / n,
+  // sd = sqrt(sum of squared deviations / (n - 1)), cov = sum of deviation
+  // products / (n - 1), corr = cov / (sa * sb), and 0 if either sd is 0.
+  // Both products commute exactly, so the matrix is symmetric bit for bit.
+  const double dof = static_cast<double>(n - 1);
+  math::Matrix dev(m, n);
+  math::Vec sd(m);
+  for (size_t i = 0; i < m; ++i) {
+    const std::deque<double>& p = recent_preds_[i];
+    double sum = 0.0;
+    for (double x : p) sum += x;
+    const double mean = sum / static_cast<double>(n);
+    double* d = dev.RowPtr(i);
+    double ss = 0.0;
+    for (size_t t = 0; t < n; ++t) {
+      d[t] = p[t] - mean;
+      ss += d[t] * d[t];
+    }
+    sd[i] = std::sqrt(ss / dof);
+  }
+  for (size_t a = 0; a < m; ++a) {
+    const double* da = dev.RowPtr(a);
+    for (size_t b = a; b < m; ++b) {
+      if (sd[a] == 0.0 || sd[b] == 0.0) continue;
+      const double* db = dev.RowPtr(b);
+      double s = 0.0;
+      for (size_t t = 0; t < n; ++t) s += da[t] * db[t];
+      corr(a, b) = corr(b, a) = s / dof / (sd[a] * sd[b]);
+    }
+  }
+  return corr;
 }
 
 }  // namespace eadrl::baselines

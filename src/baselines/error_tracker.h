@@ -33,11 +33,14 @@ class SlidingErrorTracker {
   /// if `subset` is empty). Models outside the subset get zero.
   math::Vec InverseErrorWeights(const std::vector<size_t>& subset = {}) const;
 
-  /// Indices of the `n` lowest-window-RMSE models.
+  /// Indices of the `n` lowest-window-RMSE models (stable on ties).
   std::vector<size_t> TopModels(size_t n) const;
 
-  /// Pairwise Pearson correlation of the recent predictions of two models.
-  double PredictionCorrelation(size_t a, size_t b) const;
+  /// m x m Pearson correlations of the models' recent predictions: entry
+  /// (a, b) is bit-identical to math::PearsonCorrelation of the two windows,
+  /// and 0 while the window holds fewer than 3 steps. Each window is centred
+  /// once, so the whole matrix costs m(m+1)/2 dot products.
+  math::Matrix PredictionCorrelations() const;
 
  private:
   size_t num_models_;

@@ -16,9 +16,10 @@
 // Usage:
 //   eadrl_metrics_check [--format json|prom|auto] [--require NAME]... FILE
 //
-// --require NAME demands that NAME appears in the document (a metric family
-// in prom mode, any key/name in JSON mode) — check.sh's slo-smoke stage uses
-// it to prove the SLO series actually made it into the export.
+// --require NAME demands that NAME appears in the document: in prom mode as
+// a metric name or a prefix of one, in JSON mode as an object key anywhere in
+// the parsed tree (a substring of a key or value does not count). check.sh's
+// slo-smoke stage uses it to prove the SLO series made it into the export.
 //
 // Exit status: 0 clean, 1 validation failure, 2 usage/IO error.
 
@@ -176,6 +177,20 @@ int CheckPrometheus(const std::string& text,
   return 0;
 }
 
+/// True when `key` names an object member anywhere in the tree under `v`.
+bool HasKey(const Value& v, const std::string& key) {
+  if (v.is_object()) {
+    for (const auto& [name, child] : v.AsObject()) {
+      if (name == key || HasKey(child, key)) return true;
+    }
+  } else if (v.is_array()) {
+    for (const Value& child : v.AsArray()) {
+      if (HasKey(child, key)) return true;
+    }
+  }
+  return false;
+}
+
 int CheckJson(const std::string& text,
               const std::vector<std::string>& required) {
   auto parsed = eadrl::json::Parse(text);
@@ -211,13 +226,8 @@ int CheckJson(const std::string& text,
   if (!has_metrics && !has_sections) {
     return Fail("neither \"metrics\" nor \"sections\" has content");
   }
-  // --require in JSON mode: the name must appear as a key somewhere in the
-  // raw document — cheap, and exact enough for family names.
   for (const std::string& want : required) {
-    if (text.find("\"" + want + "\"") == std::string::npos &&
-        text.find(want) == std::string::npos) {
-      return Fail("required name missing: " + want);
-    }
+    if (!HasKey(root, want)) return Fail("required key missing: " + want);
   }
   std::printf("eadrl_metrics_check: ok (%s, sequence %.0f)\n",
               schema->AsString().c_str(), sequence->AsNumber());
