@@ -1,8 +1,9 @@
 // Supporting micro-benchmarks (google-benchmark): the per-step costs behind
 // Table III — policy inference, DDPG updates, the Adam step, replay
 // sampling, drift detection, base-model prediction, and DEMSC's calm step
-// and drift re-cluster.
+// and drift re-cluster — and the pool-fit costs of the LSTM and GP members.
 
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -13,6 +14,8 @@
 #include "common/rng.h"
 #include "core/eadrl.h"
 #include "math/linalg.h"
+#include "models/gp.h"
+#include "models/nn_regressors.h"
 #include "models/tree.h"
 #include "nn/optimizer.h"
 #include "nn/param.h"
@@ -195,6 +198,70 @@ void BM_CholeskySolve(benchmark::State& state) {
   eadrl::bench::RegisterThreads(state, 1);
 }
 BENCHMARK(BM_CholeskySolve)->Arg(32)->Arg(128);
+
+// --- Pool fit: the two families behind most of its cost. -------------------
+
+// A member's embedded training set: `rows` windows of 5 lags of a
+// standardized noisy seasonal series, each labelled with the next value
+// (dataset 9's pool trains on 630 such rows).
+void PoolWindows(size_t rows, eadrl::math::Matrix* x, eadrl::math::Vec* y) {
+  eadrl::Rng rng = eadrl::bench::BenchRng(8);
+  const size_t k = 5;
+  eadrl::math::Vec series(rows + k);
+  for (size_t t = 0; t < series.size(); ++t) {
+    series[t] = std::sin(0.26 * static_cast<double>(t)) + rng.Normal(0, 0.3);
+  }
+  *x = eadrl::math::Matrix(rows, k);
+  y->resize(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < k; ++j) (*x)(i, j) = series[i + j];
+    (*y)[i] = series[i + k];
+  }
+}
+
+// One epoch of LstmRegressor::Fit (the pool's lstm(8) and lstm(24)).
+void BM_LstmRegressorFit(benchmark::State& state) {
+  eadrl::math::Matrix x;
+  eadrl::math::Vec y;
+  PoolWindows(630, &x, &y);
+  eadrl::models::NnTrainParams train;
+  train.epochs = 1;
+  for (auto _ : state) {
+    eadrl::models::LstmRegressor model(static_cast<size_t>(state.range(0)),
+                                       train);
+    benchmark::DoNotOptimize(model.Fit(x, y));
+  }
+  eadrl::bench::RegisterThreads(state, 1);
+}
+BENCHMARK(BM_LstmRegressorFit)->Arg(8)->Arg(24)->Unit(benchmark::kMillisecond);
+
+// GaussianProcessRegressor::Fit on 400 points (the pool's max_points).
+void BM_GpFit(benchmark::State& state) {
+  eadrl::math::Matrix x;
+  eadrl::math::Vec y;
+  PoolWindows(400, &x, &y);
+  for (auto _ : state) {
+    eadrl::models::GaussianProcessRegressor gp({});
+    benchmark::DoNotOptimize(gp.Fit(x, y));
+  }
+  eadrl::bench::RegisterThreads(state, 1);
+}
+BENCHMARK(BM_GpFit)->Unit(benchmark::kMillisecond);
+
+// One rolling-forecast step of a GP fitted on 400 points.
+void BM_GpPredict(benchmark::State& state) {
+  eadrl::math::Matrix x;
+  eadrl::math::Vec y;
+  PoolWindows(400, &x, &y);
+  eadrl::models::GaussianProcessRegressor gp({});
+  (void)gp.Fit(x, y);
+  eadrl::math::Vec q{0.1, 0.2, 0.3, 0.4, 0.5};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gp.Predict(q));
+  }
+  eadrl::bench::RegisterThreads(state, 1);
+}
+BENCHMARK(BM_GpPredict);
 
 // DEMSC's calm step: Predict + Update at 43 members. The inputs are
 // constant, so every window has zero variance, the drift detector stays

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "common/check.h"
+
 namespace eadrl::math {
 
 StatusOr<Matrix> CholeskyFactor(const Matrix& a) {
@@ -13,34 +15,42 @@ StatusOr<Matrix> CholeskyFactor(const Matrix& a) {
   const size_t n = a.rows();
   Matrix l(n, n);
   for (size_t i = 0; i < n; ++i) {
+    const double* a_i = a.RowPtr(i);
+    double* l_i = l.RowPtr(i);
     for (size_t j = 0; j <= i; ++j) {
-      double s = a(i, j);
-      for (size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
+      const double* l_j = l.RowPtr(j);
+      double s = a_i[j];
+      for (size_t k = 0; k < j; ++k) s -= l_i[k] * l_j[k];
       if (i == j) {
         if (s <= 0.0 || !std::isfinite(s)) {
           return Status::InvalidArgument(
               "CholeskyFactor: matrix is not positive definite");
         }
-        l(i, j) = std::sqrt(s);
+        l_i[j] = std::sqrt(s);
       } else {
-        l(i, j) = s / l(j, j);
+        l_i[j] = s / l_j[j];
       }
     }
   }
   return l;
 }
 
-namespace {
-
-// Solves L y = b (forward) then L^T x = y (backward) in place.
-Vec CholeskyBackSubstitute(const Matrix& l, const Vec& b) {
+Vec SolveLowerTriangular(const Matrix& l, const Vec& b) {
   const size_t n = l.rows();
+  EADRL_CHECK(l.cols() == n && b.size() == n);
   Vec y(n);
   for (size_t i = 0; i < n; ++i) {
+    const double* l_i = l.RowPtr(i);
     double s = b[i];
-    for (size_t k = 0; k < i; ++k) s -= l(i, k) * y[k];
-    y[i] = s / l(i, i);
+    for (size_t k = 0; k < i; ++k) s -= l_i[k] * y[k];
+    y[i] = s / l_i[i];
   }
+  return y;
+}
+
+Vec CholeskySolveFactored(const Matrix& l, const Vec& b) {
+  const Vec y = SolveLowerTriangular(l, b);
+  const size_t n = l.rows();
   Vec x(n);
   for (size_t ii = 0; ii < n; ++ii) {
     size_t i = n - 1 - ii;
@@ -51,15 +61,13 @@ Vec CholeskyBackSubstitute(const Matrix& l, const Vec& b) {
   return x;
 }
 
-}  // namespace
-
 StatusOr<Vec> CholeskySolve(const Matrix& a, const Vec& b) {
   if (a.rows() != b.size()) {
     return Status::InvalidArgument("CholeskySolve: dimension mismatch");
   }
   StatusOr<Matrix> l = CholeskyFactor(a);
   if (!l.ok()) return l.status();
-  return CholeskyBackSubstitute(*l, b);
+  return CholeskySolveFactored(*l, b);
 }
 
 StatusOr<Vec> LuSolve(const Matrix& a, const Vec& b) {
@@ -208,7 +216,7 @@ StatusOr<Matrix> CholeskyInverse(const Matrix& a) {
   for (size_t j = 0; j < n; ++j) {
     Vec e(n, 0.0);
     e[j] = 1.0;
-    Vec col = CholeskyBackSubstitute(*l, e);
+    Vec col = CholeskySolveFactored(*l, e);
     for (size_t i = 0; i < n; ++i) inv(i, j) = col[i];
   }
   return inv;

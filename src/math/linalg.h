@@ -14,8 +14,17 @@ namespace eadrl::math {
 /// not (numerically) positive definite.
 StatusOr<Matrix> CholeskyFactor(const Matrix& a);
 
-/// Solves A x = b for symmetric positive-definite A via Cholesky.
+/// Solves A x = b for symmetric positive-definite A via Cholesky:
+/// CholeskyFactor, then CholeskySolveFactored.
 StatusOr<Vec> CholeskySolve(const Matrix& a, const Vec& b);
+
+/// Solves L y = b for lower-triangular L by forward substitution.
+Vec SolveLowerTriangular(const Matrix& l, const Vec& b);
+
+/// Solves A x = b given the Cholesky factor L of A (A = L L^T): L y = b by
+/// forward substitution, then L^T x = y by back substitution. Factor once,
+/// solve many.
+Vec CholeskySolveFactored(const Matrix& l, const Vec& b);
 
 /// Solves A x = b for square A via LU decomposition with partial pivoting.
 /// Returns InvalidArgument if A is singular to working precision.

@@ -19,10 +19,38 @@ inline void CountScratch(size_t doubles) {
   obs::CountAlloc(doubles * sizeof(double));
 }
 
-// Rows per pass of MatVecInto and of the dot-form rows of
-// MatMulTransposeBInto: four independent accumulator chains share each load
-// of the common operand.
+// Rows per pass of MatVecInto, TransposeMatVecInto and the dot-form rows of
+// MatMulTransposeBInto: four rows share each load of the common operand (and
+// in TransposeMatVecInto each store of the output).
 constexpr size_t kRowBlock = 4;
+
+// out[j] += sum over i of x[i] * m[i][j] for the rows x cols m, each out[j]
+// one chain over i ascending. Four rows per pass share each load and store
+// of out; the restrict qualifiers spare the vectorized loop its alias checks.
+void TransposeMatVecRows(const double* __restrict m,
+                         const double* __restrict x, size_t rows, size_t cols,
+                         double* __restrict out) {
+  size_t i = 0;
+  for (; i + kRowBlock <= rows; i += kRowBlock) {
+    const double* r0 = m + i * cols;
+    const double* r1 = r0 + cols;
+    const double* r2 = r1 + cols;
+    const double* r3 = r2 + cols;
+    const double x0 = x[i];
+    const double x1 = x[i + 1];
+    const double x2 = x[i + 2];
+    const double x3 = x[i + 3];
+    for (size_t j = 0; j < cols; ++j) {
+      out[j] =
+          (((out[j] + x0 * r0[j]) + x1 * r1[j]) + x2 * r2[j]) + x3 * r3[j];
+    }
+  }
+  for (; i < rows; ++i) {
+    const double* row = m + i * cols;
+    const double xi = x[i];
+    for (size_t j = 0; j < cols; ++j) out[j] += xi * row[j];
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Register-tiled products. Each computes C (+)= A * B, where every output
@@ -417,13 +445,9 @@ void Matrix::TransposeMatVecInto(const Vec& x, Vec* out) const {
   EADRL_CHECK_EQ(x.size(), rows_);
   EADRL_CHECK(out != &x);
   out->assign(cols_, 0.0);
-  // Branch-free (the old `xi == 0.0` skip defeated vectorization); per
-  // output element the i contributions arrive in ascending order either way.
-  for (size_t i = 0; i < rows_; ++i) {
-    const double* row = &data_[i * cols_];
-    const double xi = x[i];
-    for (size_t j = 0; j < cols_; ++j) (*out)[j] += xi * row[j];
-  }
+  // Branch-free, so it vectorizes: a zero x[i] adds exact zeros, which leave
+  // a finite sum unchanged.
+  TransposeMatVecRows(data_.data(), x.data(), rows_, cols_, out->data());
 }
 
 void Matrix::AddScaled(const Matrix& other, double alpha) {

@@ -1,5 +1,6 @@
 #include "models/nn_regressors.h"
 
+#include <algorithm>
 #include <numeric>
 #include <utility>
 
@@ -11,19 +12,103 @@
 namespace eadrl::models {
 namespace {
 
-// Converts a feature row into a sequence of 1-dim inputs.
-std::vector<math::Vec> ToScalarSequence(const math::Vec& window) {
-  std::vector<math::Vec> seq;
-  seq.reserve(window.size());
-  for (double v : window) seq.push_back(math::Vec{v});
-  return seq;
-}
-
 std::vector<size_t> ShuffledOrder(size_t n, Rng& rng) {
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), 0u);
   rng.Shuffle(&order);
   return order;
+}
+
+// Adam over `params` for train.epochs passes through the `rows` training
+// samples, each pass in a fresh shuffled order: step(idx) runs one sample's
+// forward and backward, then the gradients are clipped and applied.
+template <typename Step>
+void TrainEpochs(const NnTrainParams& train,
+                 const std::vector<nn::Param*>& params, size_t rows, Rng& rng,
+                 Step step) {
+  nn::Adam opt(train.learning_rate);
+  opt.Register(params);
+  for (size_t epoch = 0; epoch < train.epochs; ++epoch) {
+    for (size_t idx : ShuffledOrder(rows, rng)) {
+      step(idx);
+      nn::ClipGradNorm(params, train.grad_clip);
+      opt.StepAndZero();
+    }
+  }
+}
+
+// One sample through `net` (an nn::Dense head or an nn::Mlp) under MSE
+// against `target`; accumulates the net's gradients and returns dL/d(input).
+template <typename Net>
+math::Vec MseStep(Net* net, const math::Vec& input, double target) {
+  nn::LossResult loss = nn::MseLoss(net->Forward(input), {target});
+  return net->Backward(loss.grad);
+}
+
+// Cuts the `len`-value window at `src` into its len - width + 1 overlapping
+// `width`-wide steps, one per row of *seq. Width 1 is the window as a
+// sequence of scalars.
+void WindowSteps(const double* src, size_t len, size_t width,
+                 math::Matrix* seq) {
+  EADRL_CHECK_GE(len, width);
+  seq->Resize(len - width + 1, width);
+  for (size_t t = 0; t < seq->rows(); ++t) {
+    std::copy(src + t, src + t + width, seq->RowPtr(t));
+  }
+}
+
+// Overwrites the last row of *m with the m->cols() values at `src`.
+void SetLastRow(const double* src, math::Matrix* m) {
+  std::copy(src, src + m->cols(), m->RowPtr(m->rows() - 1));
+}
+
+void AppendParams(const std::vector<nn::Param*>& more,
+                  std::vector<nn::Param*>* params) {
+  params->insert(params->end(), more.begin(), more.end());
+}
+
+// The LSTM and Conv-LSTM regressors: an LSTM over the window's `width`-wide
+// steps, a linear head on its last hidden state.
+void FitLstmHead(nn::Lstm* lstm, nn::Dense* head, size_t width,
+                 const math::Matrix& x, const math::Vec& y,
+                 const NnTrainParams& train, Rng& rng) {
+  std::vector<nn::Param*> params = lstm->Params();
+  AppendParams(head->Params(), &params);
+  // Per-sample buffers; grad_hidden's rows before the last stay zero.
+  math::Matrix seq;
+  math::Vec last;
+  math::Matrix grad_hidden(x.cols() - width + 1, lstm->hidden_size(), 0.0);
+  TrainEpochs(train, params, x.rows(), rng, [&](size_t idx) {
+    WindowSteps(x.RowPtr(idx), x.cols(), width, &seq);
+    const math::Matrix& hs = lstm->Forward(seq);
+    hs.RowInto(hs.rows() - 1, &last);
+    SetLastRow(MseStep(head, last, y[idx]).data(), &grad_hidden);
+    lstm->Backward(grad_hidden);
+  });
+}
+
+double PredictLstmHead(nn::Lstm* lstm, nn::Dense* head, size_t width,
+                       const math::Vec& x) {
+  math::Matrix seq;
+  WindowSteps(x.data(), x.size(), width, &seq);
+  const math::Matrix& hs = lstm->Forward(seq);
+  return head->Forward(hs.Row(hs.rows() - 1))[0];
+}
+
+// Runs `fwd` over the window at `src` and `bwd` over the window reversed
+// (*seq and *rev receive the two sequences); *concat gets their two last
+// hidden states, concatenated.
+void BiForward(nn::Lstm* fwd, nn::Lstm* bwd, const double* src, size_t len,
+               math::Matrix* seq, math::Matrix* rev, math::Vec* concat) {
+  WindowSteps(src, len, 1, seq);
+  rev->Resize(len, 1);
+  std::reverse_copy(src, src + len, rev->RowPtr(0));
+  const math::Matrix& hf = fwd->Forward(*seq);
+  const math::Matrix& hb = bwd->Forward(*rev);
+  const size_t h = fwd->hidden_size();
+  concat->resize(2 * h);
+  std::copy(hf.RowPtr(len - 1), hf.RowPtr(len - 1) + h, concat->begin());
+  std::copy(hb.RowPtr(len - 1), hb.RowPtr(len - 1) + h, concat->begin() + h);
 }
 
 }  // namespace
@@ -47,19 +132,11 @@ Status MlpRegressor::Fit(const math::Matrix& x, const math::Vec& y) {
   net_ = std::make_unique<nn::Mlp>(sizes, nn::Activation::kRelu,
                                    nn::Activation::kIdentity, rng);
 
-  nn::Adam opt(train_.learning_rate);
-  auto params = net_->Params();
-  opt.Register(params);
-
-  for (size_t epoch = 0; epoch < train_.epochs; ++epoch) {
-    for (size_t idx : ShuffledOrder(x.rows(), rng)) {
-      math::Vec pred = net_->Forward(x.Row(idx));
-      nn::LossResult loss = nn::MseLoss(pred, {y[idx]});
-      net_->Backward(loss.grad);
-      nn::ClipGradNorm(params, train_.grad_clip);
-      opt.StepAndZero();
-    }
-  }
+  math::Vec row;
+  TrainEpochs(train_, net_->Params(), x.rows(), rng, [&](size_t idx) {
+    x.RowInto(idx, &row);
+    MseStep(net_.get(), row, y[idx]);
+  });
   return Status::Ok();
 }
 
@@ -92,35 +169,13 @@ Status LstmRegressor::Fit(const math::Matrix& x, const math::Vec& y) {
   lstm_ = std::make_unique<nn::Lstm>(1, hidden_size_, rng);
   head_ = std::make_unique<nn::Dense>(hidden_size_, 1,
                                       nn::Activation::kIdentity, rng);
-
-  std::vector<nn::Param*> params = lstm_->Params();
-  for (nn::Param* p : head_->Params()) params.push_back(p);
-  nn::Adam opt(train_.learning_rate);
-  opt.Register(params);
-
-  for (size_t epoch = 0; epoch < train_.epochs; ++epoch) {
-    for (size_t idx : ShuffledOrder(x.rows(), rng)) {
-      std::vector<math::Vec> seq = ToScalarSequence(x.Row(idx));
-      std::vector<math::Vec> hs = lstm_->Forward(seq);
-      math::Vec pred = head_->Forward(hs.back());
-      nn::LossResult loss = nn::MseLoss(pred, {y[idx]});
-      math::Vec dh_last = head_->Backward(loss.grad);
-
-      std::vector<math::Vec> grad_hidden(seq.size(),
-                                         math::Vec(hidden_size_, 0.0));
-      grad_hidden.back() = dh_last;
-      lstm_->Backward(grad_hidden);
-      nn::ClipGradNorm(params, train_.grad_clip);
-      opt.StepAndZero();
-    }
-  }
+  FitLstmHead(lstm_.get(), head_.get(), 1, x, y, train_, rng);
   return Status::Ok();
 }
 
 double LstmRegressor::Predict(const math::Vec& x) const {
   EADRL_CHECK(lstm_ != nullptr);
-  std::vector<math::Vec> hs = lstm_->Forward(ToScalarSequence(x));
-  return head_->Forward(hs.back())[0];
+  return PredictLstmHead(lstm_.get(), head_.get(), 1, x);
 }
 
 // ---------------------------------------------------------------------------
@@ -140,53 +195,29 @@ Status BiLstmRegressor::Fit(const math::Matrix& x, const math::Vec& y) {
                                       nn::Activation::kIdentity, rng);
 
   std::vector<nn::Param*> params = fwd_->Params();
-  for (nn::Param* p : bwd_->Params()) params.push_back(p);
-  for (nn::Param* p : head_->Params()) params.push_back(p);
-  nn::Adam opt(train_.learning_rate);
-  opt.Register(params);
-
-  for (size_t epoch = 0; epoch < train_.epochs; ++epoch) {
-    for (size_t idx : ShuffledOrder(x.rows(), rng)) {
-      std::vector<math::Vec> seq = ToScalarSequence(x.Row(idx));
-      std::vector<math::Vec> rev(seq.rbegin(), seq.rend());
-
-      std::vector<math::Vec> hf = fwd_->Forward(seq);
-      std::vector<math::Vec> hb = bwd_->Forward(rev);
-      math::Vec concat(2 * hidden_size_);
-      for (size_t j = 0; j < hidden_size_; ++j) {
-        concat[j] = hf.back()[j];
-        concat[hidden_size_ + j] = hb.back()[j];
-      }
-      math::Vec pred = head_->Forward(concat);
-      nn::LossResult loss = nn::MseLoss(pred, {y[idx]});
-      math::Vec dconcat = head_->Backward(loss.grad);
-
-      std::vector<math::Vec> gf(seq.size(), math::Vec(hidden_size_, 0.0));
-      std::vector<math::Vec> gb(seq.size(), math::Vec(hidden_size_, 0.0));
-      for (size_t j = 0; j < hidden_size_; ++j) {
-        gf.back()[j] = dconcat[j];
-        gb.back()[j] = dconcat[hidden_size_ + j];
-      }
-      fwd_->Backward(gf);
-      bwd_->Backward(gb);
-      nn::ClipGradNorm(params, train_.grad_clip);
-      opt.StepAndZero();
-    }
-  }
+  AppendParams(bwd_->Params(), &params);
+  AppendParams(head_->Params(), &params);
+  math::Matrix seq, rev;
+  math::Vec concat;
+  math::Matrix gf(x.cols(), hidden_size_, 0.0);
+  math::Matrix gb(x.cols(), hidden_size_, 0.0);
+  TrainEpochs(train_, params, x.rows(), rng, [&](size_t idx) {
+    BiForward(fwd_.get(), bwd_.get(), x.RowPtr(idx), x.cols(), &seq, &rev,
+              &concat);
+    math::Vec dconcat = MseStep(head_.get(), concat, y[idx]);
+    SetLastRow(dconcat.data(), &gf);
+    SetLastRow(dconcat.data() + hidden_size_, &gb);
+    fwd_->Backward(gf);
+    bwd_->Backward(gb);
+  });
   return Status::Ok();
 }
 
 double BiLstmRegressor::Predict(const math::Vec& x) const {
   EADRL_CHECK(fwd_ != nullptr);
-  std::vector<math::Vec> seq = ToScalarSequence(x);
-  std::vector<math::Vec> rev(seq.rbegin(), seq.rend());
-  std::vector<math::Vec> hf = fwd_->Forward(seq);
-  std::vector<math::Vec> hb = bwd_->Forward(rev);
-  math::Vec concat(2 * hidden_size_);
-  for (size_t j = 0; j < hidden_size_; ++j) {
-    concat[j] = hf.back()[j];
-    concat[hidden_size_ + j] = hb.back()[j];
-  }
+  math::Matrix seq, rev;
+  math::Vec concat;
+  BiForward(fwd_.get(), bwd_.get(), x.data(), x.size(), &seq, &rev, &concat);
   return head_->Forward(concat)[0];
 }
 
@@ -216,53 +247,27 @@ Status CnnLstmRegressor::Fit(const math::Matrix& x, const math::Vec& y) {
                                       nn::Activation::kIdentity, rng);
 
   std::vector<nn::Param*> params = conv_->Params();
-  for (nn::Param* p : lstm_->Params()) params.push_back(p);
-  for (nn::Param* p : head_->Params()) params.push_back(p);
-  nn::Adam opt(train_.learning_rate);
-  opt.Register(params);
-
-  for (size_t epoch = 0; epoch < train_.epochs; ++epoch) {
-    for (size_t idx : ShuffledOrder(x.rows(), rng)) {
-      math::Vec window = x.Row(idx);
-      math::Matrix input(window.size(), 1);
-      for (size_t t = 0; t < window.size(); ++t) input(t, 0) = window[t];
-
-      math::Matrix feats = conv_->Forward(input);
-      std::vector<math::Vec> seq;
-      seq.reserve(feats.rows());
-      for (size_t t = 0; t < feats.rows(); ++t) seq.push_back(feats.Row(t));
-
-      std::vector<math::Vec> hs = lstm_->Forward(seq);
-      math::Vec pred = head_->Forward(hs.back());
-      nn::LossResult loss = nn::MseLoss(pred, {y[idx]});
-
-      math::Vec dh_last = head_->Backward(loss.grad);
-      std::vector<math::Vec> grad_hidden(seq.size(),
-                                         math::Vec(hidden_size_, 0.0));
-      grad_hidden.back() = dh_last;
-      std::vector<math::Vec> dseq = lstm_->Backward(grad_hidden);
-
-      math::Matrix dfeats(feats.rows(), filters_);
-      for (size_t t = 0; t < feats.rows(); ++t) dfeats.SetRow(t, dseq[t]);
-      conv_->Backward(dfeats);
-
-      nn::ClipGradNorm(params, train_.grad_clip);
-      opt.StepAndZero();
-    }
-  }
+  AppendParams(lstm_->Params(), &params);
+  AppendParams(head_->Params(), &params);
+  math::Matrix input;
+  math::Vec last;
+  math::Matrix grad_hidden(x.cols() - kernel_size_ + 1, hidden_size_, 0.0);
+  TrainEpochs(train_, params, x.rows(), rng, [&](size_t idx) {
+    WindowSteps(x.RowPtr(idx), x.cols(), 1, &input);
+    const math::Matrix& hs = lstm_->Forward(conv_->Forward(input));
+    hs.RowInto(hs.rows() - 1, &last);
+    SetLastRow(MseStep(head_.get(), last, y[idx]).data(), &grad_hidden);
+    conv_->Backward(lstm_->Backward(grad_hidden));
+  });
   return Status::Ok();
 }
 
 double CnnLstmRegressor::Predict(const math::Vec& x) const {
   EADRL_CHECK(conv_ != nullptr);
-  math::Matrix input(x.size(), 1);
-  for (size_t t = 0; t < x.size(); ++t) input(t, 0) = x[t];
-  math::Matrix feats = conv_->Forward(input);
-  std::vector<math::Vec> seq;
-  seq.reserve(feats.rows());
-  for (size_t t = 0; t < feats.rows(); ++t) seq.push_back(feats.Row(t));
-  std::vector<math::Vec> hs = lstm_->Forward(seq);
-  return head_->Forward(hs.back())[0];
+  math::Matrix input;
+  WindowSteps(x.data(), x.size(), 1, &input);
+  const math::Matrix& hs = lstm_->Forward(conv_->Forward(input));
+  return head_->Forward(hs.Row(hs.rows() - 1))[0];
 }
 
 // ---------------------------------------------------------------------------
@@ -271,17 +276,6 @@ double CnnLstmRegressor::Predict(const math::Vec& x) const {
 ConvLstmRegressor::ConvLstmRegressor(size_t patch_size, size_t hidden_size,
                                      NnTrainParams train)
     : patch_size_(patch_size), hidden_size_(hidden_size), train_(train) {}
-
-std::vector<math::Vec> ConvLstmRegressor::ToPatches(
-    const math::Vec& window) const {
-  EADRL_CHECK_GE(window.size(), patch_size_);
-  std::vector<math::Vec> patches;
-  for (size_t t = 0; t + patch_size_ <= window.size(); ++t) {
-    patches.emplace_back(window.begin() + t,
-                         window.begin() + t + patch_size_);
-  }
-  return patches;
-}
 
 Status ConvLstmRegressor::Fit(const math::Matrix& x, const math::Vec& y) {
   if (x.rows() != y.size() || x.rows() == 0) {
@@ -295,35 +289,13 @@ Status ConvLstmRegressor::Fit(const math::Matrix& x, const math::Vec& y) {
   lstm_ = std::make_unique<nn::Lstm>(patch_size_, hidden_size_, rng);
   head_ = std::make_unique<nn::Dense>(hidden_size_, 1,
                                       nn::Activation::kIdentity, rng);
-
-  std::vector<nn::Param*> params = lstm_->Params();
-  for (nn::Param* p : head_->Params()) params.push_back(p);
-  nn::Adam opt(train_.learning_rate);
-  opt.Register(params);
-
-  for (size_t epoch = 0; epoch < train_.epochs; ++epoch) {
-    for (size_t idx : ShuffledOrder(x.rows(), rng)) {
-      std::vector<math::Vec> seq = ToPatches(x.Row(idx));
-      std::vector<math::Vec> hs = lstm_->Forward(seq);
-      math::Vec pred = head_->Forward(hs.back());
-      nn::LossResult loss = nn::MseLoss(pred, {y[idx]});
-      math::Vec dh_last = head_->Backward(loss.grad);
-
-      std::vector<math::Vec> grad_hidden(seq.size(),
-                                         math::Vec(hidden_size_, 0.0));
-      grad_hidden.back() = dh_last;
-      lstm_->Backward(grad_hidden);
-      nn::ClipGradNorm(params, train_.grad_clip);
-      opt.StepAndZero();
-    }
-  }
+  FitLstmHead(lstm_.get(), head_.get(), patch_size_, x, y, train_, rng);
   return Status::Ok();
 }
 
 double ConvLstmRegressor::Predict(const math::Vec& x) const {
   EADRL_CHECK(lstm_ != nullptr);
-  std::vector<math::Vec> hs = lstm_->Forward(ToPatches(x));
-  return head_->Forward(hs.back())[0];
+  return PredictLstmHead(lstm_.get(), head_.get(), patch_size_, x);
 }
 
 // ---------------------------------------------------------------------------
@@ -344,36 +316,27 @@ Status StackedLstmRegressor::Fit(const math::Matrix& x, const math::Vec& y) {
                                       nn::Activation::kIdentity, rng);
 
   std::vector<nn::Param*> params = lstm1_->Params();
-  for (nn::Param* p : lstm2_->Params()) params.push_back(p);
-  for (nn::Param* p : head_->Params()) params.push_back(p);
-  nn::Adam opt(train_.learning_rate);
-  opt.Register(params);
-
-  for (size_t epoch = 0; epoch < train_.epochs; ++epoch) {
-    for (size_t idx : ShuffledOrder(x.rows(), rng)) {
-      std::vector<math::Vec> seq = ToScalarSequence(x.Row(idx));
-      std::vector<math::Vec> h1 = lstm1_->Forward(seq);
-      std::vector<math::Vec> h2 = lstm2_->Forward(h1);
-      math::Vec pred = head_->Forward(h2.back());
-      nn::LossResult loss = nn::MseLoss(pred, {y[idx]});
-      math::Vec dh_last = head_->Backward(loss.grad);
-
-      std::vector<math::Vec> g2(seq.size(), math::Vec(hidden_size_, 0.0));
-      g2.back() = dh_last;
-      std::vector<math::Vec> dinputs2 = lstm2_->Backward(g2);
-      lstm1_->Backward(dinputs2);
-      nn::ClipGradNorm(params, train_.grad_clip);
-      opt.StepAndZero();
-    }
-  }
+  AppendParams(lstm2_->Params(), &params);
+  AppendParams(head_->Params(), &params);
+  math::Matrix seq;
+  math::Vec last;
+  math::Matrix g2(x.cols(), hidden_size_, 0.0);
+  TrainEpochs(train_, params, x.rows(), rng, [&](size_t idx) {
+    WindowSteps(x.RowPtr(idx), x.cols(), 1, &seq);
+    const math::Matrix& h2 = lstm2_->Forward(lstm1_->Forward(seq));
+    h2.RowInto(h2.rows() - 1, &last);
+    SetLastRow(MseStep(head_.get(), last, y[idx]).data(), &g2);
+    lstm1_->Backward(lstm2_->Backward(g2));
+  });
   return Status::Ok();
 }
 
 double StackedLstmRegressor::Predict(const math::Vec& x) const {
   EADRL_CHECK(lstm1_ != nullptr);
-  std::vector<math::Vec> h1 = lstm1_->Forward(ToScalarSequence(x));
-  std::vector<math::Vec> h2 = lstm2_->Forward(h1);
-  return head_->Forward(h2.back())[0];
+  math::Matrix seq;
+  WindowSteps(x.data(), x.size(), 1, &seq);
+  const math::Matrix& h2 = lstm2_->Forward(lstm1_->Forward(seq));
+  return head_->Forward(h2.Row(h2.rows() - 1))[0];
 }
 
 }  // namespace eadrl::models

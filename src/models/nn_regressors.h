@@ -106,8 +106,6 @@ class ConvLstmRegressor : public Regressor {
   double Predict(const math::Vec& x) const override;
 
  private:
-  std::vector<math::Vec> ToPatches(const math::Vec& window) const;
-
   size_t patch_size_;
   size_t hidden_size_;
   NnTrainParams train_;

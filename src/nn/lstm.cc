@@ -1,5 +1,6 @@
 #include "nn/lstm.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "chk/chk.h"
@@ -8,13 +9,28 @@
 #include "nn/init.h"
 
 namespace eadrl::nn {
+namespace {
+
+// out (rows x cols) += a b^T, skipping the rows whose a[r] is exactly zero.
+void AddOuterProduct(const double* __restrict a, const double* __restrict b,
+                     size_t rows, size_t cols, double* __restrict out) {
+  for (size_t r = 0; r < rows; ++r) {
+    const double ar = a[r];
+    if (ar == 0.0) continue;
+    double* o = out + r * cols;
+    for (size_t k = 0; k < cols; ++k) o[k] += ar * b[k];
+  }
+}
+
+}  // namespace
 
 Lstm::Lstm(size_t input_size, size_t hidden_size, Rng& rng)
     : input_size_(input_size),
       hidden_size_(hidden_size),
       w_(4 * hidden_size, input_size),
       u_(4 * hidden_size, hidden_size),
-      b_(4 * hidden_size, 1) {
+      b_(4 * hidden_size, 1),
+      zeros_(hidden_size, 0.0) {
   XavierInit(&w_.value, input_size + hidden_size, hidden_size, rng);
   XavierInit(&u_.value, input_size + hidden_size, hidden_size, rng);
   // Forget-gate bias of 1.0 helps gradient flow early in training.
@@ -23,103 +39,106 @@ Lstm::Lstm(size_t input_size, size_t hidden_size, Rng& rng)
   }
 }
 
-std::vector<math::Vec> Lstm::Forward(const std::vector<math::Vec>& inputs) {
-  EADRL_CHECK(!inputs.empty());
-  cache_.clear();
-  cache_.reserve(inputs.size());
-
+const math::Matrix& Lstm::Forward(const math::Matrix& inputs) {
+  EADRL_CHK_DIM(inputs.cols(), input_size_, "Lstm::Forward input width");
+  EADRL_CHK_FINITE(inputs.data(), "Lstm::Forward input");
+  EADRL_CHECK(inputs.rows() > 0 && inputs.cols() == input_size_);
+  const size_t steps = inputs.rows();
   const size_t h = hidden_size_;
-  math::Vec h_prev(h, 0.0), c_prev(h, 0.0);
-  std::vector<math::Vec> hs;
-  hs.reserve(inputs.size());
+  x_ = inputs;  // capacity-reusing copy.
+  gates_.Resize(steps, 4 * h);
+  c_.Resize(steps, h);
+  tanh_c_.Resize(steps, h);
+  h_.Resize(steps, h);
+  h_prev_.assign(h, 0.0);
+  const double* b = b_.value.data().data();
 
-  for (const math::Vec& x : inputs) {
-    EADRL_CHK_DIM(x.size(), input_size_, "Lstm::Forward step input");
-    EADRL_CHK_FINITE(x, "Lstm::Forward step input");
-    EADRL_CHECK_EQ(x.size(), input_size_);
-    math::Vec z = w_.value.MatVec(x);
-    math::Vec uz = u_.value.MatVec(h_prev);
-    for (size_t i = 0; i < 4 * h; ++i) z[i] += uz[i] + b_.value(i, 0);
+  for (size_t t = 0; t < steps; ++t) {
+    // z = W x_t + (U h_{t-1} + b), summed in that order.
+    x_.RowInto(t, &x_t_);
+    w_.value.MatVecInto(x_t_, &z_);
+    u_.value.MatVecInto(h_prev_, &uz_);
+    for (size_t i = 0; i < 4 * h; ++i) z_[i] += uz_[i] + b[i];
 
-    StepCache sc;
-    sc.input = x;
-    sc.h_prev = h_prev;
-    sc.c_prev = c_prev;
-    sc.i.resize(h);
-    sc.f.resize(h);
-    sc.g.resize(h);
-    sc.o.resize(h);
-    sc.c.resize(h);
-    sc.tanh_c.resize(h);
-    math::Vec h_new(h);
+    const double* c_prev = t > 0 ? c_.RowPtr(t - 1) : zeros_.data();
+    double* gate = gates_.RowPtr(t);
+    double* c = c_.RowPtr(t);
+    double* tanh_c = tanh_c_.RowPtr(t);
+    double* h_new = h_.RowPtr(t);
     for (size_t j = 0; j < h; ++j) {
-      sc.i[j] = SigmoidScalar(z[j]);
-      sc.f[j] = SigmoidScalar(z[h + j]);
-      sc.g[j] = TanhScalar(z[2 * h + j]);
-      sc.o[j] = SigmoidScalar(z[3 * h + j]);
-      sc.c[j] = sc.f[j] * c_prev[j] + sc.i[j] * sc.g[j];
-      sc.tanh_c[j] = TanhScalar(sc.c[j]);
-      h_new[j] = sc.o[j] * sc.tanh_c[j];
+      const double ig = SigmoidScalar(z_[j]);
+      const double fg = SigmoidScalar(z_[h + j]);
+      const double gg = TanhScalar(z_[2 * h + j]);
+      const double og = SigmoidScalar(z_[3 * h + j]);
+      gate[j] = ig;
+      gate[h + j] = fg;
+      gate[2 * h + j] = gg;
+      gate[3 * h + j] = og;
+      c[j] = fg * c_prev[j] + ig * gg;
+      tanh_c[j] = TanhScalar(c[j]);
+      h_new[j] = og * tanh_c[j];
+      h_prev_[j] = h_new[j];
     }
-    h_prev = h_new;
-    c_prev = sc.c;
-    hs.push_back(h_new);
-    cache_.push_back(std::move(sc));
   }
   // A non-finite hidden state here means the recurrent weights diverged —
   // catch it where the stage is still identifiable.
-  EADRL_CHK_FINITE(hs.back(), "Lstm::Forward final hidden state");
-  return hs;
+  EADRL_CHK_FINITE(h_prev_, "Lstm::Forward final hidden state");
+  return h_;
 }
 
-std::vector<math::Vec> Lstm::Backward(
-    const std::vector<math::Vec>& grad_hidden) {
-  EADRL_CHECK_EQ(grad_hidden.size(), cache_.size());
+const math::Matrix& Lstm::Backward(const math::Matrix& grad_hidden) {
+  const size_t steps = h_.rows();
   const size_t h = hidden_size_;
-  const size_t t_steps = cache_.size();
+  const size_t in = input_size_;
+  EADRL_CHK_SHAPE(grad_hidden.rows(), grad_hidden.cols(), steps, h,
+                  "Lstm::Backward grad_hidden");
+  EADRL_CHECK(steps > 0 && grad_hidden.rows() == steps &&
+              grad_hidden.cols() == h);
+  dx_.Resize(steps, in);
+  dz_.resize(4 * h);
+  dh_next_.assign(h, 0.0);
+  dc_next_.assign(h, 0.0);
+  double* b_grad = b_.grad.data().data();
 
-  std::vector<math::Vec> grad_inputs(t_steps);
-  math::Vec dh_next(h, 0.0), dc_next(h, 0.0);
+  for (size_t tt = 0; tt < steps; ++tt) {
+    const size_t t = steps - 1 - tt;
+    const double* dh_t = grad_hidden.RowPtr(t);
+    const double* gate = gates_.RowPtr(t);
+    const double* tanh_c = tanh_c_.RowPtr(t);
+    const double* c_prev = t > 0 ? c_.RowPtr(t - 1) : zeros_.data();
+    const double* h_prev = t > 0 ? h_.RowPtr(t - 1) : zeros_.data();
+    const double* x = x_.RowPtr(t);
 
-  for (size_t tt = 0; tt < t_steps; ++tt) {
-    size_t t = t_steps - 1 - tt;
-    const StepCache& sc = cache_[t];
-
-    math::Vec dh(h);
-    for (size_t j = 0; j < h; ++j) dh[j] = grad_hidden[t][j] + dh_next[j];
-
-    math::Vec dz(4 * h);
-    math::Vec dc(h);
     for (size_t j = 0; j < h; ++j) {
-      double d_o = dh[j] * sc.tanh_c[j];
-      dc[j] = dh[j] * sc.o[j] * (1.0 - sc.tanh_c[j] * sc.tanh_c[j]) +
-              dc_next[j];
-      double d_i = dc[j] * sc.g[j];
-      double d_f = dc[j] * sc.c_prev[j];
-      double d_g = dc[j] * sc.i[j];
-      dz[j] = d_i * sc.i[j] * (1.0 - sc.i[j]);
-      dz[h + j] = d_f * sc.f[j] * (1.0 - sc.f[j]);
-      dz[2 * h + j] = d_g * (1.0 - sc.g[j] * sc.g[j]);
-      dz[3 * h + j] = d_o * sc.o[j] * (1.0 - sc.o[j]);
+      const double dh = dh_t[j] + dh_next_[j];
+      const double ig = gate[j];
+      const double fg = gate[h + j];
+      const double gg = gate[2 * h + j];
+      const double og = gate[3 * h + j];
+      const double d_o = dh * tanh_c[j];
+      const double dc = dh * og * (1.0 - tanh_c[j] * tanh_c[j]) + dc_next_[j];
+      const double d_i = dc * gg;
+      const double d_f = dc * c_prev[j];
+      const double d_g = dc * ig;
+      dz_[j] = d_i * ig * (1.0 - ig);
+      dz_[h + j] = d_f * fg * (1.0 - fg);
+      dz_[2 * h + j] = d_g * (1.0 - gg * gg);
+      dz_[3 * h + j] = d_o * og * (1.0 - og);
+      dc_next_[j] = dc * fg;
     }
 
-    // Parameter gradients.
-    for (size_t r = 0; r < 4 * h; ++r) {
-      b_.grad(r, 0) += dz[r];
-      if (dz[r] == 0.0) continue;
-      for (size_t cix = 0; cix < input_size_; ++cix) {
-        w_.grad(r, cix) += dz[r] * sc.input[cix];
-      }
-      for (size_t cix = 0; cix < h; ++cix) {
-        u_.grad(r, cix) += dz[r] * sc.h_prev[cix];
-      }
-    }
+    // Parameter gradients; a gate row whose dz is exactly zero adds nothing
+    // to W or U.
+    for (size_t r = 0; r < 4 * h; ++r) b_grad[r] += dz_[r];
+    AddOuterProduct(dz_.data(), x, 4 * h, in, w_.grad.data().data());
+    AddOuterProduct(dz_.data(), h_prev, 4 * h, h, u_.grad.data().data());
 
-    grad_inputs[t] = w_.value.TransposeMatVec(dz);
-    dh_next = u_.value.TransposeMatVec(dz);
-    for (size_t j = 0; j < h; ++j) dc_next[j] = dc[j] * sc.f[j];
+    // dL/dx_t = W^T dz and dL/dh_{t-1} = U^T dz; the latter is dead at t = 0.
+    w_.value.TransposeMatVecInto(dz_, &dx_t_);
+    std::copy(dx_t_.begin(), dx_t_.end(), dx_.RowPtr(t));
+    if (t > 0) u_.value.TransposeMatVecInto(dz_, &dh_next_);
   }
-  return grad_inputs;
+  return dx_;
 }
 
 std::vector<Param*> Lstm::Params() { return {&w_, &u_, &b_}; }

@@ -1,8 +1,14 @@
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "math/linalg.h"
+#include "math/stats.h"
+#include "math/vec.h"
 #include "models/gp.h"
 #include "models/svr.h"
 
@@ -62,6 +68,114 @@ TEST(GpTest, SubsamplesLargeTrainingSets) {
   ASSERT_TRUE(gp.Fit(x, y).ok());
   EXPECT_NEAR(gp.Predict({0.5}), std::sin(0.5), 0.15);
 }
+
+// Noisy 3-input data for the reference checks below.
+void MakeGpData(size_t n, math::Matrix* x, math::Vec* y) {
+  Rng rng(11);
+  *x = math::Matrix(n, 3);
+  y->resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < 3; ++j) (*x)(i, j) = rng.Uniform(-2, 2);
+    (*y)[i] = std::sin((*x)(i, 0)) + 0.5 * (*x)(i, 1) * (*x)(i, 2) +
+              0.1 * rng.Normal();
+  }
+}
+
+double RbfKernel(const GaussianProcessRegressor::Params& p,
+                 const math::Vec& a, const math::Vec& b) {
+  double d2 = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    double d = a[i] - b[i];
+    d2 += d * d;
+  }
+  return p.signal_variance *
+         std::exp(-0.5 * d2 / (p.length_scale * p.length_scale));
+}
+
+// Alg. 2.1 spelled out with explicit matrices: the stride-subsampled
+// training rows, K built in full, alpha from math::CholeskySolve and the
+// variance from the explicit inverse.
+struct ExplicitGp {
+  ExplicitGp(const GaussianProcessRegressor::Params& p, const math::Matrix& x,
+             const math::Vec& y)
+      : params(p) {
+    const size_t n = std::min(x.rows(), p.max_points);
+    const double stride =
+        static_cast<double>(x.rows()) / static_cast<double>(n);
+    math::Vec ys(n);
+    for (size_t i = 0; i < n; ++i) {
+      size_t src = static_cast<size_t>(static_cast<double>(i) * stride);
+      rows.push_back(x.Row(src));
+      ys[i] = y[src];
+    }
+    y_mean = math::Mean(ys);
+    math::Matrix k(n, n);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; ++j) k(i, j) = RbfKernel(p, rows[i], rows[j]);
+      k(i, i) += p.noise_variance;
+    }
+    math::Vec centered(n);
+    for (size_t i = 0; i < n; ++i) centered[i] = ys[i] - y_mean;
+    alpha = math::CholeskySolve(k, centered).value();
+    k_inverse = math::CholeskyInverse(k).value();
+  }
+
+  math::Vec KStar(const math::Vec& q) const {
+    math::Vec kstar(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      kstar[i] = RbfKernel(params, rows[i], q);
+    }
+    return kstar;
+  }
+  double Mean(const math::Vec& q) const {
+    return y_mean + math::Dot(KStar(q), alpha);
+  }
+  double Variance(const math::Vec& q) const {
+    const math::Vec kstar = KStar(q);
+    return RbfKernel(params, q, q) -
+           math::Dot(kstar, k_inverse.MatVec(kstar));
+  }
+
+  GaussianProcessRegressor::Params params;
+  std::vector<math::Vec> rows;
+  double y_mean = 0.0;
+  math::Vec alpha;
+  math::Matrix k_inverse;
+};
+
+// max_points below the row count takes the subsampled path (a non-integer
+// stride), above it the full one.
+class GpReferenceTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(GpReferenceTest, MeanBitIdenticalAndVarianceMatchesExplicitInverse) {
+  math::Matrix x;
+  math::Vec y;
+  MakeGpData(150, &x, &y);
+  GaussianProcessRegressor::Params p;
+  p.max_points = GetParam();
+  p.length_scale = 1.3;
+  GaussianProcessRegressor gp(p);
+  ASSERT_TRUE(gp.Fit(x, y).ok());
+  const ExplicitGp ref(p, x, y);
+
+  Rng rng(29);
+  for (int q = 0; q < 20; ++q) {
+    math::Vec point{rng.Uniform(-2.5, 2.5), rng.Uniform(-2.5, 2.5),
+                    rng.Uniform(-2.5, 2.5)};
+    double mean = 0.0, variance = 0.0;
+    gp.PredictWithVariance(point, &mean, &variance);
+    EXPECT_EQ(gp.Predict(point), mean) << "point " << q;
+    EXPECT_EQ(mean, ref.Mean(point)) << "point " << q;
+    EXPECT_NEAR(variance, std::max(0.0, ref.Variance(point)), 1e-9)
+        << "point " << q;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, GpReferenceTest, ::testing::Values(47, 400),
+                         [](const ::testing::TestParamInfo<size_t>& param) {
+                           return param.param < 150 ? std::string("Subsampled")
+                                                    : std::string("Full");
+                         });
 
 TEST(SvrTest, FitsLinearFunction) {
   Rng rng(2);

@@ -285,6 +285,27 @@ TEST(MatrixKernelTest, TransposeMatVecKeepsExactZeroHandling) {
   EXPECT_EQ(got, (Vec{2.0 * 1 - 5, 2.0 * 2 - 6}));
 }
 
+// TransposeMatVec against the naive loop, bit for bit: each output element
+// is one chain over the rows in ascending order from 0.0, at row counts that
+// hit the four-row passes and every remainder.
+TEST(MatrixKernelTest, TransposeMatVecMatchesNaiveLoopBitwise) {
+  for (size_t m : {1, 3, 4, 5, 7, 8, 9, 16, 17, 43, 96}) {
+    for (size_t n : {1, 3, 4, 7, 24}) {
+      const Matrix a = PseudoRandom(m, n, 41);
+      const Vec x = PseudoRandom(1, m, 42).data();
+      Matrix want(1, n);
+      for (size_t j = 0; j < n; ++j) {
+        double s = 0.0;
+        for (size_t i = 0; i < m; ++i) s += x[i] * a.data()[i * n + j];
+        want.data()[j] = s;
+      }
+      Matrix got(1, n);
+      a.TransposeMatVecInto(x, &got.data());
+      EXPECT_EQ(FirstMismatch(got, want), -1) << "m=" << m << " n=" << n;
+    }
+  }
+}
+
 TEST(MatrixKernelTest, IntoVariantsReuseCapacityAcrossShapes) {
   Matrix a = PseudoRandom(6, 6, 9);
   Matrix b = PseudoRandom(6, 6, 10);

@@ -80,7 +80,7 @@ TEST_P(NnRegressorLearning, DeterministicForSeed) {
   ASSERT_TRUE(a->Fit(x, y).ok());
   ASSERT_TRUE(b->Fit(x, y).ok());
   math::Vec q{0.1, 0.4, 0.8, 0.9, 0.5};
-  EXPECT_DOUBLE_EQ(a->Predict(q), b->Predict(q));
+  EXPECT_EQ(a->Predict(q), b->Predict(q));
 }
 
 TEST_P(NnRegressorLearning, RejectsEmptyData) {

@@ -17,9 +17,10 @@
 //   eadrl_metrics_check [--format json|prom|auto] [--require NAME]... FILE
 //
 // --require NAME demands that NAME appears in the document: in prom mode as
-// a metric name or a prefix of one, in JSON mode as an object key anywhere in
-// the parsed tree (a substring of a key or value does not count). check.sh's
-// slo-smoke stage uses it to prove the SLO series made it into the export.
+// exactly a sample name or a `# TYPE` family name, in JSON mode as an object
+// key anywhere in the parsed tree (a prefix or substring of a name, key or
+// value does not count). check.sh's slo-smoke stage uses it to prove the SLO
+// series made it into the export.
 //
 // Exit status: 0 clean, 1 validation failure, 2 usage/IO error.
 
@@ -164,14 +165,9 @@ int CheckPrometheus(const std::string& text,
   }
   if (samples == 0) return Fail("no samples in exposition");
   for (const std::string& want : required) {
-    bool found = false;
-    for (const std::string& name : names) {
-      if (name == want || name.rfind(want, 0) == 0) {
-        found = true;
-        break;
-      }
+    if (std::find(names.begin(), names.end(), want) == names.end()) {
+      return Fail("required metric missing: " + want);
     }
-    if (!found) return Fail("required metric missing: " + want);
   }
   std::printf("eadrl_metrics_check: ok (%zu samples)\n", samples);
   return 0;
