@@ -78,66 +78,54 @@ std::map<uint32_t, std::string>& ThreadNames() {
   return *names;
 }
 
-// Cross-thread aggregate behind SpanProfileSnapshot(): one record per span
-// name, updated with relaxed atomics on every finish. Values are leaked so
-// cached pointers stay valid for the process lifetime (Reset zeroes, never
-// frees).
-struct SpanStats {
-  std::atomic<uint64_t> count{0};
-  std::atomic<double> total_seconds{0.0};
-  std::atomic<double> self_seconds{0.0};
-  std::atomic<uint64_t> alloc_count{0};
-  std::atomic<uint64_t> alloc_bytes{0};
-};
-
-std::mutex& SpanStatsMu() {
-  static std::mutex mu;
-  return mu;
-}
-
-std::map<std::string, SpanStats*>& SpanStatsMap() {
-  static std::map<std::string, SpanStats*>* stats =
-      new std::map<std::string, SpanStats*>();  // NOLINT(naked-new): leaked
-                                                // on purpose; see SpanStats
-  return *stats;
-}
-
-SpanStats* SpanStatsFor(const char* name) {
-  std::lock_guard<std::mutex> lock(SpanStatsMu());
-  SpanStats*& slot = SpanStatsMap()[name];
-  if (slot == nullptr) {
-    slot = new SpanStats();  // NOLINT(naked-new): leaked on purpose; see
-                             // SpanStats
-  }
-  return slot;
-}
-
-// Per-thread cache of the profiler families, keyed by span-name pointer
-// (names are literals): the registry mutex is paid once per (thread, name)
-// instead of once per finished span.
+// The registry families one span name feeds: the only aggregate of finished
+// spans, read back by SpanProfileSnapshot(). The default registry is never
+// Reset, so the pointers stay valid for the process lifetime.
 struct ProfilerFamilies {
   Histogram* duration;
   Counter* self_time;
   Counter* alloc_count;
   Counter* alloc_bytes;
-  SpanStats* stats;
 };
 
+std::mutex& ProfilerMu() {
+  static std::mutex mu;
+  return mu;
+}
+
+std::map<std::string, ProfilerFamilies>& ProfilerMap() {
+  static std::map<std::string, ProfilerFamilies>* families =
+      new std::map<std::string, ProfilerFamilies>();  // NOLINT(naked-new):
+                                                      // leaked on purpose,
+                                                      // like ThreadNames
+  return *families;
+}
+
+// Per-thread cache of the profiler families, keyed by span-name pointer
+// (names are literals): the profiler mutex is paid once per (thread, name)
+// instead of once per finished span.
 ProfilerFamilies ProfilerFor(const char* name) {
   thread_local std::unordered_map<const void*, ProfilerFamilies> cache;
   auto it = cache.find(name);
   if (it != cache.end()) return it->second;
-  MetricRegistry& registry = MetricRegistry::Default();
   ProfilerFamilies families;
-  families.duration =
-      registry.GetHistogram("eadrl_span_seconds", {}, {{"span", name}});
-  families.self_time = registry.GetCounter("eadrl_span_self_seconds_total",
-                                           {{"span", name}});
-  families.alloc_count = registry.GetCounter("eadrl_span_alloc_count_total",
-                                             {{"span", name}});
-  families.alloc_bytes = registry.GetCounter("eadrl_span_alloc_bytes_total",
-                                             {{"span", name}});
-  families.stats = SpanStatsFor(name);
+  {
+    std::lock_guard<std::mutex> lock(ProfilerMu());
+    auto [slot, inserted] = ProfilerMap().try_emplace(name);
+    if (inserted) {
+      MetricRegistry& registry = MetricRegistry::Default();
+      const Labels labels = {{"span", name}};
+      slot->second.duration =
+          registry.GetHistogram("eadrl_span_seconds", {}, labels);
+      slot->second.self_time =
+          registry.GetCounter("eadrl_span_self_seconds_total", labels);
+      slot->second.alloc_count =
+          registry.GetCounter("eadrl_span_alloc_count_total", labels);
+      slot->second.alloc_bytes =
+          registry.GetCounter("eadrl_span_alloc_bytes_total", labels);
+    }
+    families = slot->second;
+  }
   cache.emplace(name, families);
   return families;
 }
@@ -406,15 +394,6 @@ void Span::Finish() {
     families.alloc_count->Inc(static_cast<double>(self_alloc_count));
     families.alloc_bytes->Inc(static_cast<double>(self_alloc_bytes));
   }
-  families.stats->count.fetch_add(1, std::memory_order_relaxed);
-  families.stats->total_seconds.fetch_add(dur_seconds,
-                                         std::memory_order_relaxed);
-  families.stats->self_seconds.fetch_add(self_seconds,
-                                        std::memory_order_relaxed);
-  families.stats->alloc_count.fetch_add(self_alloc_count,
-                                        std::memory_order_relaxed);
-  families.stats->alloc_bytes.fetch_add(self_alloc_bytes,
-                                        std::memory_order_relaxed);
   if (self_alloc_count > 0) {
     attrs_.emplace_back("alloc_count",
                         static_cast<int64_t>(self_alloc_count));
@@ -446,15 +425,16 @@ void Span::Finish() {
 std::vector<SpanProfileRow> SpanProfileSnapshot() {
   std::vector<SpanProfileRow> rows;
   {
-    std::lock_guard<std::mutex> lock(SpanStatsMu());
-    for (const auto& [name, stats] : SpanStatsMap()) {
+    std::lock_guard<std::mutex> lock(ProfilerMu());
+    for (const auto& [name, families] : ProfilerMap()) {
+      const HistogramSnapshot duration = families.duration->Snapshot();
       SpanProfileRow row;
       row.name = name;
-      row.count = stats->count.load(std::memory_order_relaxed);
-      row.total_seconds = stats->total_seconds.load(std::memory_order_relaxed);
-      row.self_seconds = stats->self_seconds.load(std::memory_order_relaxed);
-      row.alloc_count = stats->alloc_count.load(std::memory_order_relaxed);
-      row.alloc_bytes = stats->alloc_bytes.load(std::memory_order_relaxed);
+      row.count = duration.count;
+      row.total_seconds = duration.sum;
+      row.self_seconds = families.self_time->Value();
+      row.alloc_count = static_cast<uint64_t>(families.alloc_count->Value());
+      row.alloc_bytes = static_cast<uint64_t>(families.alloc_bytes->Value());
       if (row.count > 0) rows.push_back(std::move(row));
     }
   }
@@ -499,18 +479,6 @@ std::string FormatSpanProfileReport(size_t top_n) {
     out += " more spans)\n";
   }
   return out;
-}
-
-void ResetSpanProfileForTest() {
-  std::lock_guard<std::mutex> lock(SpanStatsMu());
-  for (auto& [name, stats] : SpanStatsMap()) {
-    static_cast<void>(name);
-    stats->count.store(0, std::memory_order_relaxed);
-    stats->total_seconds.store(0.0, std::memory_order_relaxed);
-    stats->self_seconds.store(0.0, std::memory_order_relaxed);
-    stats->alloc_count.store(0, std::memory_order_relaxed);
-    stats->alloc_bytes.store(0, std::memory_order_relaxed);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -203,7 +203,7 @@ class Span {
 };
 
 /// One row of the span profiler's aggregate view: everything the profiler
-/// learned about a span name since process start (or the last reset).
+/// learned about a span name since process start.
 struct SpanProfileRow {
   std::string name;
   uint64_t count = 0;           ///< finished spans.
@@ -213,16 +213,14 @@ struct SpanProfileRow {
   uint64_t alloc_bytes = 0;
 };
 
-/// Snapshot of the profiler aggregates for every span name seen so far,
-/// sorted by self_seconds descending.
+/// Snapshot of the profiler aggregates for every span name seen so far, read
+/// from the span families of the default MetricRegistry and sorted by
+/// self_seconds descending.
 std::vector<SpanProfileRow> SpanProfileSnapshot();
 
 /// Human-readable top-`top_n` profile table (self-time ranked, with
 /// allocation columns) — the `--profile-report` output.
 std::string FormatSpanProfileReport(size_t top_n = 16);
-
-/// Drops the profiler aggregates (tests and repeated bench workloads).
-void ResetSpanProfileForTest();
 
 /// Small dense id of the calling thread (assigned on first use, stable for
 /// the thread's lifetime) — the `tid` of every span it records.

@@ -95,12 +95,8 @@ class SpanAllocAttributionTest : public ::testing::Test {
   void SetUp() override {
     buffer_ = std::make_unique<TraceBuffer>();
     SetTraceBuffer(buffer_.get());
-    ResetSpanProfileForTest();
   }
-  void TearDown() override {
-    SetTraceBuffer(nullptr);
-    ResetSpanProfileForTest();
-  }
+  void TearDown() override { SetTraceBuffer(nullptr); }
 
   static SpanProfileRow RowFor(const std::string& name) {
     for (const SpanProfileRow& row : SpanProfileSnapshot()) {

@@ -6,17 +6,14 @@
 #                    default; EADRL_WERROR=OFF is the escape hatch)
 #   stage 3  trace   smoke: example_quickstart --trace, then eadrl_trace_check
 #                    validates the exported Chrome trace (shape + span names)
-#   stage 4  bench   smoke: eadrl_bench records a macro-workload snapshot,
-#                    self-compares it (must pass), then proves the comparator
-#                    catches an injected 2x synthetic regression (must fail)
-#   stage 5  serve   smoke: eadrl_serve replays Poisson traffic against the
+#   stage 4  serve   smoke: eadrl_serve replays Poisson traffic against the
 #                    serving layer (clean run + validated trace), then an
 #                    oversubscribed run that must shed (--expect-shed)
-#   stage 6  slo     smoke: a deliberately overloaded eadrl_serve run with a
+#   stage 5  slo     smoke: a deliberately overloaded eadrl_serve run with a
 #                    sub-millisecond SLO must fire slo_breach telemetry
 #                    (--expect-slo-breach), and its exported Prometheus/JSON
 #                    metric snapshots must validate under eadrl_metrics_check
-#   stage 7  perfbench  the repository benchmark's serve workload, untraced
+#   stage 6  perfbench  the repository benchmark's serve workload, untraced
 #                    and traced, and its train workload untraced, at 3 s: its
 #                    output checks (serve == serial replay, identical
 #                    retraining and traced forecasts, exactly-once
@@ -24,19 +21,19 @@
 #                    the manifest's metric names) gate every library change,
 #                    the train run on the paper-default training path in
 #                    production configuration
-#   stage 8  wthread clang -Wthread-safety analysis over the EADRL_GUARDED_BY
+#   stage 7  wthread clang -Wthread-safety analysis over the EADRL_GUARDED_BY
 #                    annotations (skipped with a note when clang++ is not
 #                    installed; eadrl_lint's guarded-by rules still gate)
-#   stage 9  tsan    tier-1 suite under ThreadSanitizer, EADRL_THREADS=N,
+#   stage 8  tsan    tier-1 suite under ThreadSanitizer, EADRL_THREADS=N,
 #                    with the runtime lock-order tracker forced on
 #                    (EADRL_LOCKDEP=1) so lockdep sees sanitizer-grade
 #                    interleavings
-#   stage 10 asan    tier-1 suite under AddressSanitizer
-#   stage 11 nochecks  tier-1 suite under AddressSanitizer with the contract
+#   stage 9  asan    tier-1 suite under AddressSanitizer
+#   stage 10 nochecks  tier-1 suite under AddressSanitizer with the contract
 #                    layer compiled out (EADRL_CHECKS=OFF), the configuration
 #                    production serving and the repository benchmark build;
 #                    tests that assert a library contract fires skip there
-#   stage 12 ubsan   tier-1 suite under UndefinedBehaviorSanitizer
+#   stage 11 ubsan   tier-1 suite under UndefinedBehaviorSanitizer
 #                    (-fno-sanitize-recover=all: any UB aborts the test)
 #
 # Each stage reports wall-clock seconds; the summary at the end shows all of
@@ -91,42 +88,6 @@ stage_trace_smoke() {
   # set -e aborts the script on failure above, so only a clean pass needs
   # the cleanup (a failing run leaves the trace behind for inspection).
   rm -rf "$trace_dir"
-}
-
-stage_bench_smoke() {
-  # Perf-trajectory smoke (see DESIGN.md, "Perf trajectory & resource
-  # observability"): record a quick snapshot from the macro workloads only
-  # (the google-benchmark suites are too slow for a gate), check that a
-  # snapshot compares clean against itself, and self-test the comparator by
-  # injecting a synthetic 2x slowdown — --compare must exit nonzero on it.
-  local bench_dir
-  bench_dir="$(mktemp -d)"
-  "$SRC_DIR/build-gate/tools/eadrl_bench" \
-    --skip-suites --episodes 2 --label smoke --out "$bench_dir/a.json"
-  "$SRC_DIR/build-gate/tools/eadrl_bench" \
-    --compare "$bench_dir/a.json" "$bench_dir/a.json"
-  "$SRC_DIR/build-gate/tools/eadrl_bench" \
-    --inject-regression "$bench_dir/a.json" "$bench_dir/slow.json" \
-    --factor 2.0
-  if "$SRC_DIR/build-gate/tools/eadrl_bench" \
-    --compare "$bench_dir/a.json" "$bench_dir/slow.json"; then
-    echo "bench comparator MISSED an injected 2x regression" >&2
-    exit 1
-  fi
-  # Advisory drift check against the latest committed snapshot: macro
-  # workloads on a developer box are too noisy for a hard gate, so a
-  # regression verdict here warns instead of failing (the committed
-  # BENCH_<n>.json lineage is the authoritative record).
-  local latest
-  latest="$(ls "$SRC_DIR"/BENCH_*.json 2>/dev/null | sort -V | tail -n 1)"
-  if [[ -n "$latest" ]]; then
-    if ! "$SRC_DIR/build-gate/tools/eadrl_bench" \
-      --compare "$latest" "$bench_dir/a.json"; then
-      echo "ADVISORY: smoke snapshot drifted from $(basename "$latest")" \
-        "(not a gate failure; see README on interpreting BENCH compares)" >&2
-    fi
-  fi
-  rm -rf "$bench_dir"
 }
 
 stage_serve_smoke() {
@@ -235,7 +196,6 @@ stage_sanitizer() {
 run_stage lint stage_lint
 run_stage werror stage_werror
 run_stage trace stage_trace_smoke
-run_stage bench stage_bench_smoke
 run_stage serve stage_serve_smoke
 run_stage slo stage_slo_smoke
 run_stage perfbench stage_perfbench

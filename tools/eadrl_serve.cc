@@ -268,8 +268,8 @@ void AppendServeStatsProm(const eadrl::serve::ForecastService& service,
 }
 
 int Run(const Args& args) {
-  // Train one small policy on a synthetic dataset (same recipe as the
-  // eadrl_bench predict-loop macro workload).
+  // Train one small policy on a synthetic dataset: a fast pool and a few
+  // episodes, enough for a replay that exercises batching.
   std::printf("training policy (%zu episodes, fast pool)...\n", args.episodes);
   auto series = eadrl::ts::MakeDataset(2, static_cast<int>(args.seed), 240);
   if (!series.ok()) {
