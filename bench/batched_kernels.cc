@@ -121,7 +121,7 @@ void BM_MlpForwardPerSample(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpForwardPerSample)->Arg(16)->Arg(64);
 
-std::vector<eadrl::rl::Transition> MakeBatch(size_t n) {
+eadrl::rl::Minibatch MakeBatch(size_t n) {
   eadrl::Rng rng = eadrl::bench::BenchRng(18);
   std::vector<eadrl::rl::Transition> batch;
   for (size_t i = 0; i < n; ++i) {
@@ -132,7 +132,7 @@ std::vector<eadrl::rl::Transition> MakeBatch(size_t n) {
     t.next_state.assign(10, rng.Uniform());
     batch.push_back(std::move(t));
   }
-  return batch;
+  return eadrl::rl::Minibatch::FromTransitions(batch);
 }
 
 // The full DDPG update: one batched pass per network over the minibatch.

@@ -1,7 +1,8 @@
 // Supporting micro-benchmarks (google-benchmark): the per-step costs behind
 // Table III — policy inference, DDPG updates, the Adam step, replay
-// sampling, drift detection, base-model prediction, and DEMSC's calm step
-// and drift re-cluster — and the pool-fit costs of the LSTM and GP members.
+// sampling, the environment's counterfactual step, drift detection,
+// base-model prediction, and DEMSC's calm step and drift re-cluster — and
+// the pool-fit costs of the LSTM and GP members.
 
 #include <cmath>
 #include <utility>
@@ -22,6 +23,7 @@
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "rl/ddpg.h"
+#include "rl/env.h"
 #include "rl/replay_buffer.h"
 
 namespace {
@@ -54,8 +56,9 @@ void BM_DdpgUpdate(benchmark::State& state) {
     t.next_state.assign(10, rng.Uniform());
     batch.push_back(std::move(t));
   }
+  const auto minibatch = eadrl::rl::Minibatch::FromTransitions(batch);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(agent.Update(batch));
+    benchmark::DoNotOptimize(agent.Update(minibatch));
   }
   eadrl::bench::RegisterThreads(state, 1);
 }
@@ -102,20 +105,42 @@ void BM_AdamStepDeadUnits(benchmark::State& state) {
 }
 BENCHMARK(BM_AdamStepDeadUnits);
 
-void BM_ReplaySampleMedianSplit(benchmark::State& state) {
-  eadrl::rl::ReplayBuffer buffer(5000);
-  eadrl::Rng rng = eadrl::bench::BenchRng(2);
-  for (int i = 0; i < 5000; ++i) {
-    eadrl::rl::Transition t;
-    t.state = {0.0};
-    t.action = {1.0};
-    t.reward = rng.Uniform(0, 44);
-    t.next_state = {0.0};
-    buffer.Add(std::move(t));
+// Rows at the training loop's widths: 10-wide states and next states, a
+// 43-member simplex action. `count` distinct row sets, reused cyclically.
+std::vector<eadrl::rl::Transition> ReplayRows(size_t count, eadrl::Rng& rng) {
+  std::vector<eadrl::rl::Transition> rows(count);
+  for (eadrl::rl::Transition& t : rows) {
+    t.state.resize(10);
+    for (double& v : t.state) v = rng.Normal(0.0, 1.0);
+    t.action.assign(43, 1.0 / 43.0);
+    t.next_state.resize(10);
+    for (double& v : t.next_state) v = rng.Normal(0.0, 1.0);
   }
+  return rows;
+}
+
+// A full 5 000-transition ring of training-width rows with the given
+// reward draw.
+template <typename RewardFn>
+eadrl::rl::ReplayBuffer FullReplay(
+    const std::vector<eadrl::rl::Transition>& rows, RewardFn reward) {
+  eadrl::rl::ReplayBuffer buffer(5000);
+  for (size_t i = 0; i < 5000; ++i) {
+    const eadrl::rl::Transition& t = rows[i % rows.size()];
+    buffer.Add(t.state, t.action, reward(), t.next_state, t.terminal);
+  }
+  return buffer;
+}
+
+void BM_ReplaySampleMedianSplit(benchmark::State& state) {
+  eadrl::Rng rng = eadrl::bench::BenchRng(2);
+  const auto rows = ReplayRows(64, rng);
+  eadrl::rl::ReplayBuffer buffer =
+      FullReplay(rows, [&]() { return rng.Uniform(0, 44); });
+  eadrl::rl::Minibatch batch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(buffer.Sample(
-        16, eadrl::rl::SamplingStrategy::kMedianSplit, rng));
+    buffer.Sample(16, eadrl::rl::SamplingStrategy::kMedianSplit, rng, &batch);
+    benchmark::DoNotOptimize(batch.states.data().data());
   }
   eadrl::bench::RegisterThreads(state, 1);
 }
@@ -127,44 +152,67 @@ BENCHMARK(BM_ReplaySampleMedianSplit);
 // drawn. Unlike BM_ReplaySampleMedianSplit this times the Adds, which keep
 // the rewards sorted for the median.
 void BM_ReplayAddSampleMedianSplit(benchmark::State& state) {
-  eadrl::rl::ReplayBuffer buffer(5000);
   eadrl::Rng rng = eadrl::bench::BenchRng(8);
-  auto add = [&]() {
-    eadrl::rl::Transition t;
-    t.state = {0.0};
-    t.action = {1.0};
-    t.reward = static_cast<double>(rng.Index(44)) / 43.0;
-    t.next_state = {0.0};
-    buffer.Add(std::move(t));
+  const auto rows = ReplayRows(64, rng);
+  auto rank_reward = [&]() {
+    return static_cast<double>(rng.Index(44)) / 43.0;
   };
-  for (int i = 0; i < 5000; ++i) add();
+  eadrl::rl::ReplayBuffer buffer = FullReplay(rows, rank_reward);
+  eadrl::rl::Minibatch batch;
+  size_t next = 0;
   for (auto _ : state) {
-    for (int i = 0; i < 9; ++i) add();
-    benchmark::DoNotOptimize(buffer.Sample(
-        16, eadrl::rl::SamplingStrategy::kMedianSplit, rng));
+    for (int i = 0; i < 9; ++i) {
+      const eadrl::rl::Transition& t = rows[next++ % rows.size()];
+      buffer.Add(t.state, t.action, rank_reward(), t.next_state, t.terminal);
+    }
+    buffer.Sample(16, eadrl::rl::SamplingStrategy::kMedianSplit, rng, &batch);
+    benchmark::DoNotOptimize(batch.states.data().data());
   }
   eadrl::bench::RegisterThreads(state, 1);
 }
 BENCHMARK(BM_ReplayAddSampleMedianSplit);
 
 void BM_ReplaySampleUniform(benchmark::State& state) {
-  eadrl::rl::ReplayBuffer buffer(5000);
   eadrl::Rng rng = eadrl::bench::BenchRng(3);
-  for (int i = 0; i < 5000; ++i) {
-    eadrl::rl::Transition t;
-    t.state = {0.0};
-    t.action = {1.0};
-    t.reward = rng.Uniform(0, 44);
-    t.next_state = {0.0};
-    buffer.Add(std::move(t));
-  }
+  const auto rows = ReplayRows(64, rng);
+  eadrl::rl::ReplayBuffer buffer =
+      FullReplay(rows, [&]() { return rng.Uniform(0, 44); });
+  eadrl::rl::Minibatch batch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        buffer.Sample(16, eadrl::rl::SamplingStrategy::kUniform, rng));
+    buffer.Sample(16, eadrl::rl::SamplingStrategy::kUniform, rng, &batch);
+    benchmark::DoNotOptimize(batch.states.data().data());
   }
   eadrl::bench::RegisterThreads(state, 1);
 }
 BENCHMARK(BM_ReplaySampleUniform);
+
+// One counterfactual Peek on the paper's environment shape: 270 validation
+// steps, 43 members, omega = 10, rank reward, a random simplex weighting.
+void BM_EnvPeek(benchmark::State& state) {
+  eadrl::Rng rng = eadrl::bench::BenchRng(9);
+  eadrl::math::Vec actuals(270);
+  eadrl::math::Matrix preds(270, 43);
+  for (size_t t = 0; t < 270; ++t) {
+    actuals[t] = 10.0 + std::sin(0.1 * static_cast<double>(t));
+    for (size_t i = 0; i < 43; ++i) {
+      preds(t, i) = actuals[t] + rng.Normal(0.0, 0.2);
+    }
+  }
+  eadrl::rl::EnsembleEnv env(preds, actuals, 10, eadrl::rl::RewardType::kRank);
+  env.Reset();
+  eadrl::math::Vec weights(43);
+  double sum = 0.0;
+  for (double& w : weights) {
+    w = rng.Uniform(0.01, 1.0);
+    sum += w;
+  }
+  for (double& w : weights) w /= sum;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(env.Peek(weights));
+  }
+  eadrl::bench::RegisterThreads(state, 1);
+}
+BENCHMARK(BM_EnvPeek);
 
 void BM_TreePredict(benchmark::State& state) {
   eadrl::Rng rng = eadrl::bench::BenchRng(4);

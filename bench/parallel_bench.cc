@@ -139,11 +139,14 @@ void BM_ParallelBatchedDdpgUpdate(benchmark::State& state) {
     t.next_state.assign(10, rng.Uniform());
     batch.push_back(std::move(t));
   }
+  const auto minibatch = eadrl::rl::Minibatch::FromTransitions(batch);
   eadrl::par::ThreadPool exec(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     eadrl::par::ParallelFor(
         0, kAgents,
-        [&](size_t a) { benchmark::DoNotOptimize(agents[a]->Update(batch)); },
+        [&](size_t a) {
+          benchmark::DoNotOptimize(agents[a]->Update(minibatch));
+        },
         {1, &exec});
   }
   state.counters["agents"] = static_cast<double>(kAgents);

@@ -105,12 +105,12 @@ Status EadrlCombiner::Initialize(const math::Matrix& val_preds,
     }
   }
 
-  rl::EnsembleEnv dim_env(reduced, val_actuals, config_.omega,
-                          config_.reward_type, config_.diversity_coef);
+  const rl::EnsembleEnv base_env(reduced, val_actuals, config_.omega,
+                                 config_.reward_type, config_.diversity_coef);
 
   rl::DdpgConfig ddpg;
-  ddpg.state_dim = dim_env.state_dim();
-  ddpg.action_dim = dim_env.action_dim();
+  ddpg.state_dim = base_env.state_dim();
+  ddpg.action_dim = base_env.action_dim();
   ddpg.actor_hidden = config_.actor_hidden;
   ddpg.critic_hidden = config_.critic_hidden;
   ddpg.actor_lr = config_.actor_lr;
@@ -130,13 +130,14 @@ Status EadrlCombiner::Initialize(const math::Matrix& val_preds,
   train_span.SetAttr("models", m_active);
 
   // Every restart is an independent training run: restart-derived seeds, its
-  // own agent, replay buffer, noise process and environment copy (Reset()
+  // own agent, replay buffer, noise process and copy of base_env (Reset()
   // fully reinitializes an EnsembleEnv, so a copy behaves exactly like the
-  // serial code's reuse of one env). Restarts therefore run concurrently on
-  // the default pool, and every cross-restart decision — deployed checkpoint,
-  // reported curves — is made in the ordered scan after the join, which
-  // reproduces the serial loop's selection (first restart achieving the
-  // maximum wins, as with the serial strict-> update).
+  // serial code's reuse of one env, and it keeps the precomputed window
+  // statistics). Restarts therefore run concurrently on the default pool,
+  // and every cross-restart decision — deployed checkpoint, reported
+  // curves — is made in the ordered scan after the join, which reproduces
+  // the serial loop's selection (first restart achieving the maximum wins,
+  // as with the serial strict-> update).
   struct RestartOutcome {
     std::unique_ptr<rl::DdpgAgent> agent;
     math::Vec episode_rewards;
@@ -152,14 +153,14 @@ Status EadrlCombiner::Initialize(const math::Matrix& val_preds,
     RestartOutcome out;
     out.converged_episode = config_.max_episodes;
 
-    rl::EnsembleEnv env(reduced, val_actuals, config_.omega,
-                        config_.reward_type, config_.diversity_coef);
+    rl::EnsembleEnv env = base_env;
     rl::DdpgConfig restart_ddpg = ddpg;
     restart_ddpg.seed = config_.seed + restart * 101;
     out.agent = std::make_unique<rl::DdpgAgent>(restart_ddpg);
     rl::DdpgAgent* agent = out.agent.get();
 
     rl::ReplayBuffer buffer(config_.replay_capacity);
+    rl::Minibatch minibatch;
     rl::OuNoise noise(env.action_dim(), /*theta=*/0.15, config_.ou_sigma);
     Rng rng(config_.seed + 7 + restart * 997);
 
@@ -174,6 +175,15 @@ Status EadrlCombiner::Initialize(const math::Matrix& val_preds,
       }
       for (double& v : w) v /= sum;
       return w;
+    };
+
+    // Rank rewards span [0, m]; scale them into [0, 1] inside the learner so
+    // critic targets and policy gradients are well-conditioned for any pool
+    // size. Episode curves report the raw reward (Fig. 2 units).
+    auto learner_reward = [&](double reward) {
+      return config_.reward_type == rl::RewardType::kRank
+                 ? reward / static_cast<double>(m_active)
+                 : reward;
     };
 
     double explore_prob = config_.explore_prob;
@@ -206,38 +216,19 @@ Status EadrlCombiner::Initialize(const math::Matrix& val_preds,
             cf_action = sample_dirichlet();
           }
           rl::EnsembleEnv::StepResult cf = env.Peek(cf_action);
-          rl::Transition cf_t;
-          cf_t.state = state;
-          cf_t.action = std::move(cf_action);
-          cf_t.reward = config_.reward_type == rl::RewardType::kRank
-                            ? cf.reward / static_cast<double>(m)
-                            : cf.reward;
-          cf_t.next_state = std::move(cf.next_state);
-          cf_t.terminal = cf.done;
-          buffer.Add(std::move(cf_t));
+          buffer.Add(state, cf_action, learner_reward(cf.reward),
+                     cf.next_state, cf.done);
         }
 
         rl::EnsembleEnv::StepResult sr = env.Step(action);
         episode_reward += sr.reward;
         ++steps;
-
-        rl::Transition t;
-        t.state = state;
-        t.action = action;
-        // Rank rewards span [0, m]; scale them into [0, 1] inside the
-        // learner so critic targets and policy gradients are
-        // well-conditioned for any pool size. Episode curves report the raw
-        // reward (Fig. 2 units).
-        t.reward = config_.reward_type == rl::RewardType::kRank
-                       ? sr.reward / static_cast<double>(env.action_dim())
-                       : sr.reward;
-        t.next_state = sr.next_state;
-        t.terminal = sr.done;
-        buffer.Add(std::move(t));
+        buffer.Add(state, action, learner_reward(sr.reward), sr.next_state,
+                   sr.done);
 
         if (buffer.size() >= config_.warmup_transitions) {
-          agent->Update(
-              buffer.Sample(config_.batch_size, config_.sampling, rng));
+          buffer.Sample(config_.batch_size, config_.sampling, rng, &minibatch);
+          agent->Update(minibatch);
         }
 
         state = sr.next_state;
@@ -487,8 +478,6 @@ double EadrlCombiner::OnlineRankReward(const math::Vec& action) const {
 
 void EadrlCombiner::MaybeOnlineUpdate(const math::Vec& reduced_preds,
                                       double actual) {
-  if (config_.online_update == OnlineUpdateMode::kNone) return;
-
   online_preds_.push_back(reduced_preds);
   online_actuals_.push_back(actual);
   if (online_preds_.size() > config_.omega) {
@@ -498,13 +487,9 @@ void EadrlCombiner::MaybeOnlineUpdate(const math::Vec& reduced_preds,
   ++online_steps_;
 
   if (has_last_action_ && online_preds_.size() == config_.omega) {
-    rl::Transition t;
-    t.state = last_state_;
-    t.action = last_action_;
-    t.reward = OnlineRankReward(last_action_);
-    t.next_state = OnlineStateVec(online_);
-    t.terminal = false;
-    online_buffer_->Add(std::move(t));
+    online_buffer_->Add(last_state_, last_action_,
+                        OnlineRankReward(last_action_),
+                        OnlineStateVec(online_), /*terminal=*/false);
   }
 
   bool trigger = false;
@@ -527,8 +512,9 @@ void EadrlCombiner::MaybeOnlineUpdate(const math::Vec& reduced_preds,
       span.SetAttr("iterations", config_.online_update_iterations);
     }
     for (size_t i = 0; i < config_.online_update_iterations; ++i) {
-      agent_->Update(online_buffer_->Sample(config_.batch_size,
-                                            config_.sampling, *online_rng_));
+      online_buffer_->Sample(config_.batch_size, config_.sampling,
+                             *online_rng_, &online_minibatch_);
+      agent_->Update(online_minibatch_);
       ++online_updates_;
       online_update_counter_->Inc();
     }
@@ -661,8 +647,10 @@ void EadrlCombiner::Update(const math::Vec& preds, double actual) {
   SessionCallGuard guard(&busy_, "concurrent EadrlCombiner::Update");
   EADRL_CHECK(initialized_);
   // With the default OnlineUpdateMode::kNone this is a no-op and the policy
-  // stays frozen, as in the paper. The periodic/drift-informed modes
-  // implement the paper's future-work proposal.
+  // stays frozen, as in the paper; it returns before copying the forecasts.
+  // The periodic/drift-informed modes implement the paper's future-work
+  // proposal.
+  if (config_.online_update == OnlineUpdateMode::kNone) return;
   MaybeOnlineUpdate(ReduceToActive(preds), actual);
 }
 

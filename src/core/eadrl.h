@@ -228,6 +228,7 @@ class EadrlCombiner : public WeightedCombiner {
   /// online-update extension), scaled to [0, 1].
   double OnlineRankReward(const math::Vec& action) const;
 
+  /// One online step of the update extension (online_update != kNone).
   void MaybeOnlineUpdate(const math::Vec& reduced_preds, double actual);
 
   std::string name_;
@@ -244,6 +245,7 @@ class EadrlCombiner : public WeightedCombiner {
 
   // Online-update extension state.
   std::unique_ptr<rl::ReplayBuffer> online_buffer_;
+  rl::Minibatch online_minibatch_;  // reused by every online update.
   std::deque<math::Vec> online_preds_;  // reduced, last omega steps.
   std::deque<double> online_actuals_;
   math::Vec last_state_;

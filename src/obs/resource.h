@@ -29,8 +29,9 @@ ResourceSample SampleResources();
 
 /// Scratch-allocation statistics reported through CountAlloc. These count
 /// the *instrumented* allocation sites (math matrix/vector scratch, nn
-/// forward/backward temporaries, replay-buffer inserts) — a churn signal for
-/// the batching/arena work, not a malloc-level accounting of every byte.
+/// forward/backward temporaries, replay-buffer row growth) — a churn
+/// signal for the batching/arena work, not a malloc-level accounting of
+/// every byte.
 struct AllocStats {
   uint64_t count = 0;
   uint64_t bytes = 0;

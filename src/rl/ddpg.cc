@@ -26,22 +26,19 @@ std::vector<size_t> LayerSizes(size_t in, const std::vector<size_t>& hidden,
 // stable, reusable batch-major buffer (see math::Workspace). Warm after the
 // first call.
 enum WsSlot : size_t {
-  kWsStates = 0,      // n x state_dim
-  kWsNextStates,      // n x state_dim
-  kWsActions,         // n x action_dim (replay actions)
-  kWsNextActions,     // n x action_dim (target policy, post-softmax)
-  kWsNextQ,           // n x critic-out (target critic)
-  kWsCriticDz,        // n x critic-out
-  kWsScaledLogits,    // n x action_dim
-  kWsProbs,           // n x action_dim
-  kWsDqDa,            // n x action_dim, linear critic only
-  kWsActorDz,         // n x action_dim
-  kWsCriticIn,        // n x (state_dim + action_dim), monolithic critic only
-  kWsNextCriticIn,    // n x (state_dim + action_dim), monolithic critic only
-  kWsOnes,            // n x 1, monolithic critic only
-  kWsScratch,         // hidden activations of every Infer pass
-  kWsActState,        // 1 x state_dim
-  kWsActOut,          // 1 x action_dim
+  kWsNextActions = 0,  // n x action_dim (target policy, post-softmax)
+  kWsNextQ,            // n x critic-out (target critic)
+  kWsCriticDz,         // n x critic-out
+  kWsScaledLogits,     // n x action_dim
+  kWsProbs,            // n x action_dim
+  kWsDqDa,             // n x action_dim, linear critic only
+  kWsActorDz,          // n x action_dim
+  kWsCriticIn,         // n x (state_dim + action_dim), monolithic critic only
+  kWsNextCriticIn,     // n x (state_dim + action_dim), monolithic critic only
+  kWsOnes,             // n x 1, monolithic critic only
+  kWsScratch,          // hidden activations of every Infer pass
+  kWsActState,         // 1 x state_dim
+  kWsActOut,           // 1 x action_dim
 };
 
 /// Dot of row `b` of two equally-shaped matrices, columns in ascending
@@ -115,11 +112,15 @@ DdpgAgent::DdpgAgent(const DdpgConfig& config)
   target_critic_ = std::make_unique<nn::Mlp>(
       LayerSizes(critic_in, config_.critic_hidden, critic_out),
       nn::Activation::kRelu, nn::Activation::kIdentity, rng_);
-  nn::CopyParams(target_actor_->Params(), actor_->Params());
-  nn::CopyParams(target_critic_->Params(), critic_->Params());
+  actor_params_ = actor_->Params();
+  critic_params_ = critic_->Params();
+  target_actor_params_ = target_actor_->Params();
+  target_critic_params_ = target_critic_->Params();
+  nn::CopyParams(target_actor_params_, actor_params_);
+  nn::CopyParams(target_critic_params_, critic_params_);
 
-  actor_opt_.Register(actor_->Params());
-  critic_opt_.Register(critic_->Params());
+  actor_opt_.Register(actor_params_);
+  critic_opt_.Register(critic_params_);
 }
 
 math::Vec DdpgAgent::CriticInput(const math::Vec& state,
@@ -189,14 +190,12 @@ math::Vec DdpgAgent::SoftmaxJacobianVjp(const math::Vec& probs,
 
 std::vector<math::Matrix> DdpgAgent::ActorWeights() const {
   std::vector<math::Matrix> out;
-  for (nn::Param* p : const_cast<nn::Mlp*>(actor_.get())->Params()) {
-    out.push_back(p->value);
-  }
+  for (const nn::Param* p : actor_params_) out.push_back(p->value);
   return out;
 }
 
 void DdpgAgent::SetActorWeights(const std::vector<math::Matrix>& weights) {
-  std::vector<nn::Param*> params = actor_->Params();
+  const std::vector<nn::Param*>& params = actor_params_;
   EADRL_CHECK_EQ(params.size(), weights.size());
   for (size_t i = 0; i < params.size(); ++i) {
     EADRL_CHK_SHAPE(weights[i].rows(), weights[i].cols(),
@@ -208,32 +207,31 @@ void DdpgAgent::SetActorWeights(const std::vector<math::Matrix>& weights) {
   }
 }
 
-double DdpgAgent::Update(const std::vector<Transition>& batch) {
-  EADRL_CHECK(!batch.empty());
+double DdpgAgent::Update(const Minibatch& batch) {
+  const size_t n = batch.size();
+  const size_t s_dim = config_.state_dim;
+  const size_t a_dim = config_.action_dim;
+  EADRL_CHECK_GT(n, 0u);
+  EADRL_CHECK(batch.states.rows() == n && batch.states.cols() == s_dim &&
+              batch.next_states.rows() == n &&
+              batch.next_states.cols() == s_dim &&
+              batch.actions.rows() == n && batch.actions.cols() == a_dim &&
+              batch.terminals.size() == n);
   obs::Span span("ddpg_update");
   if (span.armed()) {
-    span.SetAttr("batch", batch.size());
+    span.SetAttr("batch", n);
     span.SetAttr("update", num_updates_ + 1);
   }
-  const size_t n = batch.size();
   const double inv_n = 1.0 / static_cast<double>(n);
   const bool linear_critic =
       config_.critic_form == CriticForm::kLinearInAction;
-  const size_t s_dim = config_.state_dim;
-  const size_t a_dim = config_.action_dim;
 
-  // Stage the minibatch batch-major: row b = transition b. The workspace
-  // buffers are warm after the first update at a given batch size, so the
-  // whole update allocates nothing.
-  math::Matrix& states = ws_.mat(kWsStates, n, s_dim);
-  math::Matrix& next_states = ws_.mat(kWsNextStates, n, s_dim);
-  math::Matrix& actions = ws_.mat(kWsActions, n, a_dim);
-  for (size_t b = 0; b < n; ++b) {
-    const Transition& t = batch[b];
-    states.SetRow(b, t.state);
-    next_states.SetRow(b, t.next_state);
-    actions.SetRow(b, t.action);
-  }
+  // The minibatch is batch-major already (row b = transition b), and the
+  // workspace buffers are warm after the first update at a given batch
+  // size, so the whole update allocates nothing.
+  const math::Matrix& states = batch.states;
+  const math::Matrix& next_states = batch.next_states;
+  const math::Matrix& actions = batch.actions;
 
   // --- Critic update: minimize (Q(s,a) - y)^2, y from target networks. ----
   // Every per-row quantity below is computed by exactly the arithmetic the
@@ -274,9 +272,8 @@ double DdpgAgent::Update(const std::vector<Transition>& batch) {
 
     math::Matrix& dz = ws_.mat(kWsCriticDz, n, linear_critic ? a_dim : 1);
     for (size_t b = 0; b < n; ++b) {
-      const Transition& t = batch[b];
-      double target = t.reward;
-      if (!t.terminal) {
+      double target = batch.rewards[b];
+      if (!batch.terminals[b]) {
         double nq = linear_critic ? RowDot(next_actions, next_q, b)
                                   : next_q(b, 0);
         target += config_.gamma * nq;
@@ -296,7 +293,7 @@ double DdpgAgent::Update(const std::vector<Transition>& batch) {
       }
     }
     critic_->BackwardBatch(dz);
-    nn::ClipGradNorm(critic_->Params(), config_.grad_clip);
+    nn::ClipGradNorm(critic_params_, config_.grad_clip);
     critic_opt_.StepAndZero();
   }
 
@@ -351,8 +348,9 @@ double DdpgAgent::Update(const std::vector<Transition>& batch) {
   return FinishUpdate(critic_loss, abs_q_sum, entropy_sum, inv_n);
 }
 
-double DdpgAgent::UpdateScalarForTest(const std::vector<Transition>& batch) {
-  const double inv_n = 1.0 / static_cast<double>(batch.size());
+double DdpgAgent::UpdateScalarForTest(const Minibatch& batch) {
+  const size_t n = batch.size();
+  const double inv_n = 1.0 / static_cast<double>(n);
 
   // --- Critic update: minimize (Q(s,a) - y)^2, y from target networks. ----
   const bool linear_critic =
@@ -361,37 +359,39 @@ double DdpgAgent::UpdateScalarForTest(const std::vector<Transition>& batch) {
   double abs_q_sum = 0.0;
   {
     obs::Span critic_span("critic_update");
-    for (const Transition& t : batch) {
-      double target = t.reward;
-      if (!t.terminal) {
-        math::Vec next_logits = target_actor_->Forward(t.next_state);
+    for (size_t b = 0; b < n; ++b) {
+      const math::Vec state = batch.states.Row(b);
+      const math::Vec action = batch.actions.Row(b);
+      double target = batch.rewards[b];
+      if (!batch.terminals[b]) {
+        const math::Vec next_state = batch.next_states.Row(b);
+        math::Vec next_logits = target_actor_->Forward(next_state);
         for (double& v : next_logits) v *= config_.logit_scale;
         math::Vec next_action = math::Softmax(next_logits);
         double next_q =
             linear_critic
-                ? math::Dot(next_action,
-                            target_critic_->Forward(t.next_state))
+                ? math::Dot(next_action, target_critic_->Forward(next_state))
                 : target_critic_->Forward(
-                      CriticInput(t.next_state, next_action))[0];
+                      CriticInput(next_state, next_action))[0];
         target += config_.gamma * next_q;
       }
       if (linear_critic) {
-        math::Vec q_vec = critic_->Forward(t.state);
-        double q = math::Dot(t.action, q_vec);
+        math::Vec q_vec = critic_->Forward(state);
+        double q = math::Dot(action, q_vec);
         double err = q - target;
         critic_loss += err * err * inv_n;
         abs_q_sum += std::fabs(q);
         // dL/dq_i = 2 * err * a_i / N.
-        critic_->Backward(math::Scale(t.action, 2.0 * err * inv_n));
+        critic_->Backward(math::Scale(action, 2.0 * err * inv_n));
       } else {
-        double q = critic_->Forward(CriticInput(t.state, t.action))[0];
+        double q = critic_->Forward(CriticInput(state, action))[0];
         double err = q - target;
         critic_loss += err * err * inv_n;
         abs_q_sum += std::fabs(q);
         critic_->Backward({2.0 * err * inv_n});
       }
     }
-    nn::ClipGradNorm(critic_->Params(), config_.grad_clip);
+    nn::ClipGradNorm(critic_params_, config_.grad_clip);
     critic_opt_.StepAndZero();
   }
 
@@ -399,8 +399,9 @@ double DdpgAgent::UpdateScalarForTest(const std::vector<Transition>& batch) {
   double entropy_sum = 0.0;
   {
     obs::Span actor_span("actor_update");
-    for (const Transition& t : batch) {
-      math::Vec logits = actor_->Forward(t.state);
+    for (size_t b = 0; b < n; ++b) {
+      const math::Vec state = batch.states.Row(b);
+      math::Vec logits = actor_->Forward(state);
       for (double& v : logits) v *= config_.logit_scale;
       math::Vec action = math::Softmax(logits);
       for (double p : action) {
@@ -408,9 +409,9 @@ double DdpgAgent::UpdateScalarForTest(const std::vector<Transition>& batch) {
       }
       math::Vec dq_da;
       if (linear_critic) {
-        dq_da = critic_->Forward(t.state);  // dQ/da = q(s), exactly.
+        dq_da = critic_->Forward(state);  // dQ/da = q(s), exactly.
       } else {
-        critic_->Forward(CriticInput(t.state, action));
+        critic_->Forward(CriticInput(state, action));
         math::Vec dinput = critic_->Backward({1.0});
         dq_da.assign(
             dinput.begin() + static_cast<ptrdiff_t>(config_.state_dim),
@@ -436,10 +437,14 @@ double DdpgAgent::FinishUpdate(double critic_loss, double abs_q_sum,
   // A diverged critic or an exploding policy gradient corrupts the learned
   // combination policy silently; fail here, where the update is attributable.
   EADRL_CHK_FINITE_VALUE(critic_loss, "DdpgAgent::Update critic loss");
-  // The actor loop accumulated gradients inside the critic too; discard them.
-  nn::ZeroGrads(critic_->Params());
-  double actor_grad_norm =
-      nn::ClipGradNorm(actor_->Params(), config_.grad_clip);
+  // The monolithic critic's actor pass backpropagated through the critic,
+  // leaving gradients there; discard them. The linear-in-action critic's
+  // actor pass only reads q(s), so its gradients are still the zeros
+  // critic_opt_.StepAndZero() left.
+  if (config_.critic_form == CriticForm::kMonolithic) {
+    nn::ZeroGrads(critic_params_);
+  }
+  double actor_grad_norm = nn::ClipGradNorm(actor_params_, config_.grad_clip);
   EADRL_CHK_FINITE_VALUE(actor_grad_norm,
                          "DdpgAgent::Update actor gradient norm");
   actor_opt_.StepAndZero();
@@ -447,8 +452,8 @@ double DdpgAgent::FinishUpdate(double critic_loss, double abs_q_sum,
   // --- Soft target updates. ------------------------------------------------
   {
     obs::Span sync_span("target_sync");
-    nn::SoftUpdate(target_actor_->Params(), actor_->Params(), config_.tau);
-    nn::SoftUpdate(target_critic_->Params(), critic_->Params(), config_.tau);
+    nn::SoftUpdate(target_actor_params_, actor_params_, config_.tau);
+    nn::SoftUpdate(target_critic_params_, critic_params_, config_.tau);
   }
 
   // --- Telemetry. ----------------------------------------------------------

@@ -92,16 +92,17 @@ class DdpgAgent {
   /// target using the target networks, then a deterministic policy-gradient
   /// step on the actor, then soft target updates. Returns the critic loss.
   ///
-  /// The whole minibatch is evaluated in single batched passes: gradient
-  /// accumulation is one fused-transpose GEMM per layer whose batch-index
-  /// summation order equals the per-transition walk of UpdateScalarForTest,
-  /// so results are bit-identical to it (modulo exact-zero signs) and
-  /// independent of the thread count.
-  double Update(const std::vector<Transition>& batch);
+  /// The whole minibatch is evaluated in single batched passes over its
+  /// matrices, read in place: gradient accumulation is one fused-transpose
+  /// GEMM per layer whose batch-index summation order equals the
+  /// per-transition walk of UpdateScalarForTest, so results are
+  /// bit-identical to it (modulo exact-zero signs) and independent of the
+  /// thread count.
+  double Update(const Minibatch& batch);
 
   /// The per-transition reference implementation of Update, kept only as
   /// the oracle the batched path is tested against.
-  double UpdateScalarForTest(const std::vector<Transition>& batch);
+  double UpdateScalarForTest(const Minibatch& batch);
 
   /// Q-value estimate for diagnostics/tests.
   double QValue(const math::Vec& state, const math::Vec& action) const;
@@ -128,9 +129,10 @@ class DdpgAgent {
   /// `state` as a 1-row batch in the agent's workspace.
   const math::Matrix& StateRow(const math::Vec& state);
 
-  /// Shared tail of Update and UpdateScalarForTest: discard stray critic
-  /// gradients from the actor phase, clip + step the actor, soft-update the
-  /// targets, and publish stats/telemetry. Returns the critic loss.
+  /// Shared tail of Update and UpdateScalarForTest: discard the critic
+  /// gradients the monolithic critic's actor phase left, clip + step the
+  /// actor, soft-update the targets, and publish stats/telemetry. Returns
+  /// the critic loss.
   double FinishUpdate(double critic_loss, double abs_q_sum,
                       double entropy_sum, double inv_n);
 
@@ -140,6 +142,11 @@ class DdpgAgent {
   std::unique_ptr<nn::Mlp> critic_;
   std::unique_ptr<nn::Mlp> target_actor_;
   std::unique_ptr<nn::Mlp> target_critic_;
+  // The four networks' parameter lists, gathered once.
+  std::vector<nn::Param*> actor_params_;
+  std::vector<nn::Param*> critic_params_;
+  std::vector<nn::Param*> target_actor_params_;
+  std::vector<nn::Param*> target_critic_params_;
   nn::Adam actor_opt_;
   nn::Adam critic_opt_;
   /// Reusable batch-major staging buffers for Update, Act and ActWithNoise

@@ -20,47 +20,61 @@ EnsembleEnv::EnsembleEnv(math::Matrix predictions, math::Vec actuals,
   EADRL_CHECK_GT(omega_, 0u);
   EADRL_CHECK_GT(predictions_.cols(), 0u);
   EADRL_CHECK_GT(predictions_.rows(), omega_);
+  actuals_sd_ = math::Stddev(actuals_);
+  if (reward_type_ == RewardType::kRank) {
+    const size_t m = predictions_.cols();
+    member_rmse_ = math::Matrix(predictions_.rows(), m);
+    for (size_t t = omega_; t < predictions_.rows(); ++t) {
+      const size_t begin = t + 1 - omega_;
+      for (size_t i = 0; i < m; ++i) {
+        double sse = 0.0;
+        for (size_t j = begin; j <= t; ++j) {
+          double d = predictions_(j, i) - actuals_[j];
+          sse += d * d;
+        }
+        member_rmse_(t, i) = std::sqrt(sse / static_cast<double>(omega_));
+      }
+    }
+  }
 }
 
-math::Vec EnsembleEnv::StateVec() const { return StateVecFor(window_); }
-
-math::Vec EnsembleEnv::StateVecFor(const std::deque<double>& window) const {
+void EnsembleEnv::Standardize(math::Vec* window) const {
   // States are standardized by the *window's own* statistics so the policy
   // sees the shape of the recent ensemble trajectory independent of the
   // series' current level — essential for trending or random-walk series
   // whose online level leaves the validation range. The window stddev is
   // floored by a fraction of the validation stddev so flat windows do not
   // blow noise up, and values are clipped to +-4.
+  math::Vec& s = *window;
   double mean = 0.0;
-  for (double v : window) mean += v;
-  mean /= static_cast<double>(window.size());
+  for (double v : s) mean += v;
+  mean /= static_cast<double>(s.size());
   double var = 0.0;
-  for (double v : window) var += (v - mean) * (v - mean);
-  var /= static_cast<double>(window.size());
-  double global_sd = math::Stddev(actuals_);
-  double sd = std::max(std::sqrt(var), 0.1 * global_sd);
+  for (double v : s) var += (v - mean) * (v - mean);
+  var /= static_cast<double>(s.size());
+  double sd = std::max(std::sqrt(var), 0.1 * actuals_sd_);
   if (sd <= 1e-12) sd = 1.0;
-  math::Vec s(window.begin(), window.end());
   for (double& v : s) v = std::clamp((v - mean) / sd, -4.0, 4.0);
-  return s;
 }
 
 math::Vec EnsembleEnv::Reset() {
   const size_t m = predictions_.cols();
-  window_.clear();
+  window_.resize(omega_);
   // Uniform-weight ensemble outputs seed the window (no action has been
   // taken yet, so the internal combination policy starts uniform).
   for (size_t t = 0; t < omega_; ++t) {
     double s = 0.0;
     for (size_t i = 0; i < m; ++i) s += predictions_(t, i);
-    window_.push_back(s / static_cast<double>(m));
+    window_[t] = s / static_cast<double>(m);
   }
   t_ = omega_;
-  return StateVec();
+  math::Vec state = window_;
+  Standardize(&state);
+  return state;
 }
 
 double EnsembleEnv::RewardAt(size_t t, const math::Vec& weights) const {
-  EADRL_CHECK_GE(t, omega_ > 0 ? omega_ - 0 : 0);
+  EADRL_CHECK_GE(t, omega_);
   EADRL_CHECK_LT(t, predictions_.rows());
   EADRL_CHECK_EQ(weights.size(), predictions_.cols());
   const size_t m = predictions_.cols();
@@ -92,7 +106,7 @@ double EnsembleEnv::RewardAt(size_t t, const math::Vec& weights) const {
       }
     }
     dispersion = std::sqrt(dispersion / static_cast<double>(omega_));
-    double sd = math::Stddev(actuals_);
+    double sd = actuals_sd_;
     if (sd <= 1e-12) sd = 1.0;
     diversity_bonus = diversity_coef_ * dispersion / sd;
   }
@@ -111,14 +125,9 @@ double EnsembleEnv::RewardAt(size_t t, const math::Vec& weights) const {
   // Rank reward (Eq. 3): rank the ensemble among the m base models by RMSE
   // over the same window; rank 1 = best, reward = m + 1 - rank.
   size_t rank = 1;
+  const double* member_rmse = member_rmse_.RowPtr(t);
   for (size_t i = 0; i < m; ++i) {
-    double sse = 0.0;
-    for (size_t j = begin; j <= t; ++j) {
-      double d = predictions_(j, i) - actuals_[j];
-      sse += d * d;
-    }
-    double rmse = std::sqrt(sse / static_cast<double>(omega_));
-    if (rmse < ens_rmse) ++rank;
+    if (member_rmse[i] < ens_rmse) ++rank;
   }
   return static_cast<double>(m + 1 - rank) + diversity_bonus;
 }
@@ -136,24 +145,20 @@ EnsembleEnv::StepResult EnsembleEnv::Peek(const math::Vec& weights) const {
   }
   result.ensemble_prediction = pred;
   result.actual = actuals_[t_];
-  // Simulate the slide on a copy of the window.
-  std::deque<double> next_window(window_.begin() + 1, window_.end());
-  next_window.push_back(pred);
   result.done = (t_ + 1 >= predictions_.rows());
-  result.next_state = StateVecFor(next_window);
+  // The slid window: the last omega - 1 outputs, then this step's.
+  result.next_state.resize(omega_);
+  std::copy(window_.begin() + 1, window_.end(), result.next_state.begin());
+  result.next_state.back() = pred;
+  Standardize(&result.next_state);
   return result;
 }
 
 EnsembleEnv::StepResult EnsembleEnv::Step(const math::Vec& weights) {
   StepResult result = Peek(weights);
-
   // Commit: the ensemble output at the current step enters the window.
-  double pred = 0.0;
-  for (size_t i = 0; i < predictions_.cols(); ++i) {
-    pred += weights[i] * predictions_(t_, i);
-  }
-  window_.push_back(pred);
-  window_.pop_front();
+  std::copy(window_.begin() + 1, window_.end(), window_.begin());
+  window_.back() = result.ensemble_prediction;
   ++t_;
   return result;
 }

@@ -1,8 +1,6 @@
 #ifndef EADRL_RL_ENV_H_
 #define EADRL_RL_ENV_H_
 
-#include <deque>
-
 #include "common/status.h"
 #include "math/matrix.h"
 #include "math/vec.h"
@@ -31,6 +29,10 @@ enum class RewardType {
 /// * Transition: deterministic — slide the window and append the new
 ///   ensemble output.
 /// * Reward: see RewardType.
+///
+/// What does not depend on the weights is computed once, at construction:
+/// the validation stddev and, for the rank reward, every member's window
+/// RMSE at every step. Each value is the one the per-call computation gave.
 class EnsembleEnv {
  public:
   /// `predictions` is T x m (one row per validation time step, one column
@@ -78,12 +80,16 @@ class EnsembleEnv {
   size_t omega_;
   RewardType reward_type_;
   double diversity_coef_;
+  double actuals_sd_;  // math::Stddev(actuals_).
+  // Rank reward only: row t holds each member's RMSE over the window ending
+  // at t (rows below omega_ are unused).
+  math::Matrix member_rmse_;
 
   size_t t_ = 0;  // current prediction index (>= omega_).
-  std::deque<double> window_;  // last omega ensemble outputs.
+  math::Vec window_;  // last omega ensemble outputs, oldest first.
 
-  math::Vec StateVec() const;
-  math::Vec StateVecFor(const std::deque<double>& window) const;
+  /// Standardizes a raw window of ensemble outputs into a state, in place.
+  void Standardize(math::Vec* window) const;
 };
 
 }  // namespace eadrl::rl

@@ -143,8 +143,8 @@ TEST(BatchedParityTest, InferencePathsMatchTrainForward) {
   }
 }
 
-std::vector<rl::Transition> MakeDdpgBatch(size_t n, size_t state_dim,
-                                          size_t action_dim, Rng* rng) {
+rl::Minibatch MakeDdpgBatch(size_t n, size_t state_dim, size_t action_dim,
+                            Rng* rng) {
   std::vector<rl::Transition> batch;
   for (size_t i = 0; i < n; ++i) {
     rl::Transition t;
@@ -160,7 +160,7 @@ std::vector<rl::Transition> MakeDdpgBatch(size_t n, size_t state_dim,
     t.terminal = (i % 5 == 4);
     batch.push_back(std::move(t));
   }
-  return batch;
+  return rl::Minibatch::FromTransitions(batch);
 }
 
 // Agent and minibatch shape of a parity case.
@@ -221,7 +221,7 @@ TEST_P(DdpgUpdateParity, SingleUpdateEquivalence) {
       EXPECT_EQ(wb[m].data()[i], ws[m].data()[i]);
     }
   }
-  const math::Vec probe_s = batch[0].state;
+  const math::Vec probe_s = batch.states.Row(0);
   const math::Vec act_b = batched.Act(probe_s);
   const math::Vec act_s = scalar.Act(probe_s);
   for (size_t j = 0; j < cfg.action_dim; ++j) {

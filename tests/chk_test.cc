@@ -110,13 +110,10 @@ TEST_F(ChkTest, ReplayBufferRejectsOffSimplexAction) {
     GTEST_SKIP() << "library compiled with EADRL_CHECKS=OFF";
   }
   rl::ReplayBuffer buffer(8);
-  rl::Transition t;
-  t.state = {0.0};
-  t.next_state = {0.0};
-  t.reward = 0.0;
-  t.action = {0.9, 0.9};  // off the simplex
-  ExpectViolation([&] { buffer.Add(std::move(t)); },
-                  {"ReplayBuffer::Add action"});
+  const math::Vec off_simplex = {0.9, 0.9};
+  ExpectViolation(
+      [&] { buffer.Add({0.0}, off_simplex, 0.0, {0.0}, false); },
+      {"ReplayBuffer::Add action"});
 }
 
 TEST_F(ChkTest, NanPoisonedActorWeightsAbortNamingStage) {

@@ -113,7 +113,7 @@ TEST(DdpgTest, LearnsToFavorRewardingAction) {
       t.terminal = true;
       batch.push_back(std::move(t));
     }
-    agent.Update(batch);
+    agent.Update(Minibatch::FromTransitions(batch));
   }
   math::Vec a = agent.Act({0.2, 0.4});
   EXPECT_GT(a[0], 0.75);
@@ -139,7 +139,7 @@ TEST(DdpgTest, CriticLearnsRewardValues) {
       t.terminal = true;
       batch.push_back(std::move(t));
     }
-    agent.Update(batch);
+    agent.Update(Minibatch::FromTransitions(batch));
   }
   double q_good = agent.QValue({0.0}, {1.0, 0.0});
   double q_bad = agent.QValue({0.0}, {0.0, 1.0});
@@ -164,7 +164,7 @@ TEST(DdpgTest, UpdateReturnsFiniteDecreasingLoss) {
       t.terminal = true;
       batch.push_back(std::move(t));
     }
-    return batch;
+    return Minibatch::FromTransitions(batch);
   };
 
   double first = agent.Update(make_batch());

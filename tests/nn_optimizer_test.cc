@@ -79,7 +79,9 @@ TEST(SgdTest, MultipleParamsUpdatedIndependently) {
 // Adam::Step against the scalar per-element formula (subnormal flush
 // included), bit for bit. Lengths 1-9 put an element in every lane position
 // and every remainder; the gradients mix live values with zeros and
-// subnormals so both flush selects fire on both lanes.
+// subnormals so both flush selects fire on both lanes. The 400 steps cross
+// t = 356, where 1 - 0.9^t becomes exactly 1.0 and Step stops dividing by
+// it; the formula here always divides.
 TEST(AdamTest, StepMatchesScalarFormula) {
   constexpr double kLr = 0.01;
   constexpr double kBeta1 = 0.9;
@@ -95,7 +97,7 @@ TEST(AdamTest, StepMatchesScalarFormula) {
     std::vector<double> v(len, 0.0);
     Adam adam(kLr, kBeta1, kBeta2, kEps);
     adam.Register({&p});
-    for (int t = 1; t <= 6; ++t) {
+    for (int t = 1; t <= 400; ++t) {
       std::vector<double>& g = p.grad.data();
       for (size_t j = 0; j < len; ++j) {
         switch ((j + static_cast<size_t>(t)) % 4) {
@@ -107,6 +109,7 @@ TEST(AdamTest, StepMatchesScalarFormula) {
       adam.Step();
       const double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(t));
       const double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(t));
+      EXPECT_EQ(bc1 == 1.0, t >= 356) << "t=" << t;
       for (size_t j = 0; j < len; ++j) {
         double mj = kBeta1 * m[j] + (1.0 - kBeta1) * g[j];
         double vj = kBeta2 * v[j] + (1.0 - kBeta2) * g[j] * g[j];
@@ -116,7 +119,7 @@ TEST(AdamTest, StepMatchesScalarFormula) {
         v[j] = vj;
         w[j] -= kLr * (mj / bc1) / (std::sqrt(vj / bc2) + kEps);
       }
-      EXPECT_EQ(std::memcmp(p.value.data().data(), w.data(),
+      ASSERT_EQ(std::memcmp(p.value.data().data(), w.data(),
                             len * sizeof(double)),
                 0)
           << "len=" << len << " step=" << t;

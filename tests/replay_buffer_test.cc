@@ -1,6 +1,8 @@
 #include "rl/replay_buffer.h"
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,10 +21,14 @@ Transition MakeTransition(double reward) {
   return t;
 }
 
+void AddTransition(ReplayBuffer& buf, const Transition& t) {
+  buf.Add(t.state, t.action, t.reward, t.next_state, t.terminal);
+}
+
 TEST(ReplayBufferTest, GrowsUntilCapacityThenOverwrites) {
   ReplayBuffer buf(3);
   EXPECT_TRUE(buf.empty());
-  for (int i = 0; i < 5; ++i) buf.Add(MakeTransition(i));
+  for (int i = 0; i < 5; ++i) AddTransition(buf, MakeTransition(i));
   EXPECT_EQ(buf.size(), 3u);
   // Oldest entries (0, 1) were overwritten by (3, 4).
   std::vector<double> rewards;
@@ -33,16 +39,21 @@ TEST(ReplayBufferTest, GrowsUntilCapacityThenOverwrites) {
 
 TEST(ReplayBufferTest, RewardMedian) {
   ReplayBuffer buf(10);
-  for (double r : {1.0, 2.0, 3.0, 4.0, 5.0}) buf.Add(MakeTransition(r));
+  for (double r : {1.0, 2.0, 3.0, 4.0, 5.0}) {
+    AddTransition(buf, MakeTransition(r));
+  }
   EXPECT_DOUBLE_EQ(buf.RewardMedian(), 3.0);
 }
 
 TEST(ReplayBufferTest, UniformSampleHasRequestedSize) {
   ReplayBuffer buf(10);
-  for (int i = 0; i < 5; ++i) buf.Add(MakeTransition(i));
+  for (int i = 0; i < 5; ++i) AddTransition(buf, MakeTransition(i));
   Rng rng(1);
-  auto batch = buf.Sample(8, SamplingStrategy::kUniform, rng);
+  Minibatch batch;
+  buf.Sample(8, SamplingStrategy::kUniform, rng, &batch);
   EXPECT_EQ(batch.size(), 8u);
+  EXPECT_EQ(batch.states.rows(), 8u);
+  EXPECT_EQ(batch.terminals.size(), 8u);
 }
 
 // Eq. 4 of the paper: half the batch >= median reward, half below.
@@ -52,16 +63,17 @@ TEST_P(MedianSplitProperty, BatchIsBalanced) {
   ReplayBuffer buf(100);
   Rng data_rng(GetParam());
   for (int i = 0; i < 100; ++i) {
-    buf.Add(MakeTransition(data_rng.Uniform(0.0, 10.0)));
+    AddTransition(buf, MakeTransition(data_rng.Uniform(0.0, 10.0)));
   }
   double median = buf.RewardMedian();
 
   Rng rng(GetParam() + 1000);
-  auto batch = buf.Sample(16, SamplingStrategy::kMedianSplit, rng);
+  Minibatch batch;
+  buf.Sample(16, SamplingStrategy::kMedianSplit, rng, &batch);
   ASSERT_EQ(batch.size(), 16u);
   size_t high = 0, low = 0;
-  for (const Transition& t : batch) {
-    if (t.reward >= median) {
+  for (double reward : batch.rewards) {
+    if (reward >= median) {
       ++high;
     } else {
       ++low;
@@ -76,29 +88,32 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MedianSplitProperty,
 
 TEST(ReplayBufferTest, MedianSplitOddBatchGivesExtraToLow) {
   ReplayBuffer buf(10);
-  for (double r : {1.0, 1.0, 9.0, 9.0}) buf.Add(MakeTransition(r));
+  for (double r : {1.0, 1.0, 9.0, 9.0}) AddTransition(buf, MakeTransition(r));
   Rng rng(3);
-  auto batch = buf.Sample(5, SamplingStrategy::kMedianSplit, rng);
+  Minibatch batch;
+  buf.Sample(5, SamplingStrategy::kMedianSplit, rng, &batch);
   size_t high = 0;
-  for (const Transition& t : batch) {
-    if (t.reward >= buf.RewardMedian()) ++high;
+  for (double reward : batch.rewards) {
+    if (reward >= buf.RewardMedian()) ++high;
   }
   EXPECT_EQ(high, 2u);
 }
 
 TEST(ReplayBufferTest, MedianSplitFallsBackWhenAllRewardsEqual) {
   ReplayBuffer buf(10);
-  for (int i = 0; i < 6; ++i) buf.Add(MakeTransition(5.0));
+  for (int i = 0; i < 6; ++i) AddTransition(buf, MakeTransition(5.0));
   Rng rng(4);
-  auto batch = buf.Sample(4, SamplingStrategy::kMedianSplit, rng);
+  Minibatch batch;
+  buf.Sample(4, SamplingStrategy::kMedianSplit, rng, &batch);
   EXPECT_EQ(batch.size(), 4u);
 }
 
 TEST(ReplayBufferTest, MedianSplitSingleElementFallsBack) {
   ReplayBuffer buf(10);
-  buf.Add(MakeTransition(1.0));
+  AddTransition(buf, MakeTransition(1.0));
   Rng rng(5);
-  auto batch = buf.Sample(3, SamplingStrategy::kMedianSplit, rng);
+  Minibatch batch;
+  buf.Sample(3, SamplingStrategy::kMedianSplit, rng, &batch);
   EXPECT_EQ(batch.size(), 3u);
 }
 
@@ -123,62 +138,147 @@ TEST(ReplayBufferTest, RewardMedianMatchesMathMedianAcrossWraps) {
     ReplayBuffer buf(capacity);
     Rng rng(11 + capacity);
     for (size_t i = 0; i < 4 * capacity; ++i) {
-      buf.Add(MakeTransition(TrainingLikeReward(rng)));
+      AddTransition(buf, MakeTransition(TrainingLikeReward(rng)));
       ASSERT_EQ(buf.RewardMedian(), math::Median(StoredRewards(buf)))
           << "capacity " << capacity << " after add " << i;
     }
   }
 }
 
-// Median-split sampling written out by brute force: math::Median, a
-// buffer-order partition, then the same draws as ReplayBuffer::Sample.
-std::vector<Transition> ReferenceMedianSplit(const ReplayBuffer& buf,
-                                             size_t n, Rng& rng) {
-  std::vector<Transition> batch;
-  auto uniform = [&]() {
-    for (size_t i = 0; i < n; ++i) batch.push_back(buf.at(rng.Index(buf.size())));
-    return batch;
-  };
-  if (buf.size() < 2) return uniform();
-  const double median = math::Median(StoredRewards(buf));
-  std::vector<size_t> high, low;
-  for (size_t i = 0; i < buf.size(); ++i) {
-    (buf.at(i).reward >= median ? high : low).push_back(i);
+// A transition with the training loop's row widths (10-wide states, 43
+// members); its random rows identify it.
+Transition MakeWideTransition(Rng& rng) {
+  Transition t;
+  t.state.resize(10);
+  for (double& v : t.state) v = rng.Normal(0.0, 1.0);
+  t.action.resize(43);
+  double sum = 0.0;
+  for (double& v : t.action) {
+    v = rng.Uniform(0.01, 1.0);
+    sum += v;
   }
-  if (high.empty() || low.empty()) return uniform();
-  for (size_t i = 0; i < n / 2; ++i) {
-    batch.push_back(buf.at(high[rng.Index(high.size())]));
-  }
-  for (size_t i = n / 2; i < n; ++i) {
-    batch.push_back(buf.at(low[rng.Index(low.size())]));
-  }
-  return batch;
+  for (double& v : t.action) v /= sum;
+  t.reward = TrainingLikeReward(rng);
+  t.next_state.resize(10);
+  for (double& v : t.next_state) v = rng.Normal(0.0, 1.0);
+  t.terminal = rng.Bernoulli(0.05);
+  return t;
 }
 
-class MedianSplitReference : public ::testing::TestWithParam<uint64_t> {};
+// The replay buffer written out by brute force: a vector of transitions in
+// buffer order, the oldest overwritten first once full, and sampling that
+// builds both halves' index lists with math::Median and a buffer-order
+// partition before drawing from them.
+class ReferenceRing {
+ public:
+  explicit ReferenceRing(size_t capacity) : capacity_(capacity) {}
 
-TEST_P(MedianSplitReference, SampleMatchesBruteForce) {
-  ReplayBuffer buf(37);
-  Rng data_rng(GetParam());
-  Rng rng(GetParam() + 500), reference_rng(GetParam() + 500);
-  for (size_t i = 0; i < 3 * 37 + 5; ++i) {
-    Transition t = MakeTransition(TrainingLikeReward(data_rng));
-    t.state = {static_cast<double>(i)};  // identifies the transition.
-    buf.Add(std::move(t));
-    const std::vector<Transition> got =
-        buf.Sample(16, SamplingStrategy::kMedianSplit, rng);
-    const std::vector<Transition> want =
-        ReferenceMedianSplit(buf, 16, reference_rng);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t b = 0; b < got.size(); ++b) {
-      ASSERT_EQ(got[b].state, want[b].state) << "add " << i << " row " << b;
-      ASSERT_EQ(got[b].reward, want[b].reward) << "add " << i << " row " << b;
+  void Add(Transition t) {
+    if (ring_.size() < capacity_) {
+      ring_.push_back(std::move(t));
+    } else {
+      ring_[next_] = std::move(t);
+      next_ = (next_ + 1) % capacity_;
+    }
+  }
+
+  std::vector<const Transition*> Uniform(size_t n, Rng& rng) const {
+    std::vector<const Transition*> batch;
+    for (size_t i = 0; i < n; ++i) {
+      batch.push_back(&ring_[rng.Index(ring_.size())]);
+    }
+    return batch;
+  }
+
+  std::vector<const Transition*> MedianSplit(size_t n, Rng& rng) const {
+    if (ring_.size() < 2) return Uniform(n, rng);
+    math::Vec rewards;
+    for (const Transition& t : ring_) rewards.push_back(t.reward);
+    const double median = math::Median(rewards);
+    std::vector<size_t> high, low;
+    for (size_t i = 0; i < ring_.size(); ++i) {
+      (ring_[i].reward >= median ? high : low).push_back(i);
+    }
+    if (high.empty() || low.empty()) return Uniform(n, rng);
+    std::vector<const Transition*> batch;
+    for (size_t i = 0; i < n / 2; ++i) {
+      batch.push_back(&ring_[high[rng.Index(high.size())]]);
+    }
+    for (size_t i = n / 2; i < n; ++i) {
+      batch.push_back(&ring_[low[rng.Index(low.size())]]);
+    }
+    return batch;
+  }
+
+ private:
+  size_t capacity_;
+  size_t next_ = 0;
+  std::vector<Transition> ring_;
+};
+
+bool SameBits(const double* a, const math::Vec& b) {
+  return std::memcmp(a, b.data(), b.size() * sizeof(double)) == 0;
+}
+
+// Row b of `got` must be *want[b], bit for bit.
+void ExpectBatchEquals(const Minibatch& got,
+                       const std::vector<const Transition*>& want,
+                       const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t b = 0; b < want.size(); ++b) {
+    const Transition& t = *want[b];
+    ASSERT_EQ(got.states.cols(), t.state.size()) << where;
+    ASSERT_EQ(got.actions.cols(), t.action.size()) << where;
+    ASSERT_TRUE(SameBits(got.states.RowPtr(b), t.state))
+        << where << " row " << b;
+    ASSERT_TRUE(SameBits(got.actions.RowPtr(b), t.action))
+        << where << " row " << b;
+    ASSERT_TRUE(SameBits(&got.rewards[b], {t.reward}))
+        << where << " row " << b;
+    ASSERT_TRUE(SameBits(got.next_states.RowPtr(b), t.next_state))
+        << where << " row " << b;
+    ASSERT_EQ(got.terminals[b] != 0, t.terminal) << where << " row " << b;
+  }
+}
+
+// Sampling against the brute-force ring, through two wraps, at capacities
+// that fill one select block (37), a few (200) and the training loop's 5 000
+// (79 blocks). The large ring is sampled after every 7th Add to bound the
+// brute force's cost.
+class SampleReference
+    : public ::testing::TestWithParam<std::tuple<SamplingStrategy, uint64_t>> {
+};
+
+TEST_P(SampleReference, SampleMatchesBruteForce) {
+  const auto [strategy, seed] = GetParam();
+  for (size_t capacity : {37u, 200u, 5000u}) {
+    ReplayBuffer buf(capacity);
+    ReferenceRing reference(capacity);
+    Rng data_rng(seed + capacity);
+    Rng rng(seed + 500), reference_rng(seed + 500);
+    const size_t every = capacity > 1000 ? 7 : 1;
+    Minibatch batch;
+    for (size_t i = 0; i < 2 * capacity + 5; ++i) {
+      Transition t = MakeWideTransition(data_rng);
+      AddTransition(buf, t);
+      reference.Add(std::move(t));
+      if (i % every != 0) continue;
+      buf.Sample(16, strategy, rng, &batch);
+      ExpectBatchEquals(batch,
+                        strategy == SamplingStrategy::kUniform
+                            ? reference.Uniform(16, reference_rng)
+                            : reference.MedianSplit(16, reference_rng),
+                        "capacity " + std::to_string(capacity) + " add " +
+                            std::to_string(i));
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, MedianSplitReference,
-                         ::testing::Values(1, 2, 3, 4, 5));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, SampleReference,
+    ::testing::Combine(::testing::Values(SamplingStrategy::kMedianSplit,
+                                         SamplingStrategy::kUniform),
+                       ::testing::Values(1, 2, 3)));
 
 }  // namespace
 }  // namespace eadrl::rl

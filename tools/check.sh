@@ -13,14 +13,13 @@
 #                    sub-millisecond SLO must fire slo_breach telemetry
 #                    (--expect-slo-breach), and its exported Prometheus/JSON
 #                    metric snapshots must validate under eadrl_metrics_check
-#   stage 6  perfbench  the repository benchmark's serve workload, untraced
-#                    and traced, and its train workload untraced, at 3 s: its
-#                    output checks (serve == serial replay, identical
-#                    retraining and traced forecasts, exactly-once
-#                    completion, EA-DRL's online step cheaper than DEMSC's,
-#                    the manifest's metric names) gate every library change,
-#                    the train run on the paper-default training path in
-#                    production configuration
+#   stage 6  perfbench  the repository benchmark's serve and train
+#                    workloads, each untraced and traced, at 3 s: its output
+#                    checks (serve == serial replay, identical retraining and
+#                    traced forecasts, exactly-once completion, EA-DRL's
+#                    online step cheaper than DEMSC's, the manifest's metric
+#                    names) gate every library change, the train runs on the
+#                    paper-default training path in production configuration
 #   stage 7  wthread clang -Wthread-safety analysis over the EADRL_GUARDED_BY
 #                    annotations (skipped with a note when clang++ is not
 #                    installed; eadrl_lint's guarded-by rules still gate)
@@ -144,19 +143,20 @@ stage_perfbench() {
   # builds the library from src/ in its own Release configuration (into the
   # gitignored .bench_build/ by default) and exits nonzero when any of the
   # benchmark's output checks fails or its result line's metrics are not
-  # exactly BENCHMARK.json's. One untraced and one traced run of the serve
-  # workload, ~10 s each once built, whose serial training is brief; then
-  # one untraced run of the train workload (~30 s), which trains at the
-  # paper's defaults with contracts compiled out, so kernel changes are
-  # gated by its checks: every retraining deploys identical forecasts, and
+  # exactly BENCHMARK.json's. One untraced and one traced run of each
+  # workload: serve (~10 s each once built) trains briefly and serially;
+  # train (~30 s each) trains at the paper's defaults with contracts
+  # compiled out, so kernel and training-loop changes are gated by its
+  # checks: every retraining deploys identical forecasts, the traced
+  # training deploys the untraced forecasts, and
   # eadrl_step_us < demsc_step_us.
-  local trace
-  for trace in 0 1; do
-    python3 "$SRC_DIR/perfbench/run.py" --workload serve --seed 1 \
-      --seconds 3 --trace "$trace"
+  local workload trace
+  for workload in serve train; do
+    for trace in 0 1; do
+      python3 "$SRC_DIR/perfbench/run.py" --workload "$workload" --seed 1 \
+        --seconds 3 --trace "$trace"
+    done
   done
-  python3 "$SRC_DIR/perfbench/run.py" --workload train --seed 1 \
-    --seconds 3 --trace 0
 }
 
 stage_thread_safety() {
