@@ -149,12 +149,15 @@ void BM_DdpgUpdateBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_DdpgUpdateBatched)->Arg(16)->Arg(64);
 
-// Cross-request serving: B states answered in one ActBatch pass.
+// Cross-request serving: B states answered in one ActBatch pass of the
+// packed actor, as a deployed policy runs it; 1 and 3 rows are a lone
+// request and a wave's leftover rows.
 void BM_DdpgActBatch(benchmark::State& state) {
   eadrl::rl::DdpgConfig cfg;
   cfg.state_dim = 10;
   cfg.action_dim = 43;
   eadrl::rl::DdpgAgent agent(cfg);
+  agent.PackActor();
   const eadrl::math::Matrix states = RandomMatrix(
       static_cast<size_t>(state.range(0)), 10, 19);
   eadrl::math::Matrix actions;
@@ -165,7 +168,7 @@ void BM_DdpgActBatch(benchmark::State& state) {
   }
   eadrl::bench::RegisterThreads(state, 1);
 }
-BENCHMARK(BM_DdpgActBatch)->Arg(16)->Arg(64);
+BENCHMARK(BM_DdpgActBatch)->Arg(1)->Arg(3)->Arg(16)->Arg(64);
 
 }  // namespace
 

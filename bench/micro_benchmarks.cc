@@ -28,6 +28,8 @@
 
 namespace {
 
+// One deployed-policy step's actor pass: Act packs the actor on its first
+// call and runs the pack from then on.
 void BM_DdpgActorInference(benchmark::State& state) {
   eadrl::rl::DdpgConfig cfg;
   cfg.state_dim = 10;

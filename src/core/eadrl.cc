@@ -244,7 +244,8 @@ Status EadrlCombiner::Initialize(const math::Matrix& val_preds,
 
       // Deterministic evaluation rollout for best-checkpoint selection. The
       // selection metric is the rollout's ensemble RMSE on validation — the
-      // quantity the deployed policy is judged by.
+      // quantity the deployed policy is judged by — so it steps without the
+      // reward. Its first Act packs the actor and the rest reuse the pack.
       bool have_eval = false;
       double eval_score = 0.0;
       if (config_.best_checkpoint) {
@@ -253,7 +254,8 @@ Status EadrlCombiner::Initialize(const math::Matrix& val_preds,
         double eval_sse = 0.0;
         size_t eval_steps = 0;
         for (size_t iter = 0; iter < config_.max_iterations; ++iter) {
-          rl::EnsembleEnv::StepResult sr = env.Step(agent->Act(eval_state));
+          rl::EnsembleEnv::StepResult sr =
+              env.Advance(agent->Act(eval_state));
           double err = sr.ensemble_prediction - sr.actual;
           eval_sse += err * err;
           ++eval_steps;
@@ -344,8 +346,11 @@ Status EadrlCombiner::Initialize(const math::Matrix& val_preds,
       episode_rewards_.size() < config_.max_episodes) {
     converged_episode_ = episode_rewards_.size();
   }
+  // The deployed actor leaves packed either way (rl::DdpgAgent::PackActor).
   if (config_.best_checkpoint && !best_actor.empty()) {
     agent_->SetActorWeights(best_actor);
+  } else {
+    agent_->PackActor();
   }
   EADRL_TELEMETRY("train_done", {"episodes", episode_rewards_.size()},
                   {"converged_episode", converged_episode_},

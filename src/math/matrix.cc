@@ -240,6 +240,106 @@ void TiledProduct(Isa isa, const Product& p) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Rows of Z = X·Wᵀ + b over weights stored transposed (AffineRowsInto). Each
+// output element is the chain Dense::Apply computes: c = 0.0, then
+// c = c + x_k · Wt(k, j) for k ascending, then c + b_j. One pass over k
+// holds up to kRowVectors vectors of output lanes in registers, one lane per
+// output column, and broadcasts x_k once per k. The body is compiled for
+// baseline x86-64 and for AVX2, never with FMA, like the tiles above.
+
+constexpr size_t kRowVectors = 8;
+
+// Lanes [0, lanes) of one row's columns [j, j + kN * width): `wt` and `bias`
+// point at column j, `z` at Z(i, j). Vectors past `lanes` (the zero pad of
+// the last columns) are computed and never stored.
+template <typename V, size_t kN>
+[[gnu::always_inline]] inline void AffineRowChunk(const double* x,
+                                                  size_t kdim,
+                                                  const double* wt,
+                                                  size_t ldw,
+                                                  const double* bias,
+                                                  double* z, size_t lanes) {
+  constexpr size_t kWidth = sizeof(V) / sizeof(double);
+  V s[kN] = {};
+  for (size_t k = 0; k < kdim; ++k) {
+    const double xk = x[k];
+    const double* w = wt + k * ldw;
+#pragma GCC unroll 8
+    for (size_t q = 0; q < kN; ++q) {
+      V wq;
+      __builtin_memcpy(&wq, w + q * kWidth, sizeof(V));
+      s[q] += xk * wq;
+    }
+  }
+#pragma GCC unroll 8
+  for (size_t q = 0; q < kN; ++q) {
+    V bq;
+    __builtin_memcpy(&bq, bias + q * kWidth, sizeof(V));
+    s[q] += bq;
+    if ((q + 1) * kWidth <= lanes) {
+      __builtin_memcpy(z + q * kWidth, &s[q], sizeof(V));
+    } else if (q * kWidth < lanes) {
+      double t[kWidth];
+      __builtin_memcpy(t, &s[q], sizeof(V));
+      for (size_t l = 0; l < lanes - q * kWidth; ++l) z[q * kWidth + l] = t[l];
+    }
+  }
+}
+
+// AffineRowChunk with kN = `vectors` (1 to kRowVectors): the accumulators'
+// count must be a constant to keep them in registers.
+template <typename V, size_t kN = kRowVectors>
+[[gnu::always_inline]] inline void AffineRowChunkOf(size_t vectors,
+                                                    const double* x,
+                                                    size_t kdim,
+                                                    const double* wt,
+                                                    size_t ldw,
+                                                    const double* bias,
+                                                    double* z, size_t lanes) {
+  if constexpr (kN > 1) {
+    if (vectors < kN) {
+      AffineRowChunkOf<V, kN - 1>(vectors, x, kdim, wt, ldw, bias, z, lanes);
+      return;
+    }
+  }
+  AffineRowChunk<V, kN>(x, kdim, wt, ldw, bias, z, lanes);
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void AffineRowsBody(const Matrix& x,
+                                                  const Matrix& wt,
+                                                  const double* bias,
+                                                  size_t n, Matrix* z) {
+  constexpr size_t kWidth = sizeof(V) / sizeof(double);
+  constexpr size_t kChunk = kRowVectors * kWidth;
+  const size_t kdim = wt.rows();
+  const size_t ldw = wt.cols();
+  for (size_t i = 0; i < x.rows(); ++i) {
+    const double* xi = x.RowPtr(i);
+    double* zi = z->RowPtr(i);
+    for (size_t j = 0; j < n; j += kChunk) {
+      // The padded width is a multiple of 4, so of every vector width.
+      const size_t vectors = std::min(kChunk, ldw - j) / kWidth;
+      AffineRowChunkOf<V>(vectors, xi, kdim, wt.data().data() + j, ldw,
+                          bias + j, zi + j, std::min(kChunk, n - j));
+    }
+  }
+}
+
+void AffineRowsBaseline(const Matrix& x, const Matrix& wt, const double* bias,
+                        size_t n, Matrix* z) {
+  AffineRowsBody<Lanes2>(x, wt, bias, n, z);
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]]
+#endif
+void AffineRowsAvx2(const Matrix& x, const Matrix& wt, const double* bias,
+                    size_t n, Matrix* z) {
+  AffineRowsBody<Lanes4>(x, wt, bias, n, z);
+}
+
 // Rows [r0, r1) of Z = X W^T in dot form: both operands stream along
 // contiguous rows, four output columns per pass share each load of the X
 // row. Rows of X outside full panels take this path: for one to three rows
@@ -541,6 +641,22 @@ void MatMulTransposeBInto(Isa isa, const Matrix& a, const Matrix& b,
   TiledProduct(isa, {b.data().data(), kdim, 1, a.data().data(), 1, kdim,
                      out->data().data(), 1, n, n, tiled, kdim, false});
   TransposeBDotRows(a, b, out, tiled, a.rows());
+}
+
+void AffineRowsInto(Isa isa, const Matrix& x, const Matrix& wt,
+                    const Vec& bias, size_t n, Matrix* z) {
+  EADRL_CHK_DIM(x.cols(), wt.rows(), "AffineRowsInto input width");
+  EADRL_CHECK_EQ(x.cols(), wt.rows());
+  EADRL_CHECK(wt.cols() % kLanes == 0 && n <= wt.cols() &&
+              wt.cols() < n + kLanes && bias.size() == wt.cols());
+  EADRL_CHECK(z != &x && z != &wt);
+  z->Resize(x.rows(), n);
+  if (x.rows() == 0 || n == 0) return;
+  if (isa == Isa::kAvx2) {
+    AffineRowsAvx2(x, wt, bias.data(), n, z);
+  } else {
+    AffineRowsBaseline(x, wt, bias.data(), n, z);
+  }
 }
 
 }  // namespace eadrl::math

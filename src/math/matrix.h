@@ -137,6 +137,18 @@ void MatMulTransposeAInto(Isa isa, const Matrix& a, const Matrix& b,
 void MatMulTransposeBInto(Isa isa, const Matrix& a, const Matrix& b,
                           Matrix* out);
 
+/// Z = X·Wᵀ + b for weights stored transposed: `wt` is in x n_pad, where
+/// n_pad is n rounded up to a multiple of 4 and the columns past n are zero,
+/// and `bias` holds n_pad entries. *z becomes x.rows() x n. Each element is
+/// the chain a fused-transpose product plus a bias add computes, so row b
+/// equals the same row of x.MatMulTransposeB(W) with b added, bit for bit:
+/// 0.0, then + x_k · W(j, k) for k ascending, then + b_j. Rows run one at a
+/// time with up to 32 output columns held in registers across the k loop
+/// (16 on the baseline variant), which is what a 1-row pass needs: the
+/// fused-transpose product gives a lone row only four chains at a time.
+void AffineRowsInto(Isa isa, const Matrix& x, const Matrix& wt,
+                    const Vec& bias, size_t n, Matrix* z);
+
 /// Row-wise softmax in place — each row is mapped through exactly the same
 /// max-shift/exp/normalize steps as math::Softmax, so a batched row equals
 /// the vector call on that row bit for bit.

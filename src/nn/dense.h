@@ -60,6 +60,9 @@ class Dense {
   size_t in_dim() const { return in_dim_; }
   size_t out_dim() const { return out_dim_; }
   Activation activation() const { return act_; }
+  /// The out x in weight matrix and the 1 x out bias row.
+  const math::Matrix& weight() const { return weight_.value; }
+  const math::Matrix& bias() const { return bias_.value; }
 
   /// Reinitializes the weights uniformly in [-r, r] (DDPG output layers).
   void ReinitUniform(double r, Rng& rng);

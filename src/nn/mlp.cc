@@ -1,5 +1,7 @@
 #include "nn/mlp.h"
 
+#include <algorithm>
+
 #include "chk/chk.h"
 #include "common/check.h"
 
@@ -81,6 +83,50 @@ std::vector<Param*> Mlp::Params() {
 
 void Mlp::ReinitOutputUniform(double r, Rng& rng) {
   layers_.back()->ReinitUniform(r, rng);
+}
+
+void PackedMlp::Pack(const Mlp& net) {
+  layers_.resize(net.num_layers());
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    const Dense& dense = net.layer(l);
+    const double* w = dense.weight().data().data();  // out x in
+    const math::Vec& b = dense.bias().data();
+    const size_t in = dense.in_dim();
+    const size_t out = dense.out_dim();
+    const size_t out_pad = (out + 3) / 4 * 4;
+    Layer& layer = layers_[l];
+    layer.wt.Resize(in, out_pad);
+    double* wt = layer.wt.data().data();
+    for (size_t k = 0; k < in; ++k) {
+      for (size_t j = out; j < out_pad; ++j) wt[k * out_pad + j] = 0.0;
+    }
+    for (size_t j = 0; j < out; ++j) {
+      for (size_t k = 0; k < in; ++k) wt[k * out_pad + j] = w[j * in + k];
+    }
+    layer.bias.assign(out_pad, 0.0);
+    std::copy(b.begin(), b.end(), layer.bias.begin());
+    layer.out_dim = out;
+    layer.act = dense.activation();
+  }
+  packed_ = true;
+}
+
+void PackedMlp::Infer(const math::Matrix& x, math::Matrix* out,
+                      math::Matrix* scratch, math::Isa isa) const {
+  EADRL_CHECK(packed_);
+  EADRL_CHECK(out != scratch && out != &x && scratch != &x);
+  EADRL_CHK_FINITE(x.data(), "PackedMlp::Infer input");
+  // Mlp::Infer's ping-pong: the last layer lands in *out.
+  const math::Matrix* cur = &x;
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    const Layer& layer = layers_[i];
+    math::Matrix* next = (layers_.size() - 1 - i) % 2 == 0 ? out : scratch;
+    math::AffineRowsInto(isa, *cur, layer.wt, layer.bias, layer.out_dim,
+                         next);
+    ApplyActivationInPlace(layer.act, next->data().data(), next->size());
+    cur = next;
+  }
+  EADRL_CHK_FINITE(out->data(), "PackedMlp::Infer output");
 }
 
 }  // namespace eadrl::nn

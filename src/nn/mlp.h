@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "math/isa.h"
 #include "math/matrix.h"
 #include "math/vec.h"
 #include "nn/dense.h"
@@ -59,6 +60,8 @@ class Mlp {
 
   size_t in_dim() const { return layers_.front()->in_dim(); }
   size_t out_dim() const { return layers_.back()->out_dim(); }
+  size_t num_layers() const { return layers_.size(); }
+  const Dense& layer(size_t i) const { return *layers_[i]; }
 
   /// Reinitializes the final layer uniformly in [-r, r] (DDPG init trick to
   /// keep initial actions/values near zero).
@@ -73,6 +76,41 @@ class Mlp {
   std::vector<math::Matrix> batch_acts_;
   math::Matrix batch_grad_a_;
   math::Matrix batch_grad_b_;
+};
+
+/// A frozen copy of an Mlp's weights laid out for inference: each layer's
+/// weights transposed, in x out with the columns zero-padded to a multiple
+/// of 4, beside its bias (padded alike) and its activation. `Infer` runs
+/// math::AffineRowsInto per layer and so computes Mlp::Infer's bits on the
+/// same weights (DESIGN.md §8, "Packed deployed actor"). The copy does not
+/// follow later changes to the network: whoever changes the weights must
+/// Clear or re-Pack it.
+class PackedMlp {
+ public:
+  /// Packs `net`'s current weights, reusing this object's storage: a repack
+  /// at the same shape allocates nothing.
+  void Pack(const Mlp& net);
+
+  /// Forgets the packed weights and keeps the storage for the next Pack.
+  void Clear() { packed_ = false; }
+
+  bool empty() const { return !packed_; }
+
+  /// Mlp::Infer's contract and result on the packed weights: reads only
+  /// this object, so concurrent calls with distinct buffers are safe. `isa`
+  /// picks the kernel variant; tests run both.
+  void Infer(const math::Matrix& x, math::Matrix* out, math::Matrix* scratch,
+             math::Isa isa = math::HostIsa()) const;
+
+ private:
+  struct Layer {
+    math::Matrix wt;  // in x out_pad, columns past out_dim zero.
+    math::Vec bias;   // out_pad entries, zero past out_dim.
+    size_t out_dim = 0;
+    Activation act = Activation::kIdentity;
+  };
+  std::vector<Layer> layers_;
+  bool packed_ = false;
 };
 
 }  // namespace eadrl::nn

@@ -134,7 +134,11 @@ math::Vec DdpgAgent::CriticInput(const math::Vec& state,
 
 void DdpgAgent::ActBatch(const math::Matrix& states, math::Matrix* actions,
                          math::Matrix* scratch) const {
-  actor_->Infer(states, actions, scratch);
+  if (packed_actor_.empty()) {
+    actor_->Infer(states, actions, scratch);
+  } else {
+    packed_actor_.Infer(states, actions, scratch);
+  }
   actions->Scale(config_.logit_scale);
   math::SoftmaxRowsInPlace(actions);
 }
@@ -145,7 +149,10 @@ const math::Matrix& DdpgAgent::StateRow(const math::Vec& state) {
   return row;
 }
 
+void DdpgAgent::PackActor() { packed_actor_.Pack(*actor_); }
+
 math::Vec DdpgAgent::Act(const math::Vec& state) {
+  if (packed_actor_.empty()) PackActor();
   math::Matrix& actions = ws_.mat(kWsActOut, 1, config_.action_dim);
   ActBatch(StateRow(state), &actions, &ws_.mat(kWsScratch, 1, 0));
   math::Vec action = actions.Row(0);
@@ -205,6 +212,7 @@ void DdpgAgent::SetActorWeights(const std::vector<math::Matrix>& weights) {
                      "DdpgAgent::SetActorWeights actor weights");
     params[i]->value = weights[i];
   }
+  PackActor();
 }
 
 double DdpgAgent::Update(const Minibatch& batch) {
@@ -448,6 +456,7 @@ double DdpgAgent::FinishUpdate(double critic_loss, double abs_q_sum,
   EADRL_CHK_FINITE_VALUE(actor_grad_norm,
                          "DdpgAgent::Update actor gradient norm");
   actor_opt_.StepAndZero();
+  packed_actor_.Clear();
 
   // --- Soft target updates. ------------------------------------------------
   {

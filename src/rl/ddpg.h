@@ -77,13 +77,24 @@ class DdpgAgent {
   /// policy's single inference entry point: it writes only the caller's
   /// buffers, so threads sharing one agent may call it concurrently, each
   /// with its own `actions` and `scratch`, while nothing updates the agent
-  /// (cross-request batching for the serving path).
+  /// (cross-request batching for the serving path). It runs the packed
+  /// actor when there is one and never builds one; both forms give the
+  /// same bits.
   void ActBatch(const math::Matrix& states, math::Matrix* actions,
                 math::Matrix* scratch) const;
 
   /// Deterministic action for one state: a 1-row ActBatch on the agent's
-  /// own workspace, so calls on one agent must not overlap.
+  /// own workspace, so calls on one agent must not overlap. Packs the actor
+  /// first when it is not packed.
   math::Vec Act(const math::Vec& state);
+
+  /// Packs the actor's current weights for inference (nn::PackedMlp). The
+  /// pack lasts until the next Update or UpdateScalarForTest drops it;
+  /// SetActorWeights and Act build it too.
+  void PackActor();
+
+  /// True while a pack built from the current actor weights exists.
+  bool actor_packed() const { return !packed_actor_.empty(); }
 
   /// Exploratory action: softmax(logits + noise), on the agent's workspace.
   math::Vec ActWithNoise(const math::Vec& state, const math::Vec& noise);
@@ -108,7 +119,7 @@ class DdpgAgent {
   double QValue(const math::Vec& state, const math::Vec& action) const;
 
   /// Snapshot/restore of the actor parameters (used for best-checkpoint
-  /// selection during offline training).
+  /// selection during offline training). SetActorWeights packs the actor.
   std::vector<math::Matrix> ActorWeights() const;
   void SetActorWeights(const std::vector<math::Matrix>& weights);
 
@@ -131,8 +142,8 @@ class DdpgAgent {
 
   /// Shared tail of Update and UpdateScalarForTest: discard the critic
   /// gradients the monolithic critic's actor phase left, clip + step the
-  /// actor, soft-update the targets, and publish stats/telemetry. Returns
-  /// the critic loss.
+  /// actor, drop the packed actor, soft-update the targets, and publish
+  /// stats/telemetry. Returns the critic loss.
   double FinishUpdate(double critic_loss, double abs_q_sum,
                       double entropy_sum, double inv_n);
 
@@ -142,6 +153,10 @@ class DdpgAgent {
   std::unique_ptr<nn::Mlp> critic_;
   std::unique_ptr<nn::Mlp> target_actor_;
   std::unique_ptr<nn::Mlp> target_critic_;
+  // The actor's weights as of the last PackActor; empty once an update has
+  // moved them. ActWithNoise skips it: in training the weights move at
+  // every step, and a repack costs more than one packed pass saves.
+  nn::PackedMlp packed_actor_;
   // The four networks' parameter lists, gathered once.
   std::vector<nn::Param*> actor_params_;
   std::vector<nn::Param*> critic_params_;

@@ -132,13 +132,12 @@ double EnsembleEnv::RewardAt(size_t t, const math::Vec& weights) const {
   return static_cast<double>(m + 1 - rank) + diversity_bonus;
 }
 
-EnsembleEnv::StepResult EnsembleEnv::Peek(const math::Vec& weights) const {
+EnsembleEnv::StepResult EnsembleEnv::Transition(
+    const math::Vec& weights) const {
   EADRL_CHECK_LT(t_, predictions_.rows());
   EADRL_CHECK_EQ(weights.size(), predictions_.cols());
 
   StepResult result;
-  result.reward = RewardAt(t_, weights);
-
   double pred = 0.0;
   for (size_t i = 0; i < predictions_.cols(); ++i) {
     pred += weights[i] * predictions_(t_, i);
@@ -154,12 +153,28 @@ EnsembleEnv::StepResult EnsembleEnv::Peek(const math::Vec& weights) const {
   return result;
 }
 
-EnsembleEnv::StepResult EnsembleEnv::Step(const math::Vec& weights) {
-  StepResult result = Peek(weights);
-  // Commit: the ensemble output at the current step enters the window.
+EnsembleEnv::StepResult EnsembleEnv::Peek(const math::Vec& weights) const {
+  StepResult result = Transition(weights);
+  result.reward = RewardAt(t_, weights);
+  return result;
+}
+
+void EnsembleEnv::Commit(const StepResult& result) {
+  // The ensemble output at the current step enters the window.
   std::copy(window_.begin() + 1, window_.end(), window_.begin());
   window_.back() = result.ensemble_prediction;
   ++t_;
+}
+
+EnsembleEnv::StepResult EnsembleEnv::Step(const math::Vec& weights) {
+  StepResult result = Peek(weights);
+  Commit(result);
+  return result;
+}
+
+EnsembleEnv::StepResult EnsembleEnv::Advance(const math::Vec& weights) {
+  StepResult result = Transition(weights);
+  Commit(result);
   return result;
 }
 

@@ -64,6 +64,11 @@ class EnsembleEnv {
   };
   StepResult Step(const math::Vec& weights);
 
+  /// Step without the reward: commits the same transition and returns the
+  /// same next_state, done, ensemble_prediction and actual, bit for bit,
+  /// with `reward` left at 0. For rollouts that read only the forecasts.
+  StepResult Advance(const math::Vec& weights);
+
   /// Computes the (reward, next_state, done) a weight vector would produce
   /// at the current position WITHOUT advancing the environment. The
   /// transition function is known and deterministic, so peeked transitions
@@ -90,6 +95,12 @@ class EnsembleEnv {
 
   /// Standardizes a raw window of ensemble outputs into a state, in place.
   void Standardize(math::Vec* window) const;
+
+  /// Peek without the reward.
+  StepResult Transition(const math::Vec& weights) const;
+
+  /// Moves to the next step with `result`'s ensemble output in the window.
+  void Commit(const StepResult& result);
 };
 
 }  // namespace eadrl::rl

@@ -107,10 +107,15 @@ std::shared_ptr<Session> SessionTable::Lookup(const std::string& tenant) {
   std::lock_guard<chk::OrderedMutex> lock(shard.stripe_mu);
   auto it = shard.map.find(tenant);
   if (it == shard.map.end()) return nullptr;
-  // Mark most-recently-used: splice the key to the recency-list front.
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-  it->second.lru_it = shard.lru.begin();
-  it->second.last_activity = std::chrono::steady_clock::now();
+  // Mark most-recently-used: splice the key to the recency-list front. Only
+  // a session cap reads the order, and only a TTL reads the activity time.
+  if (per_shard_cap_ > 0) {
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
+    it->second.lru_it = shard.lru.begin();
+  }
+  if (opt_.ttl_seconds > 0.0) {
+    it->second.last_activity = std::chrono::steady_clock::now();
+  }
   return it->second.session;
 }
 

@@ -113,8 +113,9 @@ class SessionTable {
   /// when the stripe is at capacity.
   Status Insert(const std::string& tenant, std::shared_ptr<Session> session);
 
-  /// Returns the session and marks it most-recently-used; nullptr when the
-  /// tenant is not resident.
+  /// Returns the session and marks it most-recently-used (with a session
+  /// cap) and active now (with a TTL); nullptr when the tenant is not
+  /// resident.
   std::shared_ptr<Session> Lookup(const std::string& tenant);
 
   /// Removes the tenant's session. False when not resident.

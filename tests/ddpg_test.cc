@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -58,9 +59,13 @@ TEST(DdpgTest, DeterministicForSeed) {
 
 // ActBatch is const and writes only the caller's buffers, so threads share
 // one agent without a lock (the serving layer's waves rely on this; the TSan
-// stage of tools/check.sh runs this test).
+// stage of tools/check.sh runs this test). It runs on the network and then
+// on the packed actor, which every thread must find giving the network's
+// bits.
 TEST(DdpgTest, SharedAgentActBatchIsReentrant) {
-  const DdpgAgent agent(SmallConfig(5, 4));
+  DdpgConfig cfg = SmallConfig(5, 7);
+  cfg.actor_hidden = {16, 12};
+  DdpgAgent agent(cfg);
   constexpr size_t kThreads = 4;
   constexpr int kRounds = 300;
   Rng rng(19);
@@ -73,20 +78,107 @@ TEST(DdpgTest, SharedAgentActBatchIsReentrant) {
     math::Matrix scratch;
     agent.ActBatch(states[t], &serial[t], &scratch);
   }
-  std::atomic<size_t> mismatches{0};
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      math::Matrix actions;
-      math::Matrix scratch;
-      for (int r = 0; r < kRounds; ++r) {
-        agent.ActBatch(states[t], &actions, &scratch);
-        if (actions.data() != serial[t].data()) mismatches.fetch_add(1);
-      }
-    });
+  for (bool packed : {false, true}) {
+    if (packed) agent.PackActor();
+    ASSERT_EQ(agent.actor_packed(), packed);
+    const DdpgAgent& shared = agent;
+    std::atomic<size_t> mismatches{0};
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        math::Matrix actions;
+        math::Matrix scratch;
+        for (int r = 0; r < kRounds; ++r) {
+          shared.ActBatch(states[t], &actions, &scratch);
+          if (actions.size() != serial[t].size() ||
+              std::memcmp(actions.data().data(), serial[t].data().data(),
+                          serial[t].size() * sizeof(double)) != 0) {
+            mismatches.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(mismatches.load(), 0u) << "packed " << packed;
   }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(mismatches.load(), 0u);
+}
+
+bool SameBits(const math::Vec& a, const math::Vec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+Minibatch RandomMinibatch(size_t n, size_t state_dim, size_t action_dim,
+                          Rng& rng) {
+  std::vector<Transition> batch;
+  for (size_t i = 0; i < n; ++i) {
+    Transition t;
+    for (size_t k = 0; k < state_dim; ++k) {
+      t.state.push_back(rng.Uniform(-2.0, 2.0));
+      t.next_state.push_back(rng.Uniform(-2.0, 2.0));
+    }
+    double sum = 0.0;
+    for (size_t j = 0; j < action_dim; ++j) {
+      t.action.push_back(rng.Uniform(0.01, 1.0));
+      sum += t.action.back();
+    }
+    for (double& a : t.action) a /= sum;
+    t.reward = rng.Uniform(0.0, 1.0);
+    t.terminal = (i % 5 == 0);
+    batch.push_back(std::move(t));
+  }
+  return Minibatch::FromTransitions(batch);
+}
+
+// Act runs the packed actor and ActWithNoise the network itself, so with
+// zero noise they agree bit for bit, on the same agent, after each of 20
+// updates (the batched and the per-transition one in turn): a pack kept
+// across an update would act on the weights it was built from.
+TEST(DdpgTest, ActMatchesTheNetworkAfterEveryUpdate) {
+  for (CriticForm form :
+       {CriticForm::kLinearInAction, CriticForm::kMonolithic}) {
+    DdpgConfig cfg = SmallConfig(5, 7);
+    cfg.actor_hidden = {16, 12};
+    cfg.critic_form = form;
+    DdpgAgent agent(cfg);
+    Rng rng(23);
+    const Minibatch batch = RandomMinibatch(8, 5, 7, rng);
+    const math::Vec state{0.4, -1.2, 0.9, 2.0, -0.3};
+    const math::Vec zeros(7, 0.0);
+    ASSERT_TRUE(SameBits(agent.Act(state), agent.ActWithNoise(state, zeros)));
+    for (int u = 0; u < 20; ++u) {
+      ASSERT_TRUE(agent.actor_packed());
+      if (u % 2 == 0) {
+        agent.Update(batch);
+      } else {
+        agent.UpdateScalarForTest(batch);
+      }
+      EXPECT_FALSE(agent.actor_packed()) << "update " << u;
+      ASSERT_TRUE(SameBits(agent.Act(state), agent.ActWithNoise(state, zeros)))
+          << "critic " << static_cast<int>(form) << " update " << u;
+    }
+  }
+}
+
+// SetActorWeights packs the weights it sets, replacing an earlier pack, and
+// ActWithNoise never packs.
+TEST(DdpgTest, SetActorWeightsPacksTheNewWeights) {
+  DdpgConfig cfg = SmallConfig(5, 7);
+  cfg.actor_hidden = {16, 12};
+  DdpgAgent agent(cfg);
+  cfg.seed = 99;
+  DdpgAgent donor(cfg);
+  const math::Vec state{0.4, -1.2, 0.9, 2.0, -0.3};
+  const math::Vec zeros(7, 0.0);
+  const math::Vec before = agent.Act(state);
+  ASSERT_TRUE(agent.actor_packed());
+  agent.SetActorWeights(donor.ActorWeights());
+  EXPECT_TRUE(agent.actor_packed());
+  const math::Vec after = agent.Act(state);
+  EXPECT_TRUE(SameBits(after, agent.ActWithNoise(state, zeros)));
+  EXPECT_TRUE(SameBits(after, donor.ActWithNoise(state, zeros)));
+  EXPECT_FALSE(SameBits(after, before));
+  EXPECT_FALSE(donor.actor_packed());
 }
 
 // A contextual-bandit-like environment: reward is highest when all weight is

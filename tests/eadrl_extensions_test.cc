@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -63,6 +64,49 @@ TEST(PolicyPersistenceTest, SaveLoadReproducesOnlineBehaviour) {
     math::Vec step{10.0, 10.5, 11.0, 15.0};
     EXPECT_DOUBLE_EQ(original.Predict(step), restored.Predict(step));
   }
+}
+
+// The deployed actor is packed once Initialize or LoadPolicy returns, with
+// or without the best checkpoint; an online update drops the pack and the
+// next Predict packs the new weights.
+TEST(PackedActorTest, DeployedAgentIsPacked) {
+  math::Matrix preds;
+  math::Vec actuals;
+  MakeSkillGapData(120, 4, &preds, &actuals);
+  for (bool best_checkpoint : {true, false}) {
+    EadrlConfig cfg = FastConfig();
+    cfg.max_episodes = 3;
+    cfg.best_checkpoint = best_checkpoint;
+    EadrlCombiner combiner(cfg);
+    ASSERT_TRUE(combiner.Initialize(preds, actuals).ok());
+    EXPECT_TRUE(combiner.agent()->actor_packed()) << best_checkpoint;
+    const std::string path = testing::TempDir() + "/packed_policy.txt";
+    ASSERT_TRUE(combiner.SavePolicy(path).ok());
+    EadrlCombiner restored(cfg);
+    ASSERT_TRUE(restored.LoadPolicy(path).ok());
+    EXPECT_TRUE(restored.agent()->actor_packed()) << best_checkpoint;
+  }
+
+  EadrlConfig cfg = FastConfig();
+  cfg.max_episodes = 3;
+  cfg.online_update = OnlineUpdateMode::kPeriodic;
+  cfg.online_update_every = 10;
+  cfg.online_update_iterations = 1;
+  EadrlCombiner combiner(cfg);
+  ASSERT_TRUE(combiner.Initialize(preds, actuals).ok());
+  size_t repacks = 0;
+  for (int t = 0; t < 40; ++t) {
+    const math::Vec step{10.0, 10.2, 10.4 + 0.01 * t, 15.0};
+    combiner.Predict(step);
+    EXPECT_TRUE(combiner.agent()->actor_packed());
+    const size_t updates = combiner.online_updates();
+    combiner.Update(step, 10.1);
+    if (combiner.online_updates() > updates) {
+      EXPECT_FALSE(combiner.agent()->actor_packed());
+      ++repacks;
+    }
+  }
+  EXPECT_GT(repacks, 0u);
 }
 
 TEST(PolicyPersistenceTest, SaveBeforeInitializeFails) {

@@ -351,6 +351,52 @@ TEST_P(EnvMatchesUncached, PeekAndStepMatchBitwise) {
   }
 }
 
+// Advance commits Step's transition without the reward: over two episodes
+// of random mixtures, for both reward types, its prediction, actual, next
+// state and done equal Step's bitwise, and its reward stays 0.
+TEST(EnvTest, AdvanceMatchesStepWithoutTheReward) {
+  constexpr size_t kSteps = 60;
+  constexpr size_t kMembers = 7;
+  Rng data_rng(31);
+  math::Vec actuals(kSteps);
+  math::Matrix preds(kSteps, kMembers);
+  for (size_t t = 0; t < kSteps; ++t) {
+    actuals[t] = 5.0 + std::cos(0.3 * static_cast<double>(t)) +
+                 data_rng.Normal(0.0, 0.2);
+    for (size_t i = 0; i < kMembers; ++i) {
+      preds(t, i) = actuals[t] + data_rng.Normal(0.0, 0.1 * static_cast<double>(i + 1));
+    }
+  }
+  for (RewardType reward_type :
+       {RewardType::kRank, RewardType::kOneMinusNrmse}) {
+    EnsembleEnv stepped(preds, actuals, 6, reward_type);
+    EnsembleEnv advanced = stepped;
+    Rng rng(8);
+    for (int episode = 0; episode < 2; ++episode) {
+      ASSERT_EQ(stepped.Reset(), advanced.Reset());
+      for (size_t step = 0;; ++step) {
+        math::Vec w(kMembers);
+        double sum = 0.0;
+        for (double& v : w) {
+          v = rng.Uniform(0.01, 1.0);
+          sum += v;
+        }
+        for (double& v : w) v /= sum;
+        EnsembleEnv::StepResult want = stepped.Step(w);
+        const EnsembleEnv::StepResult got = advanced.Advance(w);
+        EXPECT_EQ(got.reward, 0.0);
+        want.reward = 0.0;
+        ExpectSameResult(got, want,
+                         "reward type " +
+                             std::to_string(static_cast<int>(reward_type)) +
+                             " episode " + std::to_string(episode) +
+                             " step " + std::to_string(step));
+        if (got.done) break;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     RewardsAndDiversity, EnvMatchesUncached,
     ::testing::Combine(::testing::Values(RewardType::kRank,

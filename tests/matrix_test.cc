@@ -256,6 +256,46 @@ TEST(MatrixKernelTest, ProductsMatchNaiveLoopsOnEveryIsa) {
   }
 }
 
+// AffineRowsInto against the naive chain 0.0, + x_k * W(j, k) for k
+// ascending, + b_j, bit for bit, on every variant: output widths with every
+// pad (0 to 3 lanes) below, at and past one register chunk, over row counts
+// around the tile height. Each output is a fresh matrix of exactly rows x n,
+// so a store into a pad lane runs past the end of the last row, which the
+// asan stage of tools/check.sh reports.
+TEST(MatrixKernelTest, AffineRowsMatchNaiveChainOnEveryIsa) {
+  for (size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 10u, 16u, 31u, 33u, 43u, 64u}) {
+    const size_t n_pad = (n + 3) / 4 * 4;
+    for (size_t k : {1u, 3u, 10u, 64u}) {
+      const Matrix w = PseudoRandom(n, k, 41);  // out x in
+      const Matrix b = PseudoRandom(1, n, 42);
+      Matrix wt(k, n_pad);
+      Vec bias(n_pad, 0.0);
+      for (size_t j = 0; j < n; ++j) {
+        bias[j] = b(0, j);
+        for (size_t q = 0; q < k; ++q) wt(q, j) = w(j, q);
+      }
+      for (size_t rows : {1u, 2u, 3u, 4u, 5u}) {
+        const Matrix x = PseudoRandom(rows, k, 43);
+        Matrix want(rows, n);
+        for (size_t i = 0; i < rows; ++i) {
+          for (size_t j = 0; j < n; ++j) {
+            double s = 0.0;
+            for (size_t q = 0; q < k; ++q) s += x(i, q) * w(j, q);
+            want(i, j) = s + bias[j];
+          }
+        }
+        for (Isa isa : {Isa::kBaseline, HostIsa()}) {
+          Matrix got;
+          AffineRowsInto(isa, x, wt, bias, n, &got);
+          EXPECT_EQ(FirstMismatch(got, want), -1)
+              << "isa=" << static_cast<int>(isa) << " rows=" << rows
+              << " n=" << n << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
 // A contraction longer than one packed panel (256) continues each chain
 // across panels without reordering it.
 TEST(MatrixKernelTest, LongContractionMatchesNaiveOnEveryIsa) {

@@ -1,9 +1,13 @@
 #include "nn/mlp.h"
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "math/isa.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "nn/param.h"
@@ -80,6 +84,95 @@ TEST(MlpTest, ReinitOutputUniformBoundsWeights) {
       EXPECT_LE(std::fabs(v), 1e-3);
     }
   }
+}
+
+bool SameBits(const math::Matrix& a, const math::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(double)) == 0;
+}
+
+// Every weight and bias drawn at random: the zero biases of a fresh network
+// could not show where the chain adds the bias.
+void RandomizeParams(Mlp* net, Rng& rng) {
+  for (Param* p : net->Params()) {
+    for (double& v : p->value.data()) v = rng.Uniform(-0.6, 0.6);
+  }
+}
+
+math::Matrix RandomRows(size_t rows, size_t cols, Rng& rng) {
+  math::Matrix x(rows, cols);
+  for (double& v : x.data()) v = rng.Uniform(-2.0, 2.0);
+  return x;
+}
+
+// The packed form computes Mlp::Infer's bits on both kernel variants: the
+// actor's shape (10 -> 64 -> 64 -> 43, one pad lane), a 10-wide output (two)
+// and 3 -> 5 -> 7 -> 1 (three, one and three), every hidden activation, over
+// row counts below, at and past the tile height. The output and scratch
+// buffers stay warm across shapes, as a serving wave's do.
+TEST(PackedMlpTest, InferMatchesMlpInferBitwiseOnEveryIsa) {
+  const std::vector<std::vector<size_t>> shapes = {
+      {10, 64, 64, 43}, {10, 64, 64, 10}, {3, 5, 7, 1}};
+  math::Matrix got;
+  math::Matrix scratch;
+  for (const std::vector<size_t>& sizes : shapes) {
+    for (Activation hidden :
+         {Activation::kRelu, Activation::kTanh, Activation::kSigmoid}) {
+      Rng rng(40 + sizes.back());
+      Mlp net(sizes, hidden, Activation::kIdentity, rng);
+      RandomizeParams(&net, rng);
+      PackedMlp packed;
+      packed.Pack(net);
+      for (size_t rows : {1, 2, 3, 4, 5, 8, 11, 16, 64}) {
+        const math::Matrix x = RandomRows(rows, sizes.front(), rng);
+        math::Matrix want;
+        math::Matrix want_scratch;
+        net.Infer(x, &want, &want_scratch);
+        for (math::Isa isa : {math::Isa::kBaseline, math::HostIsa()}) {
+          packed.Infer(x, &got, &scratch, isa);
+          ASSERT_TRUE(SameBits(got, want))
+              << "out " << sizes.back() << " act "
+              << static_cast<int>(hidden) << " rows " << rows << " isa "
+              << static_cast<int>(isa);
+        }
+      }
+    }
+  }
+}
+
+// A pack is a snapshot: it keeps the weights it was built from until it is
+// packed again, and a repack reuses its storage across shapes.
+TEST(PackedMlpTest, RepackFollowsTheWeightsAndClearEmpties) {
+  Rng rng(9);
+  Mlp small({3, 5, 7, 1}, Activation::kTanh, Activation::kIdentity, rng);
+  Mlp net({4, 9, 6}, Activation::kRelu, Activation::kIdentity, rng);
+  RandomizeParams(&net, rng);
+  PackedMlp packed;
+  EXPECT_TRUE(packed.empty());
+  packed.Pack(small);
+  packed.Pack(net);
+  EXPECT_FALSE(packed.empty());
+  const math::Matrix x = RandomRows(3, 4, rng);
+  math::Matrix before;
+  math::Matrix got;
+  math::Matrix want;
+  math::Matrix scratch;
+  net.Infer(x, &before, &scratch);
+  packed.Infer(x, &got, &scratch);
+  EXPECT_TRUE(SameBits(got, before));
+
+  RandomizeParams(&net, rng);
+  packed.Infer(x, &got, &scratch);
+  EXPECT_TRUE(SameBits(got, before));  // the old weights still.
+  packed.Pack(net);
+  net.Infer(x, &want, &scratch);
+  packed.Infer(x, &got, &scratch);
+  EXPECT_TRUE(SameBits(got, want));
+  EXPECT_FALSE(SameBits(want, before));
+
+  packed.Clear();
+  EXPECT_TRUE(packed.empty());
 }
 
 }  // namespace
