@@ -21,7 +21,6 @@
 #include "nn/optimizer.h"
 #include "nn/param.h"
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
 #include "rl/ddpg.h"
 #include "rl/env.h"
 #include "rl/replay_buffer.h"
@@ -399,36 +398,6 @@ void BM_ObsHistogramObserve(benchmark::State& state) {
   eadrl::bench::RegisterThreads(state, 1);
 }
 BENCHMARK(BM_ObsHistogramObserve);
-
-// Disabled-sink event emission: the acceptance bar is < 5 ns per no-op
-// (one relaxed atomic load + a predictable branch; the field list is never
-// materialized).
-void BM_ObsDisabledEventEmission(benchmark::State& state) {
-  eadrl::obs::SetTelemetrySink(nullptr);
-  double value = 0.25;
-  for (auto _ : state) {
-    EADRL_TELEMETRY("bench_event", {"value", value}, {"step", size_t{1}},
-                    {"name", "noop"});
-    benchmark::ClobberMemory();
-  }
-  eadrl::bench::RegisterThreads(state, 1);
-}
-BENCHMARK(BM_ObsDisabledEventEmission);
-
-void BM_ObsEnabledEventEmission(benchmark::State& state) {
-  // Counterpart number for the sink-attached cost (in-memory sink).
-  eadrl::obs::CollectingSink sink;
-  eadrl::obs::SetTelemetrySink(&sink);
-  double value = 0.25;
-  for (auto _ : state) {
-    EADRL_TELEMETRY("bench_event", {"value", value}, {"step", size_t{1}},
-                    {"name", "noop"});
-    if (sink.size() > 4096) (void)sink.TakeEvents();
-  }
-  eadrl::obs::SetTelemetrySink(nullptr);
-  eadrl::bench::RegisterThreads(state, 1);
-}
-BENCHMARK(BM_ObsEnabledEventEmission);
 
 }  // namespace
 

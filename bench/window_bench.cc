@@ -159,7 +159,6 @@ void BM_SloRecordLatency(benchmark::State& state) {
   options.objectives.push_back({"availability", 0.0, 0.999});
   options.long_window = FakeWindow();
   options.short_window = FakeWindow();
-  options.emit_telemetry = false;
   SloTracker tracker(options);
   size_t i = 0;
   for (auto _ : state) {
@@ -177,7 +176,6 @@ void BM_SloEvaluate(benchmark::State& state) {
   options.objectives.push_back({"availability", 0.0, 0.999});
   options.long_window = FakeWindow();
   options.short_window = FakeWindow();
-  options.emit_telemetry = false;
   SloTracker tracker(options);
   for (int i = 0; i < 1000; ++i) {
     tracker.RecordLatency(0, (i % 10 == 0) ? 0.2 : 0.001);

@@ -11,9 +11,9 @@
 // macro expands to `static_cast<void>(0)` — arguments are never evaluated, so
 // a disabled contract costs exactly nothing (bench/chk_bench.cc holds the
 // nn-forward and combiner-predict hot paths to the pre-contract baseline).
-// This mirrors the obs disabled-emission pattern, but moves the gate from a
+// This mirrors the obs disarmed-span pattern, but moves the gate from a
 // runtime atomic load to compile time because contracts sit inside inner
-// loops that telemetry never enters.
+// loops that tracing never enters.
 //
 // The gate resolves, most specific first:
 //   1. EADRL_CHK_FORCE_ON / EADRL_CHK_FORCE_OFF — per-translation-unit

@@ -10,7 +10,7 @@
 namespace eadrl::json {
 
 /// Minimal read-only JSON document model. The repo produces several JSON
-/// artifacts (telemetry lines, metric snapshots, Chrome trace exports); this
+/// artifacts (metric snapshots, Chrome trace exports); this
 /// parser exists so tests and the trace validator can round-trip them
 /// without an external dependency.
 ///

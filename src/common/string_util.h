@@ -31,8 +31,8 @@ std::string FormatDouble(double v, int precision);
 
 /// Appends `s` to `*out` with JSON string escaping (quote, backslash and
 /// control characters; the caller writes the surrounding quotes). Shared by
-/// the telemetry JSON-lines sink, MetricRegistry::ToJson and the Chrome
-/// trace exporter so every serializer escapes identically.
+/// MetricRegistry::ToJson, the exporter, the SLO and drill-down reports and
+/// the Chrome trace exporter so every serializer escapes identically.
 void AppendJsonEscaped(std::string* out, const std::string& s);
 
 /// Convenience wrapper around AppendJsonEscaped.
@@ -41,13 +41,13 @@ std::string JsonEscaped(const std::string& s);
 /// Appends `v` as a JSON number: the shortest text that parses back to the
 /// same double (std::to_chars), or `null` for NaN and infinities, which JSON
 /// cannot spell. The one number writer of every JSON document the project
-/// emits (metric snapshots, exporter sections, telemetry events, trace
-/// attributes).
+/// emits (metric snapshots, exporter sections, SLO and drill-down reports,
+/// trace attributes).
 void AppendJsonNumber(std::string* out, double v);
 
 /// Formats a unix timestamp (seconds since the epoch) as ISO-8601 UTC with
 /// millisecond precision, e.g. "2026-08-05T12:00:00.123Z". Used by the
-/// default log sink and the telemetry JSON-lines sink.
+/// default log sink.
 std::string FormatIso8601Utc(double unix_seconds);
 
 /// Current wall clock, seconds since the epoch.

@@ -10,7 +10,6 @@
 #include "common/logging.h"
 #include "math/stats.h"
 #include "nn/serialize.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "par/parallel.h"
 
@@ -269,23 +268,23 @@ Status EadrlCombiner::Initialize(const math::Matrix& val_preds,
           obs::Span checkpoint_span("checkpoint");
           out.best_eval = eval_score;
           out.best_actor = agent->ActorWeights();
-          EADRL_TELEMETRY("checkpoint", {"restart", restart},
-                          {"episode", episode}, {"eval_score", eval_score});
+          if (checkpoint_span.armed()) {
+            checkpoint_span.SetAttr("restart", restart);
+            checkpoint_span.SetAttr("episode", episode);
+            checkpoint_span.SetAttr("eval_score", eval_score);
+          }
         }
       }
 
       episode_counter_->Inc();
-      if (obs::TelemetryEnabled()) {
-        std::vector<obs::TelemetryField> fields = {
-            {"restart", restart},
-            {"episode", episode},
-            {"reward", mean_reward},
-            {"ou_sigma", episode_sigma},
-            {"explore_prob", episode_explore},
-            {"replay_size", buffer.size()},
-            {"critic_loss", agent->last_update_stats().critic_loss}};
-        if (have_eval) fields.emplace_back("eval_score", eval_score);
-        obs::Emit("episode", std::move(fields));
+      if (episode_span.armed()) {
+        episode_span.SetAttr("reward", mean_reward);
+        episode_span.SetAttr("ou_sigma", episode_sigma);
+        episode_span.SetAttr("explore_prob", episode_explore);
+        episode_span.SetAttr("replay_size", buffer.size());
+        episode_span.SetAttr("critic_loss",
+                             agent->last_update_stats().critic_loss);
+        if (have_eval) episode_span.SetAttr("eval_score", eval_score);
       }
 
       // Plateau detection: compare the mean reward of the last `patience`
@@ -352,10 +351,11 @@ Status EadrlCombiner::Initialize(const math::Matrix& val_preds,
   } else {
     agent_->PackActor();
   }
-  EADRL_TELEMETRY("train_done", {"episodes", episode_rewards_.size()},
-                  {"converged_episode", converged_episode_},
-                  {"restarts", restarts}, {"best_eval", best_eval},
-                  {"active_models", active_models_.size()});
+  if (train_span.armed()) {
+    train_span.SetAttr("episodes", episode_rewards_.size());
+    train_span.SetAttr("converged_episode", converged_episode_);
+    train_span.SetAttr("best_eval", best_eval);
+  }
 
   // Online state initialization (Algorithm 1, line 1): seed the window with
   // the policy-weighted ensemble outputs over the tail of the validation
@@ -438,8 +438,8 @@ double EadrlCombiner::Predict(const math::Vec& preds) {
 
   ++predict_count_;
   predict_counter_->Inc();
-  double latency = timer.Stop();
-  if (obs::TelemetryEnabled()) {
+  const double latency = timer.Stop();
+  if (span.armed()) {
     // Weight-vector concentration diagnostics: entropy near log(m) means a
     // near-uniform mixture, near zero means single-model selection.
     double entropy = 0.0;
@@ -448,13 +448,13 @@ double EadrlCombiner::Predict(const math::Vec& preds) {
       if (w > 0.0) entropy -= w * std::log(w);
       max_weight = std::max(max_weight, w);
     }
-    obs::Emit("predict", {{"step", predict_count_},
-                          {"latency_seconds", latency},
-                          {"prediction", pred},
-                          {"weight_entropy", entropy},
-                          {"max_weight", max_weight},
-                          {"online_updates", online_updates_},
-                          {"drift_cum", online_detector_.cumulative()}});
+    span.SetAttr("step", predict_count_);
+    span.SetAttr("latency_seconds", latency);
+    span.SetAttr("prediction", pred);
+    span.SetAttr("weight_entropy", entropy);
+    span.SetAttr("max_weight", max_weight);
+    span.SetAttr("online_updates", online_updates_);
+    span.SetAttr("drift_cum", online_detector_.cumulative());
   }
   return pred;
 }
@@ -503,11 +503,16 @@ void EadrlCombiner::MaybeOnlineUpdate(const math::Vec& reduced_preds,
   } else {
     double err = std::fabs(Combine(last_action_, reduced_preds) - actual);
     double sd = online_.state_std > 0 ? online_.state_std : 1.0;
+    // A firing detector resets itself, so count its run before updating.
+    const size_t observations = online_detector_.num_observations() + 1;
     trigger = has_last_action_ && online_detector_.Update(err / sd);
     if (trigger) {
-      EADRL_TELEMETRY("drift", {"step", online_steps_},
-                      {"error", err / sd},
-                      {"observations", online_detector_.num_observations()});
+      obs::Span drift_span("drift");
+      if (drift_span.armed()) {
+        drift_span.SetAttr("step", online_steps_);
+        drift_span.SetAttr("error", err / sd);
+        drift_span.SetAttr("observations", observations);
+      }
     }
   }
   if (trigger && online_buffer_->size() >= config_.batch_size) {
@@ -523,14 +528,14 @@ void EadrlCombiner::MaybeOnlineUpdate(const math::Vec& reduced_preds,
       ++online_updates_;
       online_update_counter_->Inc();
     }
-    EADRL_TELEMETRY(
-        "online_update", {"step", online_steps_},
-        {"iterations", config_.online_update_iterations},
-        {"total_updates", online_updates_},
-        {"mode", config_.online_update == OnlineUpdateMode::kPeriodic
-                     ? "periodic"
-                     : "drift"},
-        {"critic_loss", agent_->last_update_stats().critic_loss});
+    if (span.armed()) {
+      span.SetAttr("total_updates", online_updates_);
+      span.SetAttr("mode",
+                   config_.online_update == OnlineUpdateMode::kPeriodic
+                       ? "periodic"
+                       : "drift");
+      span.SetAttr("critic_loss", agent_->last_update_stats().critic_loss);
+    }
   }
 }
 

@@ -15,7 +15,6 @@
 #include "models/random_forest.h"
 #include "models/regression_forecaster.h"
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "par/parallel.h"
 #include "ts/metrics.h"
@@ -23,8 +22,8 @@
 namespace eadrl::exp {
 namespace {
 
-/// Online-loop latency histogram of one method (Table III's runtime
-/// telemetry); one labeled family member per method name.
+/// Online-loop latency histogram of one method (Table III's runtime); one
+/// labeled family member per method name.
 obs::Histogram* MethodRuntimeHist(const std::string& method) {
   return obs::MetricRegistry::Default().GetHistogram(
       "eadrl_method_runtime_seconds", {}, {{"method", method}});
@@ -48,10 +47,12 @@ PoolRun PreparePool(const ts::Series& series, const ExperimentOptions& opt) {
     pool = models::FitPool(models::BuildPaperPool(pool_cfg), inner.train);
   }
   EADRL_CHECK(!pool.empty());
-  EADRL_TELEMETRY("pool_prepared", {"models", pool.size()},
-                  {"fit_seconds", fit_seconds},
-                  {"val_rows", inner.test.size()},
-                  {"test_rows", outer.test.size()});
+  if (span.armed()) {
+    span.SetAttr("models", pool.size());
+    span.SetAttr("fit_seconds", fit_seconds);
+    span.SetAttr("val_rows", inner.test.size());
+    span.SetAttr("test_rows", outer.test.size());
+  }
 
   PoolRun run;
   run.train_values = outer.train.values();
@@ -106,10 +107,11 @@ MethodRun RunCombiner(core::Combiner* combiner, const PoolRun& pool) {
     result.squared_errors[t] = d * d;
   }
   result.rmse = ts::Rmse(pool.test_actuals, result.predictions);
-  EADRL_TELEMETRY("method_run", {"method", result.name},
-                  {"rmse", result.rmse},
-                  {"runtime_seconds", result.runtime_seconds},
-                  {"steps", t_test});
+  if (span.armed()) {
+    span.SetAttr("rmse", result.rmse);
+    span.SetAttr("runtime_seconds", result.runtime_seconds);
+    span.SetAttr("steps", t_test);
+  }
   return result;
 }
 
@@ -195,13 +197,10 @@ DatasetResult RunDataset(const ts::Series& series,
   DatasetResult result;
   result.dataset = series.name();
 
-  // A concurrent RunSuite interleaves event streams from several datasets in
-  // the sink; this ambient scope stamps every event emitted below
-  // (pool_prepared, model_fit, episode, ddpg_update, checkpoint, method_run)
-  // with its dataset, following the work across pool workers. The span is
-  // the causal counterpart: every span opened below (down to worker-side
-  // restarts and episodes) reaches this one through its parent chain.
-  obs::TelemetryScope telemetry_scope("dataset", series.name());
+  // A concurrent RunSuite interleaves several datasets on the pool workers;
+  // every span opened below (down to worker-side restarts, episodes and
+  // DDPG updates) reaches this one through its parent chain, so its
+  // `dataset` attribute identifies the dataset of all of them.
   obs::Span span("dataset_run");
   span.SetAttr("dataset", series.name());
 
@@ -236,15 +235,16 @@ std::vector<DatasetResult> RunSuite(const std::vector<ts::Series>& datasets,
         done_counter->Inc();
       },
       {/*grain=*/1, &executor});
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  size_t methods = 0;
-  for (const DatasetResult& r : results) methods += r.methods.size();
-  EADRL_TELEMETRY("suite_run", {"datasets", datasets.size()},
-                  {"methods", methods}, {"wall_seconds", wall_seconds},
-                  {"threads", executor.concurrency()});
+  if (span.armed()) {
+    size_t methods = 0;
+    for (const DatasetResult& r : results) methods += r.methods.size();
+    span.SetAttr("methods", methods);
+    span.SetAttr("wall_seconds",
+                 std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - wall_start)
+                     .count());
+    span.SetAttr("threads", executor.concurrency());
+  }
   return results;
 }
 

@@ -79,8 +79,8 @@ DatasetResult RunDataset(const ts::Series& series,
 
 /// Runs the full dataset x method grid: RunDataset over every series,
 /// datasets running concurrently on `exec` (nullptr means the default pool).
-/// Results come back in input order regardless of completion order; a
-/// `suite_run` telemetry event summarizes the grid when done.
+/// Results come back in input order regardless of completion order; the
+/// `suite_run` span's attributes summarize the grid when tracing is on.
 std::vector<DatasetResult> RunSuite(const std::vector<ts::Series>& datasets,
                                     const ExperimentOptions& opt,
                                     par::ThreadPool* exec = nullptr);

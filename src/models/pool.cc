@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "models/arima.h"
 #include "models/ets.h"
@@ -291,8 +290,8 @@ std::vector<std::unique_ptr<Forecaster>> FitPool(
       registry.GetCounter("eadrl_pool_models_dropped_total");
 
   // Fit concurrently; per-model work is fully independent (slot i only).
-  // Warnings and telemetry are deferred to the ordered scan below so the
-  // observable output does not depend on completion order.
+  // Warnings are deferred to the ordered scan below so the log does not
+  // depend on completion order.
   std::vector<Status> statuses(n);
   std::vector<double> fit_seconds(n, 0.0);
   obs::Span pool_span("pool_fit");
@@ -304,22 +303,20 @@ std::vector<std::unique_ptr<Forecaster>> FitPool(
         EADRL_CHK_BOUND(i, n, "FitPool fit slot");
         obs::Span span("model_fit");
         span.SetAttr("model", pool[i]->name());
-        obs::ScopedTimer timer(fit_hist, &fit_seconds[i]);
-        statuses[i] = pool[i]->Fit(train);
+        {
+          obs::ScopedTimer timer(fit_hist, &fit_seconds[i]);
+          statuses[i] = pool[i]->Fit(train);
+        }
+        if (span.armed()) {
+          span.SetAttr("seconds", fit_seconds[i]);
+          span.SetAttr("ok", statuses[i].ok());
+        }
       },
       {/*grain=*/1, &executor});
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
 
   std::vector<std::unique_ptr<Forecaster>> fitted;
   fitted.reserve(n);
-  double cpu_seconds = 0.0;
   for (size_t i = 0; i < n; ++i) {
-    cpu_seconds += fit_seconds[i];
-    EADRL_TELEMETRY("model_fit", {"model", pool[i]->name()},
-                    {"seconds", fit_seconds[i]}, {"ok", statuses[i].ok()});
     if (!statuses[i].ok()) {
       dropped_counter->Inc();
       EADRL_LOG(Warning) << "dropping model " << pool[i]->name()
@@ -329,11 +326,20 @@ std::vector<std::unique_ptr<Forecaster>> FitPool(
     fitted_counter->Inc();
     fitted.push_back(std::move(pool[i]));
   }
-  EADRL_TELEMETRY(
-      "pool_fit", {"models", n}, {"fitted", fitted.size()},
-      {"wall_seconds", wall_seconds}, {"cpu_seconds", cpu_seconds},
-      {"speedup", wall_seconds > 0.0 ? cpu_seconds / wall_seconds : 1.0},
-      {"threads", executor.concurrency()});
+  if (pool_span.armed()) {
+    const double wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      wall_start)
+            .count();
+    double cpu_seconds = 0.0;
+    for (double seconds : fit_seconds) cpu_seconds += seconds;
+    pool_span.SetAttr("fitted", fitted.size());
+    pool_span.SetAttr("wall_seconds", wall_seconds);
+    pool_span.SetAttr("cpu_seconds", cpu_seconds);
+    pool_span.SetAttr("speedup",
+                      wall_seconds > 0.0 ? cpu_seconds / wall_seconds : 1.0);
+    pool_span.SetAttr("threads", executor.concurrency());
+  }
   return fitted;
 }
 

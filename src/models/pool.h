@@ -38,8 +38,8 @@ std::vector<std::unique_ptr<Forecaster>> BuildPaperPool(
 /// Fits run concurrently on `exec` (nullptr means the process default pool;
 /// a serial pool restores the sequential path). Results are deterministic
 /// regardless of completion order: the returned models keep their original
-/// pool order, and drop warnings / per-model telemetry are emitted after the
-/// join, in original pool order.
+/// pool order, and drop warnings are logged after the join, in original pool
+/// order.
 std::vector<std::unique_ptr<Forecaster>> FitPool(
     std::vector<std::unique_ptr<Forecaster>> pool, const ts::Series& train,
     par::ThreadPool* exec = nullptr);

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/string_util.h"
-#include "obs/telemetry.h"
 
 namespace eadrl::obs {
 namespace {
@@ -97,27 +96,12 @@ void SloTracker::Evaluate() {
                         burn_short >= opt_.burn_threshold;
     if (breach) {
       // The exchange serializes racing evaluators: exactly one sees the
-      // false->true edge and emits.
+      // false->true edge and counts it.
       if (!o.breached.exchange(true, std::memory_order_acq_rel)) {
         o.breaches.fetch_add(1, std::memory_order_relaxed);
-        if (opt_.emit_telemetry) {
-          EADRL_TELEMETRY("slo_breach", {"objective", o.spec.name},
-                          {"burn_rate_long", burn_long},
-                          {"burn_rate_short", burn_short},
-                          {"target", o.spec.target},
-                          {"window_seconds", good_long.window_seconds});
-        }
       }
-    } else {
-      if (o.breached.exchange(false, std::memory_order_acq_rel)) {
-        o.recoveries.fetch_add(1, std::memory_order_relaxed);
-        if (opt_.emit_telemetry) {
-          EADRL_TELEMETRY("slo_recover", {"objective", o.spec.name},
-                          {"burn_rate_long", burn_long},
-                          {"burn_rate_short", burn_short},
-                          {"target", o.spec.target});
-        }
-      }
+    } else if (o.breached.exchange(false, std::memory_order_acq_rel)) {
+      o.recoveries.fetch_add(1, std::memory_order_relaxed);
     }
   }
 }

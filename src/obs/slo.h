@@ -20,7 +20,7 @@
 // above the threshold — the long window keeps one transient blip from
 // paging, the short window ends the alert promptly once the bleeding stops
 // (the multiwindow discipline from the SRE workbook). Breach/recover edges
-// emit the registered `slo_breach` / `slo_recover` telemetry events.
+// are counted (`breaches` / `recoveries`) and exported with the report.
 
 namespace eadrl::obs {
 
@@ -43,9 +43,6 @@ struct SloTrackerOptions {
   /// still happening" signal. Tests inject fake clocks through these.
   WindowOptions long_window{60, 1.0, nullptr};
   WindowOptions short_window{12, 0.5, nullptr};
-  /// Emit slo_breach / slo_recover telemetry on edges (off for tests that
-  /// only want the report).
-  bool emit_telemetry = true;
 };
 
 struct SloObjectiveReport {
@@ -81,7 +78,7 @@ struct SloReport {
 /// Thread-safe: Record/RecordLatency are windowed Counter increments (lock
 /// free off the rotation tick); Evaluate may run from any thread — edge
 /// transitions are serialized per objective by an atomic exchange, so each
-/// breach/recover emits exactly once.
+/// breach/recover is counted exactly once.
 class SloTracker {
  public:
   explicit SloTracker(const SloTrackerOptions& options);
@@ -105,7 +102,7 @@ class SloTracker {
   /// share WindowOptions::now_ns, so one reading serves both).
   uint64_t NowNs() const;
 
-  /// Re-evaluates burn rates and fires breach/recover edges. Call
+  /// Re-evaluates burn rates and counts breach/recover edges. Call
   /// periodically (the serving layer calls it per drained batch; the
   /// exporter calls it per export tick).
   void Evaluate();

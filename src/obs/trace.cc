@@ -130,18 +130,18 @@ ProfilerFamilies ProfilerFor(const char* name) {
   return families;
 }
 
-void AppendFieldJson(std::string* out, const TelemetryField& field) {
+void AppendFieldJson(std::string* out, const SpanAttr& field) {
   *out += '"';
   AppendJsonEscaped(out, field.key);
   *out += "\":";
   switch (field.type) {
-    case TelemetryField::Type::kDouble:
+    case SpanAttr::Type::kDouble:
       AppendJsonNumber(out, field.num);
       break;
-    case TelemetryField::Type::kInt:
+    case SpanAttr::Type::kInt:
       *out += std::to_string(field.inum);
       break;
-    case TelemetryField::Type::kString:
+    case SpanAttr::Type::kString:
       *out += '"';
       AppendJsonEscaped(out, field.str);
       *out += '"';
@@ -228,7 +228,7 @@ std::string TraceBuffer::ToChromeTraceJson() const {
       out += ",\"parent_id\":";
       out += std::to_string(span.parent_id);
     }
-    for (const TelemetryField& field : span.attrs) {
+    for (const SpanAttr& field : span.attrs) {
       out += ',';
       AppendFieldJson(&out, field);
     }

@@ -13,11 +13,40 @@
 #include "chk/lockdep.h"
 #include "chk/thread_annotations.h"
 #include "common/status.h"
-#include "obs/telemetry.h"
 
 namespace eadrl::obs {
 
 class TraceBuffer;
+
+/// One key/value attribute of a span. Keys are string literals (the
+/// attribute schema is static, see DESIGN.md "Observability"), values are
+/// numeric or string.
+struct SpanAttr {
+  enum class Type { kDouble, kInt, kString };
+
+  SpanAttr(const char* k, double v) : key(k), type(Type::kDouble), num(v) {}
+  SpanAttr(const char* k, int v) : key(k), type(Type::kInt), inum(v) {}
+  SpanAttr(const char* k, long v) : key(k), type(Type::kInt), inum(v) {}
+  SpanAttr(const char* k, long long v)
+      : key(k), type(Type::kInt), inum(static_cast<int64_t>(v)) {}
+  SpanAttr(const char* k, unsigned v) : key(k), type(Type::kInt), inum(v) {}
+  SpanAttr(const char* k, unsigned long v)
+      : key(k), type(Type::kInt), inum(static_cast<int64_t>(v)) {}
+  SpanAttr(const char* k, unsigned long long v)
+      : key(k), type(Type::kInt), inum(static_cast<int64_t>(v)) {}
+  SpanAttr(const char* k, bool v)
+      : key(k), type(Type::kInt), inum(v ? 1 : 0) {}
+  SpanAttr(const char* k, std::string v)
+      : key(k), type(Type::kString), str(std::move(v)) {}
+  SpanAttr(const char* k, const char* v)
+      : key(k), type(Type::kString), str(v) {}
+
+  const char* key;
+  Type type;
+  double num = 0.0;
+  int64_t inum = 0;
+  std::string str;
+};
 
 /// A completed span, as recorded into a TraceBuffer. Timestamps are
 /// microseconds on std::chrono::steady_clock, relative to a process-wide
@@ -31,7 +60,7 @@ struct FinishedSpan {
   uint32_t tid = 0;        ///< small per-thread id (see CurrentTraceTid).
   double start_us = 0.0;
   double dur_us = 0.0;
-  std::vector<TelemetryField> attrs;
+  std::vector<SpanAttr> attrs;
 };
 
 namespace internal_trace {
@@ -94,7 +123,7 @@ TraceBuffer* GetTraceBuffer();
 
 /// True when a trace buffer is installed. This is the hot-path gate: a
 /// single relaxed atomic load, so an un-traced Span construction costs ~1 ns
-/// (same contract as TelemetryEnabled; see bench/trace_bench.cc).
+/// (see bench/trace_bench.cc).
 inline bool TracingEnabled() {
   return internal_trace::g_buffer.load(std::memory_order_relaxed) != nullptr;
 }
@@ -107,8 +136,8 @@ struct TraceParent {
 
 /// The calling thread's current span identity: the innermost live Span if
 /// any, else the remote parent installed by ScopedTraceParent, else zeros.
-/// par::ThreadPool::Submit snapshots this into each task — the tracing
-/// analogue of TelemetryContext().
+/// par::ThreadPool::Submit snapshots this into each task, so spans a worker
+/// opens parent to the submitter's span.
 TraceParent CurrentTraceParent();
 
 /// Worker-side half of cross-thread propagation: for the guard's lifetime
@@ -199,7 +228,7 @@ class Span {
   uint64_t start_alloc_bytes_ = 0;
   uint64_t child_alloc_count_ = 0;
   uint64_t child_alloc_bytes_ = 0;
-  std::vector<TelemetryField> attrs_;
+  std::vector<SpanAttr> attrs_;
 };
 
 /// One row of the span profiler's aggregate view: everything the profiler

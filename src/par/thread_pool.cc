@@ -61,7 +61,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   Task item;
   item.fn = std::move(task);
   item.depth = tl_depth + 1;
-  item.telemetry_ctx = obs::TelemetryContext();
   if (obs::TracingEnabled()) {
     item.traced = true;
     item.trace_parent = obs::CurrentTraceParent();
@@ -135,7 +134,6 @@ bool ThreadPool::PopTask(size_t self, bool is_worker, size_t min_depth,
 }
 
 void ThreadPool::RunTask(Task task) {
-  obs::ScopedTelemetryContext telemetry_ctx(std::move(task.telemetry_ctx));
   // Mask this thread's span stack with the submitter's span identity: spans
   // the task opens parent to the submitter, not to whatever this thread was
   // doing (and a helping waiter's own span is credited child time for the

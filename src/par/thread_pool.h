@@ -15,7 +15,6 @@
 #include "chk/lockdep.h"
 #include "chk/thread_annotations.h"
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 
 namespace eadrl::par {
@@ -80,30 +79,28 @@ class ThreadPool {
   /// was available. This is the cooperation hook that makes nested waits
   /// deadlock-free. Helping is depth-restricted: only tasks at least as
   /// deeply nested as the caller's own children are eligible, so a
-  /// fine-grained nested wait (a DDPG gradient chunk group) never inlines a
-  /// coarse task (a whole restart or dataset run) and inflates its latency
-  /// by that task's full runtime. A waiter's own children always qualify,
-  /// which is what keeps nested waits deadlock-free.
+  /// fine-grained nested wait (a pool's model fits or rolling forecasts
+  /// inside a dataset run) never inlines a coarse task (a whole dataset run)
+  /// and inflates its latency by that task's full runtime. A waiter's own
+  /// children always qualify, which is what keeps nested waits
+  /// deadlock-free.
   bool TryRunOneTask();
 
-  /// Number of queued (not yet started) tasks — approximate, for telemetry.
+  /// Number of queued (not yet started) tasks — approximate, for metrics.
   size_t pending() const { return pending_.load(std::memory_order_relaxed); }
 
  private:
   /// A queued unit of work. `depth` is 1 + the nesting depth of the task
   /// that submitted it (external submissions get depth 1); see
-  /// TryRunOneTask for how helping waiters use it. `telemetry_ctx` is the
-  /// submitter's ambient obs::TelemetryScope fields, installed around the
-  /// task so events emitted on workers keep their run identity (e.g. which
-  /// dataset of a concurrent suite run they belong to). When tracing is
-  /// enabled at submission, `trace_parent` snapshots the submitter's span
-  /// identity (the tracing analogue of `telemetry_ctx`) and `enqueue_time`
+  /// TryRunOneTask for how helping waiters use it. When tracing is enabled
+  /// at submission, `trace_parent` snapshots the submitter's span identity,
+  /// so spans the task opens on a worker keep their run identity (e.g. which
+  /// dataset of a concurrent suite run they belong to), and `enqueue_time`
   /// feeds the per-task queue-wait attribute; `stolen` is set by PopTask
   /// when the task ran on a thread other than the deque it was pushed to.
   struct Task {
     std::function<void()> fn;
     size_t depth = 1;
-    std::vector<obs::TelemetryField> telemetry_ctx;
     obs::TraceParent trace_parent{};
     std::chrono::steady_clock::time_point enqueue_time{};
     bool traced = false;
@@ -166,8 +163,9 @@ size_t ParseThreadCount(const char* text, size_t fallback);
 size_t DefaultThreads();
 
 /// Lazily-initialized process-wide pool used by every parallelized library
-/// path (FitPool, PreparePool, RunSuite, DdpgAgent::Update, the CLI predict
-/// fan-out) when no explicit pool is passed.
+/// path (FitPool, PreparePool's rolling forecasts, RunSuite, the restarts of
+/// EadrlCombiner::Initialize, a BatchingQueue built without a pool, the CLI
+/// predict fan-out) when no explicit pool is passed.
 ThreadPool& DefaultPool();
 
 /// Overrides the default pool's concurrency (the CLI's --threads flag, and

@@ -7,7 +7,6 @@
 #include "common/check.h"
 #include "math/vec.h"
 #include "nn/param.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 
 namespace eadrl::rl {
@@ -353,7 +352,14 @@ double DdpgAgent::Update(const Minibatch& batch) {
     }
     actor_->BackwardBatch(dz);
   }
-  return FinishUpdate(critic_loss, abs_q_sum, entropy_sum, inv_n);
+  const double loss = FinishUpdate(critic_loss, abs_q_sum, entropy_sum, inv_n);
+  if (span.armed()) {
+    span.SetAttr("critic_loss", last_stats_.critic_loss);
+    span.SetAttr("mean_abs_q", last_stats_.mean_abs_q);
+    span.SetAttr("actor_grad_norm", last_stats_.actor_grad_norm);
+    span.SetAttr("action_entropy", last_stats_.action_entropy);
+  }
+  return loss;
 }
 
 double DdpgAgent::UpdateScalarForTest(const Minibatch& batch) {
@@ -465,7 +471,7 @@ double DdpgAgent::FinishUpdate(double critic_loss, double abs_q_sum,
     nn::SoftUpdate(target_critic_params_, critic_params_, config_.tau);
   }
 
-  // --- Telemetry. ----------------------------------------------------------
+  // --- Diagnostics. --------------------------------------------------------
   last_stats_.critic_loss = critic_loss;
   last_stats_.mean_abs_q = abs_q_sum * inv_n;
   last_stats_.actor_grad_norm = actor_grad_norm;
@@ -476,11 +482,6 @@ double DdpgAgent::FinishUpdate(double critic_loss, double abs_q_sum,
   mean_abs_q_gauge_->Set(last_stats_.mean_abs_q);
   actor_grad_norm_gauge_->Set(last_stats_.actor_grad_norm);
   action_entropy_gauge_->Set(last_stats_.action_entropy);
-  EADRL_TELEMETRY("ddpg_update", {"update", num_updates_},
-                  {"critic_loss", last_stats_.critic_loss},
-                  {"mean_abs_q", last_stats_.mean_abs_q},
-                  {"actor_grad_norm", last_stats_.actor_grad_norm},
-                  {"action_entropy", last_stats_.action_entropy});
   return critic_loss;
 }
 

@@ -52,7 +52,7 @@ struct DdpgConfig {
   uint64_t seed = 42;
 };
 
-/// Per-Update training diagnostics — the telemetry both ensemble-RL lines of
+/// Per-Update training diagnostics — the signals both ensemble-RL lines of
 /// related work use to diagnose instability (critic divergence shows up as
 /// exploding |Q| and loss; policy collapse as vanishing action entropy).
 struct DdpgUpdateStats {
@@ -143,7 +143,7 @@ class DdpgAgent {
   /// Shared tail of Update and UpdateScalarForTest: discard the critic
   /// gradients the monolithic critic's actor phase left, clip + step the
   /// actor, drop the packed actor, soft-update the targets, and publish
-  /// stats/telemetry. Returns the critic loss.
+  /// the update stats and gauges. Returns the critic loss.
   double FinishUpdate(double critic_loss, double abs_q_sum,
                       double entropy_sum, double inv_n);
 

@@ -14,7 +14,6 @@
 #include "common/check.h"
 #include "core/combiner.h"
 #include "math/matrix.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 
 namespace eadrl::serve {
@@ -28,25 +27,39 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+// Why admission refused a malformed payload; the names are the `reason`
+// label values of eadrl_serve_rejected_total, in enum order.
+enum RejectReason : size_t {
+  kPredsSize,
+  kNonfinitePreds,
+  kNonfiniteActual,
+  kScaledOverflow,
+  kMagnitude,
+  kWellFormed,  ///< not a rejection: the payload was admitted.
+};
+constexpr const char* kRejectReasonNames[kWellFormed] = {
+    "preds_size", "nonfinite_preds", "nonfinite_actual", "scaled_overflow",
+    "magnitude"};
+
 // The payload checks of the public boundary, after the session lookup:
 // converts a well-formed payload to policy units in place and returns
-// nullptr, or returns the rejection reason. The drain wave's contracts guard
-// internal invariants and must never be the first to see a caller's
+// kWellFormed, or returns the rejection reason. The drain wave's contracts
+// guard internal invariants and must never be the first to see a caller's
 // malformed input -- including a finite value whose scaling overflows.
-const char* AdmitPayload(Request* request) {
+RejectReason AdmitPayload(Request* request) {
   const Session& session = *request->session;
   if (request->kind == Request::Kind::kObserve) {
-    if (!std::isfinite(request->actual)) return "nonfinite_actual";
+    if (!std::isfinite(request->actual)) return kNonfiniteActual;
     if (session.has_scaler) {
       request->actual = session.scaler.Transform(request->actual);
     }
-    return std::isfinite(request->actual) ? nullptr : "scaled_overflow";
+    return std::isfinite(request->actual) ? kWellFormed : kScaledOverflow;
   }
   if (request->preds.size() != session.policy->combiner->num_models()) {
-    return "preds_size";
+    return kPredsSize;
   }
   for (double pred : request->preds) {
-    if (!std::isfinite(pred)) return "nonfinite_preds";
+    if (!std::isfinite(pred)) return kNonfinitePreds;
   }
   // The combined forecast is a convex mix of the members and joins the
   // omega-entry window. With every entry within sqrt(DBL_MAX / (4 omega)) in
@@ -59,11 +72,11 @@ const char* AdmitPayload(Request* request) {
   for (double& pred : request->preds) {
     if (session.has_scaler) {
       pred = session.scaler.Transform(pred);
-      if (!std::isfinite(pred)) return "scaled_overflow";
+      if (!std::isfinite(pred)) return kScaledOverflow;
     }
-    if (std::fabs(pred) > limit) return "magnitude";
+    if (std::fabs(pred) > limit) return kMagnitude;
   }
-  return nullptr;
+  return kWellFormed;
 }
 
 }  // namespace
@@ -107,6 +120,10 @@ ForecastService::ForecastService(const ServeConfig& config)
                                  /*track_queue_delay=*/config.windowed_stats},
           [this](std::vector<Request> batch) { ProcessBatch(std::move(batch)); }) {
   if (config_.max_batch == 0) config_.max_batch = 1;
+  for (const char* reason : kRejectReasonNames) {
+    rejected_counters_.push_back(obs::MetricRegistry::Default().GetCounter(
+        "eadrl_serve_rejected_total", {{"reason", reason}}));
+  }
   if (config_.slo.enabled) {
     obs::SloTrackerOptions slo;
     slo.objectives.push_back(
@@ -170,6 +187,7 @@ Status ForecastService::CreateSession(const std::string& tenant,
     }
     policy = policies_[policy_id];
   }
+  obs::Span span("serve_session");
   const uint64_t generation =
       next_generation_.fetch_add(1, std::memory_order_relaxed) + 1;
   auto session =
@@ -178,9 +196,12 @@ Status ForecastService::CreateSession(const std::string& tenant,
   EADRL_RETURN_IF_ERROR(table_.Insert(tenant, std::move(session)));
   sessions_created_.fetch_add(1, std::memory_order_relaxed);
   sessions_gauge_->Set(static_cast<double>(table_.size()));
-  EADRL_TELEMETRY("serve_session", {"tenant", tenant},
-                  {"generation", generation}, {"policy_id", policy_id},
-                  {"reset", false});
+  if (span.armed()) {
+    span.SetAttr("tenant", tenant);
+    span.SetAttr("generation", generation);
+    span.SetAttr("policy_id", policy_id);
+    span.SetAttr("reset", false);
+  }
   return Status::Ok();
 }
 
@@ -198,12 +219,16 @@ Status ForecastService::ResetSession(const std::string& tenant) {
   if (session == nullptr) {
     return Status::NotFound("no session for tenant '" + tenant + "'");
   }
+  obs::Span span("serve_session");
   {
     std::lock_guard<chk::OrderedMutex> lock(session->session_mu);
     session->Reset();
   }
-  EADRL_TELEMETRY("serve_session", {"tenant", tenant},
-                  {"generation", session->generation}, {"reset", true});
+  if (span.armed()) {
+    span.SetAttr("tenant", tenant);
+    span.SetAttr("generation", session->generation);
+    span.SetAttr("reset", true);
+  }
   return Status::Ok();
 }
 
@@ -218,9 +243,11 @@ Status ForecastService::Admit(Request request, const std::string& tenant) {
     shed_counter_->Inc();
     if (windowed_) shed_window_.Inc();
     if (slo_ != nullptr) slo_->Record(kSloAvailabilityObjective, false);
-    span.SetAttr("shed", true);
-    EADRL_TELEMETRY("serve_shed", {"tenant", tenant}, {"kind", kind},
-                    {"reason", "inflight"}, {"inflight", inflight});
+    if (span.armed()) {
+      span.SetAttr("tenant", tenant);
+      span.SetAttr("shed", "inflight");
+      span.SetAttr("inflight", inflight);
+    }
     return Status::ResourceExhausted(
         "serving overloaded: " + std::to_string(inflight) +
         " requests in flight (limit " +
@@ -230,16 +257,16 @@ Status ForecastService::Admit(Request request, const std::string& tenant) {
   if (request.session == nullptr) {
     return Status::NotFound("no session for tenant '" + tenant + "'");
   }
-  if (const char* reason = AdmitPayload(&request)) {
-    obs::MetricRegistry::Default()
-        .GetCounter("eadrl_serve_rejected_total", {{"reason", reason}})
-        ->Inc();
-    span.SetAttr("rejected", reason);
-    EADRL_TELEMETRY("serve_reject", {"tenant", tenant}, {"kind", kind},
-                    {"reason", reason});
+  if (const RejectReason reason = AdmitPayload(&request);
+      reason != kWellFormed) {
+    rejected_counters_[reason]->Inc();
+    if (span.armed()) {
+      span.SetAttr("tenant", tenant);
+      span.SetAttr("rejected", kRejectReasonNames[reason]);
+    }
     return Status::InvalidArgument(std::string("malformed ") + kind +
                                    " request for tenant '" + tenant +
-                                   "': " + reason);
+                                   "': " + kRejectReasonNames[reason]);
   }
   request.enqueue_time = std::chrono::steady_clock::now();
   // The in-flight slot is taken BEFORE the enqueue: on a serial pool the
@@ -252,10 +279,11 @@ Status ForecastService::Admit(Request request, const std::string& tenant) {
     shed_counter_->Inc();
     if (windowed_) shed_window_.Inc();
     if (slo_ != nullptr) slo_->Record(kSloAvailabilityObjective, false);
-    span.SetAttr("shed", true);
-    EADRL_TELEMETRY("serve_shed", {"tenant", tenant}, {"kind", kind},
-                    {"reason", "queue_full"},
-                    {"queue_depth", queue_.depth()});
+    if (span.armed()) {
+      span.SetAttr("tenant", tenant);
+      span.SetAttr("shed", "queue_full");
+      span.SetAttr("queue_depth", queue_.depth());
+    }
     return Status::ResourceExhausted(
         "serving queue full (" + std::to_string(config_.max_queue) +
         " requests)");
@@ -484,8 +512,10 @@ void ForecastService::ProcessWave(std::vector<Request>* batch,
       }
       if (drifted) {
         drift_events_.fetch_add(1, std::memory_order_relaxed);
-        EADRL_TELEMETRY("drift", {"source", "serve"},
-                        {"generation", session.generation});
+        if (rspan.armed()) {
+          rspan.SetAttr("drift", true);
+          rspan.SetAttr("generation", session.generation);
+        }
       }
       ++observes_in_wave;
       observes_done_.fetch_add(1, std::memory_order_relaxed);
@@ -600,8 +630,6 @@ void ForecastService::ProcessWave(std::vector<Request>* batch,
     span.SetAttr("wave_size", wave.size());
     span.SetAttr("observes", observes_in_wave);
   }
-  EADRL_TELEMETRY("serve_batch", {"wave_size", wave.size()},
-                  {"observes", observes_in_wave});
 }
 
 }  // namespace eadrl::serve

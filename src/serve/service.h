@@ -297,6 +297,10 @@ class ForecastService {
   obs::Histogram* predict_latency_hist_;
   obs::Histogram* observe_latency_hist_;
   obs::Histogram* occupancy_hist_;
+  /// eadrl_serve_rejected_total{reason}, one per admission rejection reason
+  /// (indexed like service.cc's RejectReason); filled by the constructor,
+  /// read-only afterwards.
+  std::vector<obs::Counter*> rejected_counters_ EADRL_UNGUARDED;
 
   // Service-owned windowed stats (NOT in the default registry: they follow
   // ServeConfig::window's injected clock, and each service instance gets its

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
-#include "obs/telemetry.h"
+#include "obs/trace.h"
 
 namespace eadrl::serve {
 
@@ -50,23 +50,15 @@ SessionTable::Shard& SessionTable::ShardFor(const std::string& tenant) {
   return *shards_[std::hash<std::string>{}(tenant) % shards_.size()];
 }
 
-void SessionTable::EmitEvictions(const std::vector<Eviction>& evicted) {
-  for (const Eviction& e : evicted) {
-    EADRL_TELEMETRY("serve_evict", {"tenant", e.tenant}, {"reason", e.reason},
-                    {"generation", e.generation});
-  }
-}
-
 void SessionTable::EraseLocked(
     Shard* shard, std::unordered_map<std::string, Entry>::iterator it,
-    const char* reason, std::vector<Eviction>* evicted) {
-  // Telemetry is NOT emitted here: the JSON-lines sink takes its own mutex
-  // and writes to a file, and doing that under a stripe lock would both
-  // stall every operation hashing to this stripe behind I/O and create a
-  // stripe -> sink lock edge no other path needs. The record is queued and
-  // the caller emits after unlocking.
-  evicted->push_back(
-      Eviction{it->first, it->second.session->generation, reason});
+    const char* reason) {
+  obs::Span span("serve_evict");
+  if (span.armed()) {
+    span.SetAttr("tenant", it->first);
+    span.SetAttr("generation", it->second.session->generation);
+    span.SetAttr("reason", reason);
+  }
   shard->lru.erase(it->second.lru_it);
   shard->map.erase(it);
   size_.fetch_sub(1, std::memory_order_relaxed);
@@ -76,29 +68,25 @@ Status SessionTable::Insert(const std::string& tenant,
                             std::shared_ptr<Session> session) {
   EADRL_CHECK(session != nullptr);
   Shard& shard = ShardFor(tenant);
-  std::vector<Eviction> evicted;
-  {
-    std::lock_guard<chk::OrderedMutex> lock(shard.stripe_mu);
-    if (shard.map.count(tenant) != 0) {
-      return Status::FailedPrecondition("session already exists for tenant '" +
-                                        tenant + "'");
-    }
-    if (per_shard_cap_ > 0 && shard.map.size() >= per_shard_cap_) {
-      // Stripe at capacity: evict its least-recently-used session.
-      auto victim = shard.map.find(shard.lru.back());
-      EADRL_CHECK(victim != shard.map.end());
-      EraseLocked(&shard, victim, "lru", &evicted);
-      lru_evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
-    shard.lru.push_front(tenant);
-    Entry entry;
-    entry.session = std::move(session);
-    entry.lru_it = shard.lru.begin();
-    entry.last_activity = std::chrono::steady_clock::now();
-    shard.map.emplace(tenant, std::move(entry));
-    size_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<chk::OrderedMutex> lock(shard.stripe_mu);
+  if (shard.map.count(tenant) != 0) {
+    return Status::FailedPrecondition("session already exists for tenant '" +
+                                      tenant + "'");
   }
-  EmitEvictions(evicted);
+  if (per_shard_cap_ > 0 && shard.map.size() >= per_shard_cap_) {
+    // Stripe at capacity: evict its least-recently-used session.
+    auto victim = shard.map.find(shard.lru.back());
+    EADRL_CHECK(victim != shard.map.end());
+    EraseLocked(&shard, victim, "lru");
+    lru_evictions_.fetch_add(1, std::memory_order_relaxed);
+  }
+  shard.lru.push_front(tenant);
+  Entry entry;
+  entry.session = std::move(session);
+  entry.lru_it = shard.lru.begin();
+  entry.last_activity = std::chrono::steady_clock::now();
+  shard.map.emplace(tenant, std::move(entry));
+  size_.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
 }
 
@@ -121,14 +109,10 @@ std::shared_ptr<Session> SessionTable::Lookup(const std::string& tenant) {
 
 bool SessionTable::Erase(const std::string& tenant) {
   Shard& shard = ShardFor(tenant);
-  std::vector<Eviction> evicted;
-  {
-    std::lock_guard<chk::OrderedMutex> lock(shard.stripe_mu);
-    auto it = shard.map.find(tenant);
-    if (it == shard.map.end()) return false;
-    EraseLocked(&shard, it, "explicit", &evicted);
-  }
-  EmitEvictions(evicted);
+  std::lock_guard<chk::OrderedMutex> lock(shard.stripe_mu);
+  auto it = shard.map.find(tenant);
+  if (it == shard.map.end()) return false;
+  EraseLocked(&shard, it, "explicit");
   return true;
 }
 
@@ -136,20 +120,20 @@ size_t SessionTable::EvictIdle() {
   if (opt_.ttl_seconds <= 0.0) return 0;
   const auto now = std::chrono::steady_clock::now();
   const auto ttl = std::chrono::duration<double>(opt_.ttl_seconds);
-  std::vector<Eviction> evicted;
+  size_t evicted = 0;
   for (auto& shard : shards_) {
     std::lock_guard<chk::OrderedMutex> lock(shard->stripe_mu);
     for (auto it = shard->map.begin(); it != shard->map.end();) {
       auto next = std::next(it);
       if (now - it->second.last_activity > ttl) {
-        EraseLocked(shard.get(), it, "ttl", &evicted);
+        EraseLocked(shard.get(), it, "ttl");
         ttl_evictions_.fetch_add(1, std::memory_order_relaxed);
+        ++evicted;
       }
       it = next;
     }
   }
-  EmitEvictions(evicted);
-  return evicted.size();
+  return evicted;
 }
 
 }  // namespace eadrl::serve

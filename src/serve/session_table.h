@@ -149,26 +149,15 @@ class SessionTable {
     std::list<std::string> lru EADRL_GUARDED_BY(stripe_mu);
   };
 
-  /// What EraseLocked removed; the caller emits the serve_evict telemetry
-  /// from these records AFTER releasing the stripe lock (the telemetry sink
-  /// has its own mutex and does file I/O — neither belongs under a stripe).
-  struct Eviction {
-    std::string tenant;
-    uint64_t generation = 0;
-    const char* reason = "";
-  };
-
   Shard& ShardFor(const std::string& tenant);
 
-  /// Emits serve_evict telemetry for each record. Callers hold no locks.
-  static void EmitEvictions(const std::vector<Eviction>& evicted);
-
-  /// Removes `it` from `shard` (caller holds the stripe lock) and appends
-  /// the eviction record to `evicted` for post-unlock telemetry.
+  /// Removes `it` from `shard` (caller holds the stripe lock) inside a
+  /// `serve_evict` span carrying the tenant, generation and `reason` (lru,
+  /// ttl or explicit). The span may record under the stripe lock:
+  /// obs_trace_shard is the last rank in lock_order.def.
   void EraseLocked(Shard* shard,
                    std::unordered_map<std::string, Entry>::iterator it,
-                   const char* reason, std::vector<Eviction>* evicted)
-      EADRL_REQUIRES(shard->stripe_mu);
+                   const char* reason) EADRL_REQUIRES(shard->stripe_mu);
 
   Options opt_;
   size_t per_shard_cap_;  ///< 0 = unbounded.

@@ -1,5 +1,7 @@
 #include "ts/io.h"
 
+#include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -45,11 +47,21 @@ StatusOr<Series> LoadCsv(const std::string& path, const CsvOptions& options) {
       ++col;
     }
 
+    // The whole field must be one number (whitespace around it aside), and
+    // a finite one: strtod reads "nan" and "inf" literally, overflows
+    // "1e999" to inf, and stops at the first non-number character of
+    // "12abc" -- none of which is a series value.
     char* parse_end = nullptr;
-    double v = std::strtod(field.c_str(), &parse_end);
-    if (parse_end == field.c_str()) {
+    const double v = std::strtod(field.c_str(), &parse_end);
+    while (std::isspace(static_cast<unsigned char>(*parse_end))) ++parse_end;
+    if (parse_end == field.c_str() || *parse_end != '\0') {
       return Status::InvalidArgument(
           StrCat("LoadCsv: unparsable value '", field, "' at line ",
+                 line_number));
+    }
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument(
+          StrCat("LoadCsv: non-finite value '", field, "' at line ",
                  line_number));
     }
     values.push_back(v);

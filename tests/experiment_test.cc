@@ -1,12 +1,15 @@
 #include "exp/experiment.h"
 
 #include <cmath>
+#include <cstring>
+#include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "par/thread_pool.h"
 #include "ts/datasets.h"
 
@@ -97,42 +100,152 @@ TEST(ExperimentTest, CombinersCompetitiveWithWorstSingle) {
   }
 }
 
-TEST(ExperimentTest, SuiteTelemetryCarriesDatasetIdentity) {
-  // RunSuite interleaves datasets on pool workers; every event emitted from
-  // inside a dataset run (episode, ddpg_update, checkpoint, method_run, ...)
-  // must still say which dataset it belongs to.
+const obs::SpanAttr* FindAttr(const obs::FinishedSpan& span,
+                              const char* key) {
+  for (const obs::SpanAttr& attr : span.attrs) {
+    if (std::strcmp(attr.key, key) == 0) return &attr;
+  }
+  return nullptr;
+}
+
+/// The numeric value of attribute `key`; fails the test when it is absent.
+double Num(const obs::FinishedSpan& span, const char* key) {
+  const obs::SpanAttr* attr = FindAttr(span, key);
+  EXPECT_NE(attr, nullptr) << span.name << " lacks " << key;
+  if (attr == nullptr) return std::nan("");
+  return attr->type == obs::SpanAttr::Type::kInt
+             ? static_cast<double>(attr->inum)
+             : attr->num;
+}
+
+/// The string value of attribute `key` ("" when absent or not a string).
+std::string Str(const obs::FinishedSpan& span, const char* key) {
+  const obs::SpanAttr* attr = FindAttr(span, key);
+  EXPECT_NE(attr, nullptr) << span.name << " lacks " << key;
+  return attr != nullptr ? attr->str : "";
+}
+
+TEST(ExperimentTest, SuiteSpansCarryTheirFieldsAndDatasetIdentity) {
+  // RunSuite interleaves datasets on pool workers; every span opened inside
+  // a dataset run (episode, ddpg_update, checkpoint, method_run, ...) must
+  // still reach that run's dataset_run span, whose attribute names the
+  // dataset, through its parent links.
   auto a = ts::MakeDataset(2, 42, 240);
   auto b = ts::MakeDataset(3, 42, 240);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ExperimentOptions opt = FastOptions();
   opt.include_standalone = false;
+  opt.eadrl.early_stop = false;  // every restart runs all its episodes.
 
-  obs::CollectingSink sink;
-  obs::SetTelemetrySink(&sink);
-  par::ThreadPool pool(4);
-  RunSuite({*a, *b}, opt, &pool);
-  obs::SetTelemetrySink(nullptr);
-
-  std::set<std::string> labeled_kinds;
-  std::set<std::string> seen_datasets;
-  for (const obs::TelemetryEvent& e : sink.TakeEvents()) {
-    if (std::string(e.kind) == "suite_run") continue;  // cross-dataset.
-    bool found = false;
-    for (const obs::TelemetryField& f : e.fields) {
-      if (std::string(f.key) == "dataset") {
-        found = true;
-        seen_datasets.insert(f.str);
-      }
-    }
-    EXPECT_TRUE(found) << "event without dataset label: " << e.kind;
-    labeled_kinds.insert(e.kind);
+  obs::TraceBuffer buffer;
+  obs::SetTraceBuffer(&buffer);
+  std::vector<DatasetResult> results;
+  {
+    par::ThreadPool pool(4);
+    results = RunSuite({*a, *b}, opt, &pool);
   }
-  EXPECT_EQ(seen_datasets,
-            (std::set<std::string>{a->name(), b->name()}));
-  EXPECT_TRUE(labeled_kinds.count("episode"));
-  EXPECT_TRUE(labeled_kinds.count("ddpg_update"));
-  EXPECT_TRUE(labeled_kinds.count("method_run"));
+  // A worker records its par_task span after the task's completion is
+  // visible to the waiter. Joining the suite's pool above and the default
+  // pool's workers (pool fits, forecasts and restarts run there) finishes
+  // every worker-side span before the buffer is uninstalled.
+  par::SetDefaultThreads(par::DefaultThreads());
+  obs::SetTraceBuffer(nullptr);
+  const std::vector<obs::FinishedSpan> spans = buffer.Snapshot();
+  ASSERT_EQ(buffer.dropped(), 0u);
+  std::map<uint64_t, const obs::FinishedSpan*> by_id;
+  for (const obs::FinishedSpan& s : spans) by_id.emplace(s.span_id, &s);
+
+  // The dataset_run ancestor of `span`, or nullptr.
+  auto dataset_run_of =
+      [&](const obs::FinishedSpan& span) -> const obs::FinishedSpan* {
+    uint64_t parent = span.parent_id;
+    while (parent != 0) {
+      auto it = by_id.find(parent);
+      if (it == by_id.end()) return nullptr;  // dangling
+      if (std::strcmp(it->second->name, "dataset_run") == 0) {
+        return it->second;
+      }
+      parent = it->second->parent_id;
+    }
+    return nullptr;
+  };
+
+  // dataset -> method -> RunSuite's reported RMSE.
+  std::map<std::string, std::map<std::string, double>> rmse;
+  for (const DatasetResult& r : results) {
+    for (const MethodRun& m : r.methods) rmse[r.dataset][m.name] = m.rmse;
+  }
+  const size_t episodes_per_dataset =
+      opt.eadrl.restarts * opt.eadrl.max_episodes;
+
+  std::map<std::string, size_t> episodes;  // per dataset
+  std::map<std::string, std::set<std::string>> methods;
+  size_t suite_runs = 0, pool_fits = 0, model_fits = 0, prepares = 0;
+  double fitted = 0.0, fits_ok = 0.0;
+  for (const obs::FinishedSpan& s : spans) {
+    const std::string name = s.name;
+    if (name == "suite_run") {
+      ++suite_runs;
+      EXPECT_EQ(Num(s, "datasets"), 2.0);
+      EXPECT_EQ(Num(s, "methods"), 22.0);
+      EXPECT_GT(Num(s, "wall_seconds"), 0.0);
+      EXPECT_EQ(Num(s, "threads"), 4.0);
+      continue;
+    }
+    if (name == "par_task" && s.parent_id != 0 &&
+        std::strcmp(by_id.at(s.parent_id)->name, "suite_run") == 0) {
+      continue;  // the task a dataset_run runs in.
+    }
+    if (name == "dataset_run") continue;
+    const obs::FinishedSpan* run = dataset_run_of(s);
+    ASSERT_NE(run, nullptr) << name << " reaches no dataset_run";
+    const std::string dataset = Str(*run, "dataset");
+    if (name == "episode") {
+      ++episodes[dataset];
+    } else if (name == "method_run") {
+      const std::string method = Str(s, "method");
+      EXPECT_TRUE(methods[dataset].insert(method).second) << method;
+      // The span's RMSE is the one RunSuite reported for this method on
+      // this span's dataset: it reached its own dataset_run.
+      EXPECT_EQ(Num(s, "rmse"), rmse.at(dataset).at(method)) << method;
+      EXPECT_GE(Num(s, "runtime_seconds"), 0.0);
+      EXPECT_EQ(Num(s, "steps"), 60.0);
+    } else if (name == "pool_prepare") {
+      ++prepares;
+      EXPECT_EQ(Str(s, "dataset"), dataset);
+      EXPECT_GE(Num(s, "models"), 8.0);
+      EXPECT_GE(Num(s, "fit_seconds"), 0.0);
+      EXPECT_GT(Num(s, "val_rows"), 0.0);
+      EXPECT_EQ(Num(s, "test_rows"), 60.0);
+    } else if (name == "pool_fit") {
+      ++pool_fits;
+      EXPECT_GE(Num(s, "models"), Num(s, "fitted"));
+      EXPECT_GE(Num(s, "fitted"), 8.0);
+      EXPECT_GT(Num(s, "wall_seconds"), 0.0);
+      EXPECT_GT(Num(s, "cpu_seconds"), 0.0);
+      EXPECT_GT(Num(s, "speedup"), 0.0);
+      EXPECT_GE(Num(s, "threads"), 1.0);  // the default pool's.
+      fitted += Num(s, "fitted");
+    } else if (name == "model_fit") {
+      ++model_fits;
+      EXPECT_FALSE(Str(s, "model").empty());
+      EXPECT_GE(Num(s, "seconds"), 0.0);
+      fits_ok += Num(s, "ok");
+    }
+  }
+  EXPECT_EQ(suite_runs, 1u);
+  EXPECT_EQ(prepares, 2u);
+  EXPECT_EQ(pool_fits, 2u);
+  EXPECT_GE(model_fits, 16u);
+  EXPECT_EQ(fits_ok, fitted);
+  const std::set<std::string> datasets{a->name(), b->name()};
+  for (const std::string& dataset : datasets) {
+    EXPECT_EQ(episodes[dataset], episodes_per_dataset) << dataset;
+    EXPECT_EQ(methods[dataset].size(), 11u) << dataset;
+  }
+  EXPECT_EQ(episodes.size(), 2u);
+  EXPECT_EQ(methods.size(), 2u);
 }
 
 TEST(ExperimentTest, DeterministicAcrossRuns) {

@@ -69,6 +69,28 @@ TEST_F(IoTest, ErrorsOnUnparsableValue) {
   EXPECT_NE(s.status().message().find("line 2"), std::string::npos);
 }
 
+// strtod alone would accept each of these: "nan" and "inf" literally,
+// "1e999" as an overflow to inf, and "12abc" as its leading 12.
+TEST_F(IoTest, ErrorsOnNonFiniteAndTrailingGarbage) {
+  for (const char* bad : {"nan", "inf", "1e999", "12abc"}) {
+    std::string path = TempPath("nonfinite.csv");
+    WriteFile(path, std::string("1\n") + bad + "\n3\n");
+    auto s = LoadCsv(path, CsvOptions{});
+    ASSERT_FALSE(s.ok()) << bad;
+    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(s.status().message().find("line 2"), std::string::npos)
+        << s.status().message();
+  }
+}
+
+TEST_F(IoTest, AcceptsWhitespaceAroundValues) {
+  std::string path = TempPath("spaced.csv");
+  WriteFile(path, " 1.5\n2.5 \n\t3.5\t\n");
+  auto s = LoadCsv(path, CsvOptions{});
+  ASSERT_TRUE(s.ok()) << s.status().message();
+  EXPECT_EQ(s->values(), (math::Vec{1.5, 2.5, 3.5}));
+}
+
 TEST_F(IoTest, ErrorsOnMissingFile) {
   EXPECT_FALSE(LoadCsv(TempPath("does-not-exist.csv"), CsvOptions{}).ok());
 }

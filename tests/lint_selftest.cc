@@ -28,16 +28,6 @@ std::string ReadFixture(const std::string& name) {
   return os.str();
 }
 
-Config RegistryWith(std::vector<std::string> kinds) {
-  Config config;
-  config.have_events_registry = true;
-  size_t line = 1;
-  for (std::string& kind : kinds) {
-    config.registered_events.emplace(std::move(kind), line++);
-  }
-  return config;
-}
-
 Config SpanRegistryWith(std::vector<std::string> names) {
   Config config;
   config.have_spans_registry = true;
@@ -77,9 +67,7 @@ void AddLockRegistry(Config* config) {
 
 TEST_P(FixtureTest, FiresExactlyTheExpectedRules) {
   const FixtureCase& c = GetParam();
-  Config config = RegistryWith({"episode", "predict"});
-  config.have_spans_registry = true;
-  config.registered_spans = {{"train", 1}, {"predict", 2}};
+  Config config = SpanRegistryWith({"train", "predict"});
   AddLockRegistry(&config);
   const std::vector<Finding> findings =
       CheckFile(c.pretend_path, ReadFixture(c.fixture), config);
@@ -128,11 +116,6 @@ INSTANTIATE_TEST_SUITE_P(
         FixtureCase{"header_guard.bad.h", "src/fake/guarded.h",
                     {"header-guard", "header-guard"}},
         FixtureCase{"header_guard.good.h", "src/fake/guarded.h", {}},
-        // Telemetry event kinds must be registered (src/ only).
-        FixtureCase{"event_registry.bad.cc", "src/fake/train.cc",
-                    {"event-registry"}},
-        FixtureCase{"event_registry.bad.cc", "tests/fake/train.cc", {}},
-        FixtureCase{"event_registry.good.cc", "src/fake/train.cc", {}},
         // Trace span names must be registered (src/ and tools/; tests and
         // bench stay exempt so ad-hoc spans remain usable there).
         FixtureCase{"span_registry.bad.cc", "src/fake/train.cc",
@@ -190,37 +173,6 @@ TEST(LintTest, SuppressedFindingDoesNotCountAsStale) {
   const std::vector<Finding> findings = CheckFile(
       "src/fake/roll.cc", ReadFixture("stale_nolint.good.cc"), Config{});
   EXPECT_TRUE(findings.empty());
-}
-
-TEST(LintTest, EmittedEventsSeesMultiLineCalls) {
-  const std::set<std::string> kinds =
-      EmittedEvents(ReadFixture("event_registry.good.cc"));
-  EXPECT_EQ(kinds, std::set<std::string>{"episode"});
-}
-
-TEST(LintTest, ParseEventsDefReadsNamesAndFlagsDuplicates) {
-  const std::string registry =
-      "EADRL_EVENT(episode, \"one episode\")\n"
-      "EADRL_EVENT(predict, \"one prediction\")\n"
-      "EADRL_EVENT(episode, \"duplicate\")\n";
-  std::vector<Finding> findings;
-  const std::map<std::string, size_t> events =
-      ParseEventsDef("src/obs/events.def", registry, &findings);
-  EXPECT_EQ(events.size(), 2u);
-  EXPECT_EQ(events.at("episode"), 1u);
-  EXPECT_EQ(events.at("predict"), 2u);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "event-registry");
-  EXPECT_EQ(findings[0].line, 3u);
-}
-
-TEST(LintTest, RegistryStalenessFlagsUnusedEntries) {
-  const Config config = RegistryWith({"episode", "predict"});
-  const std::vector<Finding> findings =
-      CheckRegistryStaleness("src/obs/events.def", config, {"episode"});
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "event-registry-stale");
-  EXPECT_NE(findings[0].message.find("predict"), std::string::npos);
 }
 
 TEST(LintTest, ParseSpansDefReadsNamesAndFlagsDuplicates) {
@@ -345,8 +297,8 @@ TEST(LintTest, FormatFindingMatchesGateGrammar) {
 TEST(LintTest, CatalogCoversEveryRuleTheTestsUse) {
   for (const char* id :
        {"banned-rand", "banned-io", "naked-new", "naked-delete", "wall-clock",
-        "include-bits", "include-self-first", "header-guard", "event-registry",
-        "event-registry-stale", "span-registry", "span-registry-stale",
+        "include-bits", "include-self-first", "header-guard",
+        "span-registry", "span-registry-stale",
         "todo-tag", "stale-nolint", "guarded-by", "requires-self-lock",
         "lock-order", "lock-registry", "lock-registry-stale"}) {
     EXPECT_EQ(RuleCatalog().count(id), 1u) << id;

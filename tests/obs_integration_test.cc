@@ -1,9 +1,12 @@
 // Integration of the eadrl::obs layer with the training/inference stack:
-// a tiny EadrlCombiner run with a TelemetrySink attached must produce the
-// documented event kinds with sane values, and the no-sink path must leave
-// results bit-identical (instrumentation cannot perturb the math).
+// a tiny EadrlCombiner run with a TraceBuffer installed must record every
+// documented span with its attributes (the training curve, the online
+// steps, the DDPG diagnostics), and the untraced path must leave results
+// bit-identical (instrumentation cannot perturb the math).
 
 #include <cmath>
+#include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -14,7 +17,7 @@
 #include "core/eadrl.h"
 #include "math/matrix.h"
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
+#include "obs/trace.h"
 
 namespace eadrl::core {
 namespace {
@@ -49,122 +52,167 @@ EadrlConfig TinyConfig() {
   return cfg;
 }
 
-double FieldValue(const obs::TelemetryEvent& event, const std::string& key,
-                  bool* found = nullptr) {
-  for (const obs::TelemetryField& f : event.fields) {
-    if (key == f.key) {
-      if (found != nullptr) *found = true;
-      return f.type == obs::TelemetryField::Type::kInt
-                 ? static_cast<double>(f.inum)
-                 : f.num;
-    }
-  }
-  if (found != nullptr) *found = false;
-  return 0.0;
+/// TinyConfig with drift-informed online updates: the online steps of
+/// RunOnline open `drift` and `online_update` spans.
+EadrlConfig OnlineConfig() {
+  EadrlConfig cfg = TinyConfig();
+  cfg.online_update = OnlineUpdateMode::kDriftInformed;
+  cfg.online_update_iterations = 2;
+  return cfg;
 }
 
-TEST(ObsIntegrationTest, TrainingAndPredictEmitExpectedEvents) {
+/// A calm regime, then every member goes badly wrong: the drift detector
+/// fires and the online updates run. Returns the predictions.
+math::Vec RunOnline(EadrlCombiner* combiner, size_t steps) {
+  Rng rng(10);
+  math::Vec out;
+  for (size_t t = 0; t < steps; ++t) {
+    const double x = 10.0 + rng.Normal(0, 0.5);
+    const math::Vec preds = t < steps / 2 ? math::Vec{x, x + 0.1, x + 4.0}
+                                          : math::Vec{50.0, 51.0, 55.0};
+    out.push_back(combiner->Predict(preds));
+    combiner->Update(preds, x);
+  }
+  return out;
+}
+
+/// The recorded spans, grouped by name.
+std::map<std::string, std::vector<obs::FinishedSpan>> ByName(
+    const obs::TraceBuffer& buffer) {
+  std::map<std::string, std::vector<obs::FinishedSpan>> out;
+  for (obs::FinishedSpan& span : buffer.Snapshot()) {
+    out[span.name].push_back(std::move(span));
+  }
+  return out;
+}
+
+const obs::SpanAttr* FindAttr(const obs::FinishedSpan& span,
+                              const char* key) {
+  for (const obs::SpanAttr& attr : span.attrs) {
+    if (std::strcmp(attr.key, key) == 0) return &attr;
+  }
+  return nullptr;
+}
+
+/// The numeric value of attribute `key`; fails the test when it is absent.
+double Num(const obs::FinishedSpan& span, const char* key) {
+  const obs::SpanAttr* attr = FindAttr(span, key);
+  EXPECT_NE(attr, nullptr) << span.name << " lacks " << key;
+  if (attr == nullptr) return std::nan("");
+  return attr->type == obs::SpanAttr::Type::kInt
+             ? static_cast<double>(attr->inum)
+             : attr->num;
+}
+
+TEST(ObsIntegrationTest, TrainingAndOnlineSpansCarryTheirFields) {
   math::Matrix preds;
   math::Vec actuals;
   MakeData(80, 5, &preds, &actuals);
 
-  obs::CollectingSink sink;
-  obs::SetTelemetrySink(&sink);
-
-  EadrlCombiner combiner(TinyConfig());
+  obs::TraceBuffer buffer;
+  obs::SetTraceBuffer(&buffer);
+  EadrlCombiner combiner(OnlineConfig());
   ASSERT_TRUE(combiner.Initialize(preds, actuals).ok());
-  for (size_t t = 0; t < 5; ++t) {
-    math::Vec step{10.0, 10.5, 14.0};
-    double p = combiner.Predict(step);
-    EXPECT_TRUE(std::isfinite(p));
-    combiner.Update(step, 10.2);
-  }
-  obs::SetTelemetrySink(nullptr);
+  for (double p : RunOnline(&combiner, 60)) EXPECT_TRUE(std::isfinite(p));
+  obs::SetTraceBuffer(nullptr);
+  auto spans = ByName(buffer);
 
-  size_t episodes = 0, checkpoints = 0, predicts = 0, ddpg_updates = 0,
-         train_done = 0;
-  std::vector<obs::TelemetryEvent> events = sink.TakeEvents();
-  for (const obs::TelemetryEvent& e : events) {
-    std::string kind = e.kind;
-    EXPECT_GT(e.unix_seconds, 0.0);
-    if (kind == "episode") {
-      ++episodes;
-      bool found = false;
-      double reward = FieldValue(e, "reward", &found);
-      EXPECT_TRUE(found);
-      EXPECT_TRUE(std::isfinite(reward));
-      EXPECT_GT(FieldValue(e, "replay_size"), 0.0);
-      double sigma = FieldValue(e, "ou_sigma", &found);
-      EXPECT_TRUE(found);
-      EXPECT_GT(sigma, 0.0);
-      double eval = FieldValue(e, "eval_score", &found);
-      EXPECT_TRUE(found);  // best_checkpoint defaults to true.
-      EXPECT_LE(eval, 0.0);  // negative rollout RMSE.
-    } else if (kind == "checkpoint") {
-      ++checkpoints;
-      EXPECT_TRUE(std::isfinite(FieldValue(e, "eval_score")));
-    } else if (kind == "predict") {
-      ++predicts;
-      EXPECT_GE(FieldValue(e, "latency_seconds"), 0.0);
-      double entropy = FieldValue(e, "weight_entropy");
-      EXPECT_GE(entropy, 0.0);
-      EXPECT_LE(entropy, std::log(3.0) + 1e-9);
-      double max_w = FieldValue(e, "max_weight");
-      EXPECT_GT(max_w, 0.0);
-      EXPECT_LE(max_w, 1.0);
-    } else if (kind == "ddpg_update") {
-      ++ddpg_updates;
-      EXPECT_TRUE(std::isfinite(FieldValue(e, "critic_loss")));
-      EXPECT_GE(FieldValue(e, "mean_abs_q"), 0.0);
-      EXPECT_GE(FieldValue(e, "actor_grad_norm"), 0.0);
-    } else if (kind == "train_done") {
-      ++train_done;
-      EXPECT_EQ(FieldValue(e, "episodes"), 4.0);
-    }
-  }
-  EXPECT_EQ(episodes, 4u);
-  EXPECT_GE(checkpoints, 1u);  // the first eval is always a new best.
-  EXPECT_EQ(predicts, 5u);
-  EXPECT_GT(ddpg_updates, 0u);
-  EXPECT_EQ(train_done, 1u);
+  ASSERT_EQ(spans["train"].size(), 1u);
+  const obs::FinishedSpan& train = spans["train"][0];
+  EXPECT_EQ(Num(train, "restarts"), 1.0);
+  EXPECT_EQ(Num(train, "models"), 3.0);
+  EXPECT_EQ(Num(train, "episodes"), 4.0);
+  EXPECT_EQ(Num(train, "converged_episode"), 4.0);
+  EXPECT_LE(Num(train, "best_eval"), 0.0);  // negative rollout RMSE.
 
-  // Predict steps are strictly increasing 1..5.
+  ASSERT_EQ(spans["episode"].size(), 4u);
+  for (const obs::FinishedSpan& e : spans["episode"]) {
+    EXPECT_EQ(Num(e, "restart"), 0.0);
+    EXPECT_TRUE(std::isfinite(Num(e, "reward")));
+    EXPECT_GT(Num(e, "ou_sigma"), 0.0);
+    EXPECT_GT(Num(e, "explore_prob"), 0.0);
+    EXPECT_GT(Num(e, "replay_size"), 0.0);
+    EXPECT_TRUE(std::isfinite(Num(e, "critic_loss")));
+    EXPECT_LE(Num(e, "eval_score"), 0.0);  // best_checkpoint defaults on.
+  }
+
+  ASSERT_GE(spans["checkpoint"].size(), 1u);  // the first eval is a best.
+  for (const obs::FinishedSpan& c : spans["checkpoint"]) {
+    EXPECT_EQ(Num(c, "restart"), 0.0);
+    EXPECT_LT(Num(c, "episode"), 4.0);
+    EXPECT_TRUE(std::isfinite(Num(c, "eval_score")));
+  }
+
+  ASSERT_GT(spans["ddpg_update"].size(), 0u);
+  for (const obs::FinishedSpan& u : spans["ddpg_update"]) {
+    EXPECT_GE(Num(u, "update"), 1.0);
+    EXPECT_EQ(Num(u, "batch"), 8.0);
+    EXPECT_TRUE(std::isfinite(Num(u, "critic_loss")));
+    EXPECT_GE(Num(u, "mean_abs_q"), 0.0);
+    EXPECT_GE(Num(u, "actor_grad_norm"), 0.0);
+    EXPECT_GE(Num(u, "action_entropy"), 0.0);
+  }
+
+  // Predict steps are strictly increasing 1..60.
+  ASSERT_EQ(spans["predict"].size(), 60u);
   double last_step = 0.0;
-  for (const obs::TelemetryEvent& e : events) {
-    if (std::string(e.kind) == "predict") {
-      double step = FieldValue(e, "step");
-      EXPECT_DOUBLE_EQ(step, last_step + 1.0);
-      last_step = step;
-    }
+  for (const obs::FinishedSpan& p : spans["predict"]) {
+    EXPECT_EQ(Num(p, "step"), last_step + 1.0);
+    last_step = Num(p, "step");
+    EXPECT_GE(Num(p, "latency_seconds"), 0.0);
+    EXPECT_TRUE(std::isfinite(Num(p, "prediction")));
+    const double entropy = Num(p, "weight_entropy");
+    EXPECT_GE(entropy, 0.0);
+    EXPECT_LE(entropy, std::log(3.0) + 1e-9);
+    EXPECT_GT(Num(p, "max_weight"), 0.0);
+    EXPECT_LE(Num(p, "max_weight"), 1.0);
+    EXPECT_GE(Num(p, "online_updates"), 0.0);
+    EXPECT_TRUE(std::isfinite(Num(p, "drift_cum")));
   }
+  EXPECT_EQ(Num(spans["predict"].back(), "online_updates"),
+            static_cast<double>(combiner.online_updates()));
+
+  ASSERT_GE(spans["drift"].size(), 1u);
+  for (const obs::FinishedSpan& d : spans["drift"]) {
+    EXPECT_GT(Num(d, "step"), 30.0);  // the regime change, not the calm.
+    EXPECT_GT(Num(d, "error"), 0.0);
+    EXPECT_GT(Num(d, "observations"), 0.0);
+  }
+
+  ASSERT_GE(spans["online_update"].size(), 1u);
+  double total = 0.0;
+  for (const obs::FinishedSpan& u : spans["online_update"]) {
+    EXPECT_GT(Num(u, "step"), 30.0);
+    EXPECT_EQ(Num(u, "iterations"), 2.0);
+    EXPECT_EQ(Num(u, "total_updates"), total + 2.0);
+    total = Num(u, "total_updates");
+    const obs::SpanAttr* mode = FindAttr(u, "mode");
+    ASSERT_NE(mode, nullptr);
+    EXPECT_EQ(mode->str, "drift");
+    EXPECT_TRUE(std::isfinite(Num(u, "critic_loss")));
+  }
+  EXPECT_EQ(total, static_cast<double>(combiner.online_updates()));
 }
 
 TEST(ObsIntegrationTest, InstrumentationDoesNotPerturbResults) {
   math::Matrix preds;
   math::Vec actuals;
   MakeData(80, 9, &preds, &actuals);
-  math::Vec step{10.0, 10.5, 14.0};
 
-  auto run = [&](bool with_sink) {
-    obs::CollectingSink sink;
-    if (with_sink) obs::SetTelemetrySink(&sink);
-    EadrlCombiner combiner(TinyConfig());
+  auto run = [&](bool traced) {
+    obs::TraceBuffer buffer;
+    if (traced) obs::SetTraceBuffer(&buffer);
+    EadrlCombiner combiner(OnlineConfig());
     EXPECT_TRUE(combiner.Initialize(preds, actuals).ok());
-    math::Vec out;
-    for (size_t t = 0; t < 8; ++t) {
-      out.push_back(combiner.Predict(step));
-      combiner.Update(step, 10.2);
-    }
-    if (with_sink) obs::SetTelemetrySink(nullptr);
+    math::Vec out = RunOnline(&combiner, 40);
+    if (traced) obs::SetTraceBuffer(nullptr);
     return out;
   };
 
-  math::Vec with = run(true);
-  math::Vec without = run(false);
+  const math::Vec with = run(true);
+  const math::Vec without = run(false);
   ASSERT_EQ(with.size(), without.size());
-  for (size_t i = 0; i < with.size(); ++i) {
-    EXPECT_DOUBLE_EQ(with[i], without[i]);
-  }
+  for (size_t i = 0; i < with.size(); ++i) EXPECT_EQ(with[i], without[i]);
 }
 
 TEST(ObsIntegrationTest, RegistryCountsTrainingActivity) {

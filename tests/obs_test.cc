@@ -1,11 +1,5 @@
-#include <cctype>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <map>
-#include <stdexcept>
-#include <sstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,109 +10,10 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
+#include "obs/trace.h"
 
 namespace eadrl::obs {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Minimal flat-JSON-object parser used to golden-check the JSON-lines shape:
-// accepts {"key":value,...} with string / number / null values and returns
-// the raw value text per key. Any syntax violation fails the parse.
-// ---------------------------------------------------------------------------
-
-bool ParseFlatJsonObject(const std::string& line,
-                         std::map<std::string, std::string>* out) {
-  out->clear();
-  size_t i = 0;
-  auto skip_ws = [&] {
-    while (i < line.size() && std::isspace(static_cast<unsigned char>(
-                                  line[i]))) {
-      ++i;
-    }
-  };
-  auto parse_string = [&](std::string* s) {
-    if (i >= line.size() || line[i] != '"') return false;
-    ++i;
-    s->clear();
-    while (i < line.size() && line[i] != '"') {
-      if (line[i] == '\\') {
-        ++i;
-        if (i >= line.size()) return false;
-        switch (line[i]) {
-          case '"': *s += '"'; break;
-          case '\\': *s += '\\'; break;
-          case 'n': *s += '\n'; break;
-          case 'r': *s += '\r'; break;
-          case 't': *s += '\t'; break;
-          case 'u':
-            if (i + 4 >= line.size()) return false;
-            i += 4;  // keep the escape opaque; shape check only.
-            *s += '?';
-            break;
-          default: return false;
-        }
-      } else {
-        *s += line[i];
-      }
-      ++i;
-    }
-    if (i >= line.size()) return false;
-    ++i;  // closing quote.
-    return true;
-  };
-  auto parse_number_or_null = [&](std::string* v) {
-    size_t start = i;
-    if (line.compare(i, 4, "null") == 0) {
-      i += 4;
-      *v = "null";
-      return true;
-    }
-    while (i < line.size() &&
-           (std::isdigit(static_cast<unsigned char>(line[i])) ||
-            line[i] == '-' || line[i] == '+' || line[i] == '.' ||
-            line[i] == 'e' || line[i] == 'E')) {
-      ++i;
-    }
-    if (i == start) return false;
-    *v = line.substr(start, i - start);
-    // The numeric text must round-trip through strtod completely.
-    char* end = nullptr;
-    std::strtod(v->c_str(), &end);
-    return end == v->c_str() + v->size();
-  };
-
-  skip_ws();
-  if (i >= line.size() || line[i] != '{') return false;
-  ++i;
-  skip_ws();
-  if (i < line.size() && line[i] == '}') return true;
-  while (true) {
-    skip_ws();
-    std::string key, value;
-    if (!parse_string(&key)) return false;
-    skip_ws();
-    if (i >= line.size() || line[i] != ':') return false;
-    ++i;
-    skip_ws();
-    if (i < line.size() && line[i] == '"') {
-      if (!parse_string(&value)) return false;
-    } else if (!parse_number_or_null(&value)) {
-      return false;
-    }
-    (*out)[key] = value;
-    skip_ws();
-    if (i < line.size() && line[i] == ',') {
-      ++i;
-      continue;
-    }
-    break;
-  }
-  if (i >= line.size() || line[i] != '}') return false;
-  ++i;
-  skip_ws();
-  return i == line.size();
-}
 
 // ---------------------------------------------------------------------------
 // Counter / Gauge.
@@ -275,9 +170,8 @@ TEST(ObsRegistryTest, JsonSnapshot) {
   reg.GetHistogram("lat", {0.1, 1.0})->Observe(0.05);
 
   std::string json = reg.ToJson();
-  std::map<std::string, std::string> ignored;
-  // The registry JSON is nested, so only spot-check its contents here; the
-  // flat-object parser is exercised on telemetry lines below.
+  // Spot-check the contents; the document is parsed in full by
+  // JsonSnapshotEscapesAwkwardNamesAndLabels below.
   EXPECT_NE(json.find("\"hits\""), std::string::npos);
   EXPECT_NE(json.find("path=/predict"), std::string::npos);
   EXPECT_NE(json.find("\"type\":\"gauge\""), std::string::npos);
@@ -340,99 +234,74 @@ TEST(ObsScopedTimerTest, StopIsIdempotent) {
 }
 
 // ---------------------------------------------------------------------------
-// Telemetry.
+// Span attributes: the one push channel. An attribute is kept only by an
+// armed span, and every attribute reaches the trace export.
 // ---------------------------------------------------------------------------
 
-TEST(ObsTelemetryTest, DisabledByDefault) {
-  EXPECT_FALSE(TelemetryEnabled());
-  EXPECT_EQ(GetTelemetrySink(), nullptr);
-  // Emitting with no sink is a no-op, not a crash.
-  EADRL_TELEMETRY("noop", {"value", 1.0});
-}
-
-TEST(ObsTelemetryTest, SetAndUnsetSink) {
-  CollectingSink sink;
-  SetTelemetrySink(&sink);
-  EXPECT_TRUE(TelemetryEnabled());
-  EADRL_TELEMETRY("ping", {"n", size_t{7}});
-  SetTelemetrySink(nullptr);
-  EXPECT_FALSE(TelemetryEnabled());
-  EADRL_TELEMETRY("dropped", {"n", 1});
-
-  std::vector<TelemetryEvent> events = sink.TakeEvents();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_STREQ(events[0].kind, "ping");
-  ASSERT_EQ(events[0].fields.size(), 1u);
-  EXPECT_EQ(events[0].fields[0].inum, 7);
-  EXPECT_GT(events[0].unix_seconds, 0.0);
-}
-
-TEST(ObsTelemetryTest, JsonLinesShapeParses) {
-  std::ostringstream out;
-  JsonLinesSink sink(&out);
-  SetTelemetrySink(&sink);
-  EADRL_TELEMETRY("episode", {"episode", 3}, {"reward", 0.75},
-                  {"name", "EA-DRL"});
-  EADRL_TELEMETRY("weird", {"text", "quote\" slash\\ line\nend"},
-                  {"nan", std::nan("")});
-  SetTelemetrySink(nullptr);
-
-  std::istringstream in(out.str());
-  std::string line;
-  size_t lines = 0;
-  while (std::getline(in, line)) {
-    ++lines;
-    std::map<std::string, std::string> obj;
-    ASSERT_TRUE(ParseFlatJsonObject(line, &obj)) << line;
-    EXPECT_EQ(obj.count("ts"), 1u);
-    EXPECT_EQ(obj.count("unix"), 1u);
-    EXPECT_EQ(obj.count("kind"), 1u);
+const SpanAttr* FindAttr(const FinishedSpan& span, const char* key) {
+  for (const SpanAttr& attr : span.attrs) {
+    if (std::string(attr.key) == key) return &attr;
   }
-  EXPECT_EQ(lines, 2u);
-
-  // Golden check of one serialized event (fixed timestamp).
-  TelemetryEvent event;
-  event.kind = "golden";
-  event.unix_seconds = 0.5;
-  event.fields.emplace_back("a", 1);
-  event.fields.emplace_back("b", "x");
-  EXPECT_EQ(EventToJson(event),
-            "{\"ts\":\"1970-01-01T00:00:00.500Z\",\"unix\":0.5,"
-            "\"kind\":\"golden\",\"a\":1,\"b\":\"x\"}");
+  return nullptr;
 }
 
-TEST(ObsTelemetryTest, Iso8601Formatting) {
-  EXPECT_EQ(FormatIso8601Utc(0.0), "1970-01-01T00:00:00.000Z");
-  EXPECT_EQ(FormatIso8601Utc(1e9 + 0.25), "2001-09-09T01:46:40.250Z");
-}
-
-TEST(ObsTelemetryScopeTest, AmbientFieldsAppendedWhileScopeAlive) {
-  CollectingSink sink;
-  SetTelemetrySink(&sink);
+TEST(ObsSpanAttrTest, KeptOnlyWhileABufferIsInstalled) {
+  EXPECT_FALSE(TracingEnabled());
   {
-    TelemetryScope outer("dataset", "bike");
-    EADRL_TELEMETRY("one", {"n", 1});
-    {
-      TelemetryScope inner("run", "a");
-      EADRL_TELEMETRY("two", {"n", 2});
-    }
-    EADRL_TELEMETRY("three", {"n", 3});
+    // No buffer: the span is unarmed and SetAttr is a no-op, not a crash.
+    Span span("ping");
+    EXPECT_FALSE(span.armed());
+    span.SetAttr("value", 1.0);
   }
-  EADRL_TELEMETRY("four", {"n", 4});
-  SetTelemetrySink(nullptr);
+  TraceBuffer buffer;
+  SetTraceBuffer(&buffer);
+  {
+    Span span("ping");
+    EXPECT_TRUE(span.armed());
+    span.SetAttr("n", size_t{7});
+  }
+  SetTraceBuffer(nullptr);
+  {
+    Span span("dropped");
+    span.SetAttr("n", 1);
+  }
 
-  std::vector<TelemetryEvent> events = sink.TakeEvents();
-  ASSERT_EQ(events.size(), 4u);
-  // Context fields are appended after the event's own fields, outer first.
-  ASSERT_EQ(events[0].fields.size(), 2u);
-  EXPECT_STREQ(events[0].fields[1].key, "dataset");
-  EXPECT_EQ(events[0].fields[1].str, "bike");
-  ASSERT_EQ(events[1].fields.size(), 3u);
-  EXPECT_STREQ(events[1].fields[1].key, "dataset");
-  EXPECT_STREQ(events[1].fields[2].key, "run");
-  EXPECT_EQ(events[1].fields[2].str, "a");
-  ASSERT_EQ(events[2].fields.size(), 2u);
-  ASSERT_EQ(events[3].fields.size(), 1u);
+  const std::vector<FinishedSpan> spans = buffer.Snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_STREQ(spans[0].name, "ping");
+  ASSERT_EQ(spans[0].attrs.size(), 1u);
+  EXPECT_STREQ(spans[0].attrs[0].key, "n");
+  EXPECT_EQ(spans[0].attrs[0].type, SpanAttr::Type::kInt);
+  EXPECT_EQ(spans[0].attrs[0].inum, 7);
+}
+
+TEST(ObsSpanAttrTest, AwkwardValuesExportAsValidJson) {
+  TraceBuffer buffer;
+  SetTraceBuffer(&buffer);
+  {
+    Span span("weird");
+    span.SetAttr("text", "quote\" slash\\ line\nend");
+    span.SetAttr("nan", std::numeric_limits<double>::quiet_NaN());
+    span.SetAttr("ok", true);
+  }
+  SetTraceBuffer(nullptr);
+  const std::vector<FinishedSpan> spans = buffer.Snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  ASSERT_NE(FindAttr(spans[0], "ok"), nullptr);
+  EXPECT_EQ(FindAttr(spans[0], "ok")->inum, 1);
+
+  auto parsed = json::Parse(buffer.ToChromeTraceJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const json::Value* args = nullptr;
+  for (const json::Value& event : parsed->Find("traceEvents")->AsArray()) {
+    if (event.Find("ph")->AsString() == "X") args = event.Find("args");
+  }
+  ASSERT_NE(args, nullptr);
+  EXPECT_EQ(args->Find("text")->AsString(), "quote\" slash\\ line\nend");
+  // A non-finite attribute exports as null rather than breaking the JSON.
+  ASSERT_NE(args->Find("nan"), nullptr);
+  EXPECT_TRUE(args->Find("nan")->is_null());
+  EXPECT_DOUBLE_EQ(args->Find("ok")->AsNumber(), 1.0);
 }
 
 TEST(ObsRegistryTest, JsonSnapshotEscapesAwkwardNamesAndLabels) {
@@ -480,84 +349,6 @@ TEST(ObsRegistryTest, PrometheusExposition) {
             std::string::npos);
   EXPECT_NE(prom.find("lat_seconds_count 3\n"), std::string::npos);
   EXPECT_NE(prom.find("lat_seconds_sum 6.5625\n"), std::string::npos);
-}
-
-TEST(ObsTelemetryTest, FileSinkFlushLeavesNoTruncatedFinalLine) {
-  const std::string path =
-      ::testing::TempDir() + "/eadrl_obs_flush_test.jsonl";
-  std::remove(path.c_str());
-  {
-    JsonLinesSink sink(path);
-    ASSERT_TRUE(sink.ok());
-    SetTelemetrySink(&sink);
-    EADRL_TELEMETRY("first", {"n", 1});
-    EADRL_TELEMETRY("second", {"text", "line\nbreak"});
-    SetTelemetrySink(nullptr);
-    sink.Flush();
-
-    // After Flush the file must contain only complete, parseable lines —
-    // a consumer tailing the file never sees a truncated record.
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in.good());
-    std::ostringstream contents;
-    contents << in.rdbuf();
-    const std::string text = contents.str();
-    ASSERT_FALSE(text.empty());
-    EXPECT_EQ(text.back(), '\n');
-    std::istringstream lines(text);
-    std::string line;
-    size_t n = 0;
-    while (std::getline(lines, line)) {
-      ++n;
-      std::map<std::string, std::string> obj;
-      EXPECT_TRUE(ParseFlatJsonObject(line, &obj)) << line;
-    }
-    EXPECT_EQ(n, 2u);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(ObsTelemetryScopeTest, ScopeUnwindsOnException) {
-  ASSERT_TRUE(TelemetryContext().empty());
-  try {
-    TelemetryScope scope("dataset", "bike");
-    ASSERT_EQ(TelemetryContext().size(), 1u);
-    throw std::runtime_error("boom");
-  } catch (const std::runtime_error&) {
-  }
-  // Stack unwinding must pop the scope's ambient field.
-  EXPECT_TRUE(TelemetryContext().empty());
-}
-
-TEST(ObsTelemetryScopeTest, ScopedContextUnwindsOnException) {
-  TelemetryScope outer("dataset", "taxi");
-  try {
-    ScopedTelemetryContext override_ctx(
-        {TelemetryField{"run", "worker"}});
-    ASSERT_EQ(TelemetryContext().size(), 1u);
-    EXPECT_EQ(TelemetryContext()[0].str, "worker");
-    throw std::runtime_error("boom");
-  } catch (const std::runtime_error&) {
-  }
-  // The override is rolled back to the ambient context it replaced.
-  ASSERT_EQ(TelemetryContext().size(), 1u);
-  EXPECT_EQ(TelemetryContext()[0].str, "taxi");
-}
-
-TEST(ObsTelemetryScopeTest, SnapshotAndOverrideRestorePreviousContext) {
-  TelemetryScope scope("dataset", "taxi");
-  std::vector<TelemetryField> snapshot = TelemetryContext();
-  ASSERT_EQ(snapshot.size(), 1u);
-  EXPECT_STREQ(snapshot[0].key, "dataset");
-  EXPECT_EQ(snapshot[0].str, "taxi");
-
-  {
-    ScopedTelemetryContext override_ctx({});
-    EXPECT_TRUE(TelemetryContext().empty());
-  }
-  // The previous ambient context is restored when the override dies.
-  ASSERT_EQ(TelemetryContext().size(), 1u);
-  EXPECT_EQ(TelemetryContext()[0].str, "taxi");
 }
 
 }  // namespace

@@ -1,18 +1,20 @@
 // Hammers the obs hot paths (Counter, Gauge, Histogram, MetricRegistry,
-// telemetry Emit) from thread-pool workers. The assertions check exact
+// span attributes) from thread-pool workers. The assertions check exact
 // final values where the API promises them; the real teeth are under
 // tools/check.sh (EADRL_SANITIZE=thread), where any data race in these
 // paths becomes a TSan report.
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "par/parallel.h"
 #include "par/thread_pool.h"
 
@@ -118,55 +120,76 @@ TEST(ParObsRaceTest, RegistryLookupsFromWorkersReturnTheSameMetric) {
   EXPECT_NE(json.find("race_total"), std::string::npos);
 }
 
-TEST(ParObsRaceTest, TelemetryEmitFromWorkersDeliversEveryEvent) {
+TEST(ParObsRaceTest, SpansFromWorkersRecordEveryAttribute) {
   par::ThreadPool pool(kThreads);
-  CollectingSink sink;
-  SetTelemetrySink(&sink);
+  TraceBuffer buffer;
+  SetTraceBuffer(&buffer);
   par::ParallelFor(
       0, kTasks,
       [&](size_t t) {
-        EADRL_TELEMETRY("race_event", {"task", t}, {"ok", true});
+        Span span("race_span");
+        span.SetAttr("task", t);
+        span.SetAttr("ok", true);
       },
       {1, &pool});
-  SetTelemetrySink(nullptr);
-  std::vector<TelemetryEvent> events = sink.TakeEvents();
-  EXPECT_EQ(events.size(), kTasks);
-  for (const auto& e : events) {
-    EXPECT_STREQ(e.kind, "race_event");
-    ASSERT_EQ(e.fields.size(), 2u);
+  SetTraceBuffer(nullptr);
+  std::vector<bool> seen(kTasks, false);
+  for (const FinishedSpan& s : buffer.Snapshot()) {
+    if (std::strcmp(s.name, "race_span") != 0) continue;
+    ASSERT_EQ(s.attrs.size(), 2u);
+    const size_t task = static_cast<size_t>(s.attrs[0].inum);
+    ASSERT_LT(task, kTasks);
+    EXPECT_FALSE(seen[task]) << "task recorded twice";
+    seen[task] = true;
   }
+  for (size_t t = 0; t < kTasks; ++t) EXPECT_TRUE(seen[t]) << t;
 }
 
-TEST(ParObsRaceTest, TelemetryScopeFollowsTasksAcrossWorkers) {
-  // The submitter's ambient TelemetryScope fields must reach events emitted
-  // from pool workers — including doubly-nested tasks — so interleaved
-  // streams from concurrent datasets stay attributable.
-  par::ThreadPool pool(kThreads);
-  CollectingSink sink;
-  SetTelemetrySink(&sink);
+TEST(ParObsRaceTest, SpansReachTheSubmittersSpanAcrossWorkers) {
+  // A span opened on a pool worker -- including a doubly-nested task -- must
+  // reach the submitter's span through its parent links, so the work of
+  // concurrent datasets stays attributable to its dataset_run.
+  TraceBuffer buffer;
+  SetTraceBuffer(&buffer);
+  uint64_t root_id = 0;
   {
-    TelemetryScope scope("dataset", "ds1");
+    // A worker records its par_task span after the task's completion is
+    // visible to the waiter; destroying the pool joins the workers, so
+    // every span has been recorded before the buffer is uninstalled.
+    par::ThreadPool pool(kThreads);
+    Span root("dataset_run");
+    root.SetAttr("dataset", "ds1");
+    root_id = root.span_id();
     par::ParallelFor(
         0, 8,
         [&](size_t outer) {
           par::ParallelFor(
               0, 4,
               [&](size_t inner) {
-                EADRL_TELEMETRY("ctx_event", {"outer", outer},
-                                {"inner", inner});
+                Span span("ctx_span");
+                span.SetAttr("outer", outer);
+                span.SetAttr("inner", inner);
               },
               {1, &pool});
         },
         {1, &pool});
   }
-  SetTelemetrySink(nullptr);
-  std::vector<TelemetryEvent> events = sink.TakeEvents();
-  ASSERT_EQ(events.size(), 32u);
-  for (const auto& e : events) {
-    ASSERT_EQ(e.fields.size(), 3u);
-    EXPECT_STREQ(e.fields[2].key, "dataset");
-    EXPECT_EQ(e.fields[2].str, "ds1");
+  SetTraceBuffer(nullptr);
+  const std::vector<FinishedSpan> spans = buffer.Snapshot();
+  std::map<uint64_t, const FinishedSpan*> by_id;
+  for (const FinishedSpan& s : spans) by_id.emplace(s.span_id, &s);
+  size_t ctx_spans = 0;
+  for (const FinishedSpan& s : spans) {
+    if (std::strcmp(s.name, "ctx_span") != 0) continue;
+    ++ctx_spans;
+    uint64_t parent = s.parent_id;
+    while (parent != 0 && parent != root_id) {
+      ASSERT_EQ(by_id.count(parent), 1u) << "dangling parent";
+      parent = by_id.at(parent)->parent_id;
+    }
+    EXPECT_EQ(parent, root_id);
   }
+  EXPECT_EQ(ctx_spans, 32u);
 }
 
 TEST(ParObsRaceTest, PoolOwnMetricsStayConsistentUnderLoad) {

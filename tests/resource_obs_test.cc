@@ -187,7 +187,7 @@ TEST_F(SpanAllocAttributionTest, AllocAttrsAppearInFinishedSpans) {
     if (std::string(span.name) != "attr_export_span") continue;
     found = true;
     bool saw_bytes = false;
-    for (const TelemetryField& attr : span.attrs) {
+    for (const SpanAttr& attr : span.attrs) {
       if (std::string(attr.key) == "alloc_bytes") saw_bytes = true;
     }
     EXPECT_TRUE(saw_bytes) << "span should carry alloc attrs";

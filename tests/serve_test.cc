@@ -8,11 +8,13 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,7 +24,7 @@
 #include "exp/experiment.h"
 #include "math/vec.h"
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "serve/service.h"
 #include "ts/datasets.h"
 #include "ts/scaler.h"
@@ -136,8 +138,43 @@ double RejectedTotal(const char* reason) {
       ->Value();
 }
 
+const obs::SpanAttr* FindAttr(const obs::FinishedSpan& span,
+                              const char* key) {
+  for (const obs::SpanAttr& attr : span.attrs) {
+    if (std::strcmp(attr.key, key) == 0) return &attr;
+  }
+  return nullptr;
+}
+
+/// The spans of `name` in `buffer`, in start order.
+std::vector<obs::FinishedSpan> SpansNamed(const obs::TraceBuffer& buffer,
+                                          const char* name) {
+  std::vector<obs::FinishedSpan> out;
+  for (obs::FinishedSpan& span : buffer.Snapshot()) {
+    if (std::strcmp(span.name, name) == 0) out.push_back(std::move(span));
+  }
+  return out;
+}
+
+/// The `rejected` reasons of the admission spans in `buffer`, each checked
+/// to name `tenant`.
+std::vector<std::string> RejectedReasons(const obs::TraceBuffer& buffer,
+                                         const std::string& tenant) {
+  std::vector<std::string> reasons;
+  for (const obs::FinishedSpan& span :
+       SpansNamed(buffer, "serve_admission")) {
+    const obs::SpanAttr* rejected = FindAttr(span, "rejected");
+    if (rejected == nullptr) continue;
+    reasons.push_back(rejected->str);
+    const obs::SpanAttr* who = FindAttr(span, "tenant");
+    EXPECT_TRUE(who != nullptr && who->str == tenant);
+    EXPECT_NE(FindAttr(span, "kind"), nullptr);
+  }
+  return reasons;
+}
+
 // Malformed payloads are refused at admission with a typed status, counted
-// per reason and announced by a serve_reject event. None reaches the drain
+// per reason and named on the traced admission span. None reaches the drain
 // wave, where a non-finite forecast would trip a contract (aborting the
 // server) and a wrong-length one would be indexed out of bounds, and none
 // touches the session: it keeps serving exactly as an untouched one does.
@@ -160,8 +197,8 @@ TEST(ForecastServiceTest, MalformedPayloadsRejectedAtAdmission) {
   math::Vec inf_preds = good;
   inf_preds.back() = std::numeric_limits<double>::infinity();
 
-  obs::CollectingSink sink;
-  obs::SetTelemetrySink(&sink);
+  obs::TraceBuffer buffer;
+  obs::SetTraceBuffer(&buffer);
   for (const math::Vec& preds :
        {short_preds, long_preds, math::Vec{}, nan_preds, inf_preds}) {
     EXPECT_EQ(service.Predict("a", preds).status().code(),
@@ -172,16 +209,16 @@ TEST(ForecastServiceTest, MalformedPayloadsRejectedAtAdmission) {
     EXPECT_EQ(service.ObserveActual("a", actual).code(),
               StatusCode::kInvalidArgument);
   }
-  obs::SetTelemetrySink(nullptr);
+  obs::SetTraceBuffer(nullptr);
 
   EXPECT_EQ(RejectedTotal("preds_size") - size_before, 3.0);
   EXPECT_EQ(RejectedTotal("nonfinite_preds") - preds_before, 2.0);
   EXPECT_EQ(RejectedTotal("nonfinite_actual") - actual_before, 2.0);
-  size_t reject_events = 0;
-  for (const obs::TelemetryEvent& event : sink.TakeEvents()) {
-    if (std::string(event.kind) == "serve_reject") ++reject_events;
-  }
-  EXPECT_EQ(reject_events, 7u);
+  EXPECT_EQ(RejectedReasons(buffer, "a"),
+            (std::vector<std::string>{"preds_size", "preds_size", "preds_size",
+                                      "nonfinite_preds", "nonfinite_preds",
+                                      "nonfinite_actual",
+                                      "nonfinite_actual"}));
   serve::ServeStats stats = service.Stats();
   EXPECT_EQ(stats.shed, 0u);
   EXPECT_EQ(stats.inflight, 0u);
@@ -218,8 +255,8 @@ TEST(ForecastServiceTest, ScaledOverflowRejectedAtAdmission) {
 
   math::Vec huge_preds = Preds(0);
   huge_preds[0] = kHuge;
-  obs::CollectingSink sink;
-  obs::SetTelemetrySink(&sink);
+  obs::TraceBuffer buffer;
+  obs::SetTraceBuffer(&buffer);
   EXPECT_EQ(service.Predict("a", huge_preds).status().code(),
             StatusCode::kInvalidArgument);
   // A prediction first, so the observe would reach the drift detector.
@@ -230,14 +267,11 @@ TEST(ForecastServiceTest, ScaledOverflowRejectedAtAdmission) {
   EXPECT_EQ(*got, *want);
   EXPECT_EQ(service.ObserveActual("a", kHuge).code(),
             StatusCode::kInvalidArgument);
-  obs::SetTelemetrySink(nullptr);
+  obs::SetTraceBuffer(nullptr);
 
   EXPECT_EQ(RejectedTotal("scaled_overflow") - overflow_before, 2.0);
-  size_t reject_events = 0;
-  for (const obs::TelemetryEvent& event : sink.TakeEvents()) {
-    if (std::string(event.kind) == "serve_reject") ++reject_events;
-  }
-  EXPECT_EQ(reject_events, 2u);
+  EXPECT_EQ(RejectedReasons(buffer, "a"),
+            (std::vector<std::string>{"scaled_overflow", "scaled_overflow"}));
 
   for (size_t step = 1; step <= 3; ++step) {
     ASSERT_TRUE(service.ObserveActual("a", Actual(step - 1)).ok());
@@ -272,19 +306,16 @@ TEST(ForecastServiceTest, WindowOverflowingMagnitudeRejectedAtAdmission) {
   const double magnitude_before = RejectedTotal("magnitude");
   const size_t members = Preds(0).size();
 
-  obs::CollectingSink sink;
-  obs::SetTelemetrySink(&sink);
+  obs::TraceBuffer buffer;
+  obs::SetTraceBuffer(&buffer);
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(service.Predict("a", math::Vec(members, 1e308)).status().code(),
               StatusCode::kInvalidArgument);
   }
-  obs::SetTelemetrySink(nullptr);
+  obs::SetTraceBuffer(nullptr);
   EXPECT_EQ(RejectedTotal("magnitude") - magnitude_before, 3.0);
-  size_t reject_events = 0;
-  for (const obs::TelemetryEvent& event : sink.TakeEvents()) {
-    if (std::string(event.kind) == "serve_reject") ++reject_events;
-  }
-  EXPECT_EQ(reject_events, 3u);
+  EXPECT_EQ(RejectedReasons(buffer, "a"),
+            (std::vector<std::string>(3, "magnitude")));
 
   for (size_t step = 0; step < 3; ++step) {
     StatusOr<double> got = service.Predict("a", Preds(step));
@@ -523,6 +554,150 @@ TEST(ForecastServiceTest, ObserveBeforeAnyPredictIsInert) {
 }
 
 // ---------------------------------------------------------------------------
+// Traced serving: sessions, evictions, admissions, waves and drift are
+// recorded as spans whose attributes carry what happened.
+
+TEST(ForecastServiceTraceTest, SessionEvictionWaveAndDriftSpans) {
+  serve::ServeConfig config = ManualConfig();
+  config.shards = 1;
+  config.max_sessions = 2;
+  config.session_ttl_seconds = 0.02;
+  obs::TraceBuffer buffer;
+  obs::SetTraceBuffer(&buffer);
+  {
+    serve::ForecastService service(config);
+    const size_t policy_id = service.RegisterPolicy(NewCombiner());
+    ASSERT_TRUE(service.CreateSession("a", policy_id).ok());
+    ASSERT_TRUE(service.CreateSession("b", policy_id).ok());
+    // Accurate actuals, then a wildly wrong one: tenant a's detector fires.
+    for (size_t step = 0; step < 4; ++step) {
+      StatusOr<double> out = service.Predict("a", Preds(step));
+      ASSERT_TRUE(out.ok());
+      ASSERT_TRUE(
+          service.ObserveActual("a", step < 3 ? *out : *out + 1e6).ok());
+    }
+    StatusOr<serve::SessionInfo> info = service.GetSessionInfo("a");
+    ASSERT_TRUE(info.ok());
+    ASSERT_EQ(info->drift_events, 1u);
+    ASSERT_TRUE(service.ResetSession("a").ok());
+    // "a" was touched last, so creating "c" evicts "b" from the full stripe.
+    ASSERT_TRUE(service.CreateSession("c", policy_id).ok());
+    ASSERT_TRUE(service.EvictSession("a").ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    EXPECT_EQ(service.EvictIdleSessions(), 1u);  // "c" aged out.
+  }
+  obs::SetTraceBuffer(nullptr);
+
+  // serve_session: three creates (generations 1-3) and one reset.
+  const std::vector<obs::FinishedSpan> sessions =
+      SpansNamed(buffer, "serve_session");
+  ASSERT_EQ(sessions.size(), 4u);
+  const std::vector<std::pair<std::string, int64_t>> expected = {
+      {"a", 1}, {"b", 2}, {"a", 1}, {"c", 3}};
+  for (size_t i = 0; i < sessions.size(); ++i) {
+    const bool reset = i == 2;
+    EXPECT_EQ(FindAttr(sessions[i], "tenant")->str, expected[i].first);
+    EXPECT_EQ(FindAttr(sessions[i], "generation")->inum, expected[i].second);
+    EXPECT_EQ(FindAttr(sessions[i], "reset")->inum, reset ? 1 : 0);
+    const obs::SpanAttr* policy = FindAttr(sessions[i], "policy_id");
+    if (reset) {
+      EXPECT_EQ(policy, nullptr);
+    } else {
+      ASSERT_NE(policy, nullptr);
+      EXPECT_EQ(policy->inum, 0);
+    }
+  }
+
+  // serve_evict: lru (b), explicit (a), ttl (c).
+  const std::vector<obs::FinishedSpan> evictions =
+      SpansNamed(buffer, "serve_evict");
+  ASSERT_EQ(evictions.size(), 3u);
+  const std::vector<std::pair<std::string, std::string>> evicted = {
+      {"b", "lru"}, {"a", "explicit"}, {"c", "ttl"}};
+  const int64_t generations[] = {2, 1, 3};
+  for (size_t i = 0; i < evictions.size(); ++i) {
+    EXPECT_EQ(FindAttr(evictions[i], "tenant")->str, evicted[i].first);
+    EXPECT_EQ(FindAttr(evictions[i], "reason")->str, evicted[i].second);
+    EXPECT_EQ(FindAttr(evictions[i], "generation")->inum, generations[i]);
+  }
+  // The LRU eviction happens inside the create that forced it.
+  EXPECT_EQ(evictions[0].parent_id, sessions[3].span_id);
+
+  // serve_batch: one single-request wave per call, so four predict waves
+  // and four observe waves.
+  size_t observe_waves = 0;
+  const std::vector<obs::FinishedSpan> waves =
+      SpansNamed(buffer, "serve_batch");
+  ASSERT_EQ(waves.size(), 8u);
+  for (const obs::FinishedSpan& wave : waves) {
+    EXPECT_EQ(FindAttr(wave, "wave_size")->inum, 1);
+    observe_waves += static_cast<size_t>(FindAttr(wave, "observes")->inum);
+  }
+  EXPECT_EQ(observe_waves, 4u);
+
+  // Drift lands on the observe's serve_request span, with the generation.
+  size_t drift_requests = 0;
+  for (const obs::FinishedSpan& request :
+       SpansNamed(buffer, "serve_request")) {
+    const obs::SpanAttr* drift = FindAttr(request, "drift");
+    if (drift == nullptr) continue;
+    ++drift_requests;
+    EXPECT_EQ(drift->inum, 1);
+    EXPECT_EQ(FindAttr(request, "kind")->str, "observe");
+    EXPECT_EQ(FindAttr(request, "generation")->inum, 1);
+  }
+  EXPECT_EQ(drift_requests, 1u);
+}
+
+TEST(ForecastServiceTraceTest, ShedAdmissionsNameTheirReason) {
+  obs::TraceBuffer buffer;
+  obs::SetTraceBuffer(&buffer);
+  auto done = [](StatusOr<double> result) { EXPECT_TRUE(result.ok()); };
+  {
+    serve::ServeConfig config = ManualConfig();
+    config.max_queue = 1;
+    serve::ForecastService service(config);
+    const size_t policy_id = service.RegisterPolicy(NewCombiner());
+    ASSERT_TRUE(service.CreateSession("q", policy_id).ok());
+    ASSERT_TRUE(service.PredictAsync("q", Preds(0), done).ok());
+    EXPECT_EQ(service.PredictAsync("q", Preds(1), done).code(),
+              StatusCode::kResourceExhausted);
+    while (service.DrainOnce()) {
+    }
+  }
+  {
+    serve::ServeConfig config = ManualConfig();
+    config.max_inflight = 1;
+    serve::ForecastService service(config);
+    const size_t policy_id = service.RegisterPolicy(NewCombiner());
+    ASSERT_TRUE(service.CreateSession("i", policy_id).ok());
+    ASSERT_TRUE(service.PredictAsync("i", Preds(0), done).ok());
+    EXPECT_EQ(service.PredictAsync("i", Preds(1), done).code(),
+              StatusCode::kResourceExhausted);
+    while (service.DrainOnce()) {
+    }
+  }
+  obs::SetTraceBuffer(nullptr);
+
+  std::vector<std::string> shed;
+  for (const obs::FinishedSpan& span :
+       SpansNamed(buffer, "serve_admission")) {
+    EXPECT_EQ(FindAttr(span, "kind")->str, "predict");
+    const obs::SpanAttr* reason = FindAttr(span, "shed");
+    if (reason == nullptr) continue;
+    shed.push_back(reason->str);
+    if (reason->str == "queue_full") {
+      EXPECT_EQ(FindAttr(span, "tenant")->str, "q");
+      EXPECT_EQ(FindAttr(span, "queue_depth")->inum, 1);
+    } else {
+      EXPECT_EQ(FindAttr(span, "tenant")->str, "i");
+      EXPECT_EQ(FindAttr(span, "inflight")->inum, 1);
+    }
+  }
+  EXPECT_EQ(shed, (std::vector<std::string>{"queue_full", "inflight"}));
+}
+
+// ---------------------------------------------------------------------------
 // Live observability wiring (PR 10): windowed stats, queue-delay exposure,
 // SLO tracking and the bounded per-tenant drill-down.
 
@@ -710,32 +885,42 @@ TEST_F(SessionCallGuardTest, SequentialCallsAreFine) {
   EXPECT_FALSE(busy.load());
 }
 
+// The combiner a ReenteringHandler calls back into, once.
+core::EadrlCombiner* g_reenter = nullptr;
+
+// A contract failure inside Predict calls back into the same combiner
+// before throwing: the same shape as two threads sharing one combiner, but
+// deterministic. The nested call's own guard violation throws first.
+[[noreturn]] void ReenteringHandler(const char* message) {
+  if (core::EadrlCombiner* combiner = std::exchange(g_reenter, nullptr)) {
+    combiner->Weights();
+  }
+  throw std::runtime_error(message);
+}
+
 TEST_F(SessionCallGuardTest, CombinerEntryPointsAreGuarded) {
   // This file forces contracts on, so chk::Enabled() is true here; whether
   // the combiner's own guard fires depends on the library's setting.
   if (!EADRL_CHECKS) {
     GTEST_SKIP() << "library compiled with EADRL_CHECKS=OFF";
   }
-  // Re-enter the combiner from inside Predict via a telemetry sink that
-  // calls back into it — the same shape as two threads sharing one
-  // combiner, but deterministic.
-  class ReentrantSink : public obs::TelemetrySink {
-   public:
-    explicit ReentrantSink(core::EadrlCombiner* combiner)
-        : combiner_(combiner) {}
-    void Record(const obs::TelemetryEvent& event) override {
-      if (std::string(event.kind) == "predict") combiner_->Weights();
-    }
-
-   private:
-    core::EadrlCombiner* combiner_;
-  };
-
   auto combiner = NewCombiner();
-  ReentrantSink sink(combiner.get());
-  obs::SetTelemetrySink(&sink);
-  EXPECT_THROW(combiner->Predict(Preds(0)), std::runtime_error);
-  obs::SetTelemetrySink(nullptr);
+  math::Vec nan_preds = Preds(0);
+  nan_preds[0] = std::numeric_limits<double>::quiet_NaN();
+  chk::SetFailureHandlerForTest(&ReenteringHandler);
+  g_reenter = combiner.get();
+  // Predict's finiteness contract fails while Predict holds the guard; the
+  // handler re-enters through Weights, whose guard reports the overlap.
+  try {
+    combiner->Predict(nan_preds);
+    ADD_FAILURE() << "Predict accepted NaN member predictions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("concurrent EadrlCombiner::Weights"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(g_reenter, nullptr);
+  chk::SetFailureHandlerForTest(&ThrowHandler);
   // The guard released on unwind: the combiner is usable again.
   EXPECT_TRUE(std::isfinite(combiner->Predict(Preds(0))));
 }

@@ -1,18 +1,15 @@
 // SLO tracking (src/obs/slo.h): burn-rate math, multi-window breach/recover
 // edges driven by an injected fake clock, error-budget accounting, latency
-// vs ratio objectives, and the slo_breach / slo_recover telemetry contract
-// (registered kinds, exactly one event per edge).
+// vs ratio objectives, and the edge counts' contract (exactly one count per
+// edge, exported in both renderings).
 
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/slo.h"
-#include "obs/telemetry.h"
 
 namespace eadrl::obs {
 namespace {
@@ -47,29 +44,10 @@ SloTrackerOptions TestOptions() {
   return options;
 }
 
-size_t CountKind(const std::vector<TelemetryEvent>& events, const char* kind) {
-  size_t n = 0;
-  for (const TelemetryEvent& e : events) {
-    if (std::strcmp(e.kind, kind) == 0) ++n;
-  }
-  return n;
-}
-
 class SloTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    SetNowSeconds(0.0);
-    SetTelemetrySink(&sink_);
-  }
-  void TearDown() override { SetTelemetrySink(nullptr); }
-
-  CollectingSink sink_;
+  void SetUp() override { SetNowSeconds(0.0); }
 };
-
-TEST_F(SloTest, EventKindsAreRegistered) {
-  EXPECT_TRUE(IsRegisteredEvent("slo_breach"));
-  EXPECT_TRUE(IsRegisteredEvent("slo_recover"));
-}
 
 TEST_F(SloTest, NoDataNoBreach) {
   SloTracker tracker(TestOptions());
@@ -79,7 +57,7 @@ TEST_F(SloTest, NoDataNoBreach) {
   EXPECT_FALSE(report.AnyBreached());
   EXPECT_EQ(report.TotalBreaches(), 0u);
   EXPECT_DOUBLE_EQ(report.objectives[0].burn_rate_long, 0.0);
-  EXPECT_EQ(sink_.size(), 0u);
+  EXPECT_EQ(report.objectives[0].recoveries, 0u);
 }
 
 TEST_F(SloTest, BreachFiresOnceAndRecoversWhenWindowsDrain) {
@@ -95,12 +73,15 @@ TEST_F(SloTest, BreachFiresOnceAndRecoversWhenWindowsDrain) {
   EXPECT_EQ(report.objectives[0].breaches, 1u);
   EXPECT_GE(report.objectives[0].burn_rate_long, 2.0);
   EXPECT_GE(report.objectives[0].burn_rate_short, 2.0);
+  EXPECT_EQ(report.objectives[0].recoveries, 0u);
   // The availability objective saw no traffic and must stay quiet.
   EXPECT_FALSE(report.objectives[1].breached);
-
-  std::vector<TelemetryEvent> events = sink_.TakeEvents();
-  EXPECT_EQ(CountKind(events, "slo_breach"), 1u);
-  EXPECT_EQ(CountKind(events, "slo_recover"), 0u);
+  EXPECT_EQ(report.objectives[1].breaches, 0u);
+  std::string prom;
+  tracker.AppendPrometheus(&prom);
+  EXPECT_NE(prom.find("eadrl_slo_breaches_total{objective=\"latency\"} 1\n"),
+            std::string::npos)
+      << prom;
 
   // Slide both windows past all recorded outcomes: burn drops to zero and
   // the recover edge fires exactly once.
@@ -111,9 +92,9 @@ TEST_F(SloTest, BreachFiresOnceAndRecoversWhenWindowsDrain) {
   EXPECT_FALSE(report.objectives[0].breached);
   EXPECT_EQ(report.objectives[0].breaches, 1u);
   EXPECT_EQ(report.objectives[0].recoveries, 1u);
-  events = sink_.TakeEvents();
-  EXPECT_EQ(CountKind(events, "slo_breach"), 0u);
-  EXPECT_EQ(CountKind(events, "slo_recover"), 1u);
+  const std::string js = tracker.ToJsonValue();
+  EXPECT_NE(js.find("\"breaches\":1,\"recoveries\":1"), std::string::npos)
+      << js;
 }
 
 TEST_F(SloTest, ShortWindowGatesTheBreach) {
@@ -130,7 +111,7 @@ TEST_F(SloTest, ShortWindowGatesTheBreach) {
   EXPECT_FALSE(report.objectives[0].breached);
   EXPECT_GE(report.objectives[0].burn_rate_long, 2.0);
   EXPECT_LT(report.objectives[0].burn_rate_short, 2.0);
-  EXPECT_EQ(sink_.size(), 0u);
+  EXPECT_EQ(report.objectives[0].breaches, 0u);
 }
 
 TEST_F(SloTest, RatioObjectiveAndBudgetAccounting) {
@@ -169,17 +150,7 @@ TEST_F(SloTest, HighThresholdNeverFires) {
   for (int i = 0; i < 50; ++i) tracker.RecordLatency(0, 1.0);
   tracker.Evaluate();
   EXPECT_FALSE(tracker.Report().AnyBreached());
-  EXPECT_EQ(sink_.size(), 0u);
-}
-
-TEST_F(SloTest, TelemetryCanBeDisabled) {
-  SloTrackerOptions options = TestOptions();
-  options.emit_telemetry = false;
-  SloTracker tracker(options);
-  for (int i = 0; i < 20; ++i) tracker.RecordLatency(0, 0.2);
-  tracker.Evaluate();
-  EXPECT_TRUE(tracker.Report().objectives[0].breached);  // state still flips.
-  EXPECT_EQ(sink_.size(), 0u);                           // but no events.
+  EXPECT_EQ(tracker.Report().TotalBreaches(), 0u);
 }
 
 TEST_F(SloTest, RenderingsNameEveryObjective) {

@@ -33,5 +33,11 @@ TEST(PadTest, PadLeftAndRight) {
   EXPECT_EQ(PadLeft("", 2), "  ");
 }
 
+// The stamp of every default-sink log line.
+TEST(Iso8601Test, FormatsUtcWithMilliseconds) {
+  EXPECT_EQ(FormatIso8601Utc(0.0), "1970-01-01T00:00:00.000Z");
+  EXPECT_EQ(FormatIso8601Utc(1e9 + 0.25), "2001-09-09T01:46:40.250Z");
+}
+
 }  // namespace
 }  // namespace eadrl

@@ -40,9 +40,9 @@ exp::ExperimentOptions FastOptions() {
   return opt;
 }
 
-const obs::TelemetryField* FindAttr(const obs::FinishedSpan& span,
-                                    const char* key) {
-  for (const obs::TelemetryField& f : span.attrs) {
+const obs::SpanAttr* FindAttr(const obs::FinishedSpan& span,
+                              const char* key) {
+  for (const obs::SpanAttr& f : span.attrs) {
     if (std::strcmp(f.key, key) == 0) return &f;
   }
   return nullptr;
@@ -158,7 +158,7 @@ TEST_F(TraceIntegrationTest, DatasetRunsCoverBothDatasetsUnderTheSuite) {
   std::set<std::string> seen;
   for (const obs::FinishedSpan& s : *spans_) {
     if (std::strcmp(s.name, "dataset_run") != 0) continue;
-    const obs::TelemetryField* dataset = FindAttr(s, "dataset");
+    const obs::SpanAttr* dataset = FindAttr(s, "dataset");
     ASSERT_NE(dataset, nullptr);
     seen.insert(dataset->str);
     // dataset_run executes as a pool task submitted by RunSuite: its parent
@@ -187,7 +187,7 @@ TEST_F(TraceIntegrationTest, WorkerSideRestartsReachTheirDatasetAncestors) {
       for (size_t hops = 0; hops < i; ++hops) {
         parent = by_id_->at(parent)->parent_id;
       }
-      const obs::TelemetryField* dataset =
+      const obs::SpanAttr* dataset =
           FindAttr(*by_id_->at(parent), "dataset");
       ASSERT_NE(dataset, nullptr);
       datasets_via_restart.insert(dataset->str);
@@ -221,10 +221,10 @@ TEST_F(TraceIntegrationTest, SchedulerSpansCarryQueueAttributes) {
   bool saw_own_pop_or_steal = false;
   for (const obs::FinishedSpan& s : *spans_) {
     if (std::strcmp(s.name, "par_task") != 0) continue;
-    const obs::TelemetryField* wait = FindAttr(s, "queue_wait_seconds");
-    const obs::TelemetryField* stolen = FindAttr(s, "stolen");
-    const obs::TelemetryField* worker = FindAttr(s, "worker");
-    const obs::TelemetryField* depth = FindAttr(s, "depth");
+    const obs::SpanAttr* wait = FindAttr(s, "queue_wait_seconds");
+    const obs::SpanAttr* stolen = FindAttr(s, "stolen");
+    const obs::SpanAttr* worker = FindAttr(s, "worker");
+    const obs::SpanAttr* depth = FindAttr(s, "depth");
     ASSERT_NE(wait, nullptr);
     ASSERT_NE(stolen, nullptr);
     ASSERT_NE(worker, nullptr);

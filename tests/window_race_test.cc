@@ -107,7 +107,6 @@ TEST(WindowRaceTest, SloRecordEvaluateFromManyThreads) {
   options.objectives.push_back({"availability", 0.0, 0.999});
   options.long_window = TinyTickWindow();
   options.short_window = TinyTickWindow();
-  options.emit_telemetry = false;  // no sink installed; exercise state only.
   SloTracker tracker(options);
   par::ParallelFor(
       0, kTasks,

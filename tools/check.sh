@@ -10,9 +10,10 @@
 #                    serving layer (clean run + validated trace), then an
 #                    oversubscribed run that must shed (--expect-shed)
 #   stage 5  slo     smoke: a deliberately overloaded eadrl_serve run with a
-#                    sub-millisecond SLO must fire slo_breach telemetry
-#                    (--expect-slo-breach), and its exported Prometheus/JSON
-#                    metric snapshots must validate under eadrl_metrics_check
+#                    sub-millisecond SLO must breach (--expect-slo-breach)
+#                    and export the breach count, and its exported
+#                    Prometheus/JSON metric snapshots must validate under
+#                    eadrl_metrics_check
 #   stage 6  perfbench  the repository benchmark's serve and train
 #                    workloads, each untraced and traced, at 3 s: its output
 #                    checks (serve == serial replay, identical retraining and
@@ -92,7 +93,9 @@ stage_trace_smoke() {
 stage_serve_smoke() {
   # Serving-layer smoke (see DESIGN.md, "Serving layer"). Run 1: a short
   # Poisson replay must complete with zero failed requests and its Chrome
-  # trace must validate (serve_* spans are registered in spans.def). Run 2:
+  # trace must validate (serve_* spans are registered in spans.def; the
+  # closing TTL sweep adds serve_evict spans to the serve_session,
+  # admission, wave and request ones). Run 2:
   # an oversubscribed replay against tiny queue/in-flight bounds must
   # exercise admission control — --expect-shed makes a shed-free run the
   # failure.
@@ -100,7 +103,7 @@ stage_serve_smoke() {
   serve_dir="$(mktemp -d)"
   "$SRC_DIR/build-gate/tools/eadrl_serve" \
     --tenants 64 --requests 1500 --qps 30000 --episodes 2 \
-    --threads "$THREADS" --trace "$serve_dir/serve_trace.json"
+    --threads "$THREADS" --ttl 0.001 --trace "$serve_dir/serve_trace.json"
   "$SRC_DIR/build-gate/tools/eadrl_trace_check" "$serve_dir/serve_trace.json"
   "$SRC_DIR/build-gate/tools/eadrl_serve" \
     --tenants 64 --requests 1500 --qps 300000 --episodes 2 \
@@ -111,21 +114,22 @@ stage_serve_smoke() {
 stage_slo_smoke() {
   # Live-observability smoke (see DESIGN.md, "Live serving observability").
   # An oversubscribed replay with a 10 us latency SLO must breach: the run
-  # exits nonzero unless an slo_breach edge fired (--expect-slo-breach), the
-  # telemetry stream must contain the registered slo_breach event, and both
-  # exporter formats must validate — the Prometheus snapshot against the
-  # exposition grammar (with the SLO series present) and a JSON snapshot
-  # against the eadrl-metrics schema (with the windowed serve stats present).
+  # exits nonzero unless a breach edge fired (--expect-slo-breach), the
+  # exported Prometheus snapshot must count at least one predict_latency
+  # breach, and both exporter formats must validate — the Prometheus
+  # snapshot against the exposition grammar (with the SLO series present)
+  # and a JSON snapshot against the eadrl-metrics schema (with the windowed
+  # serve stats present).
   local slo_dir
   slo_dir="$(mktemp -d)"
   "$SRC_DIR/build-gate/tools/eadrl_serve" \
     --tenants 64 --requests 1500 --qps 300000 --episodes 2 \
     --threads "$THREADS" --max-queue 32 --max-inflight 48 \
     --slo-latency-ms 0.01 --slo-target 0.999 --expect-slo-breach \
-    --telemetry "$slo_dir/events.jsonl" \
     --export-metrics "$slo_dir/metrics.prom" --export-interval 0.2 \
     --tenant-top 5
-  grep -q '"kind":"slo_breach"' "$slo_dir/events.jsonl"
+  grep -Eq '^eadrl_slo_breaches_total\{objective="predict_latency"\} [1-9]' \
+    "$slo_dir/metrics.prom"
   "$SRC_DIR/build-gate/tools/eadrl_metrics_check" \
     --require eadrl_slo_burn_rate --require eadrl_serve_window_predict_qps \
     "$slo_dir/metrics.prom"

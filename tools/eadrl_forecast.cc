@@ -19,10 +19,12 @@
 //                     (default: EADRL_THREADS env var, else hardware
 //                     concurrency; 1 = fully serial)
 // Observability:
-//   --telemetry F     append JSON-lines training/inference events to F
 //   --trace F         write a Chrome trace-event JSON file on exit (load it
-//                     in Perfetto / chrome://tracing); EADRL_TRACE=F is the
-//                     environment equivalent
+//                     in Perfetto / chrome://tracing); every span carries
+//                     its attributes (per-episode training curve, per-step
+//                     predict weights, pool fit times, DDPG update
+//                     diagnostics); EADRL_TRACE=F is the environment
+//                     equivalent
 //   --metrics-summary print a snapshot of all metrics on exit (includes
 //                     process resource gauges: peak RSS, faults, context
 //                     switches, scratch-allocation totals)
@@ -44,7 +46,6 @@
 #include "models/pool.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "par/parallel.h"
 #include "ts/datasets.h"
@@ -66,7 +67,6 @@ struct Args {
   std::string save_policy;
   uint64_t seed = 42;
   size_t threads = 0;  // 0 = keep the EADRL_THREADS/hardware default.
-  std::string telemetry;
   std::string trace;
   bool metrics_summary = false;
   std::string metrics_format = "json";
@@ -133,10 +133,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
         std::fprintf(stderr, "--threads must be >= 1\n");
         return false;
       }
-    } else if (flag == "--telemetry") {
-      const char* v = next("--telemetry");
-      if (v == nullptr) return false;
-      args->telemetry = v;
     } else if (flag == "--trace") {
       const char* v = next("--trace");
       if (v == nullptr) return false;
@@ -176,20 +172,9 @@ int main(int argc, char** argv) {
   std::printf("threads: %zu\n", eadrl::par::DefaultThreads());
 
   // --- Observability. ------------------------------------------------------
-  // The sinks outlive every instrumented call below. The guard uninstalls
-  // and flushes them on *every* return path — early errors included — so a
-  // telemetry file never ends mid-line and the trace file is always written.
-  std::unique_ptr<eadrl::obs::JsonLinesSink> telemetry_sink;
-  if (!args.telemetry.empty()) {
-    telemetry_sink =
-        std::make_unique<eadrl::obs::JsonLinesSink>(args.telemetry);
-    if (!telemetry_sink->ok()) {
-      std::fprintf(stderr, "cannot open telemetry file %s\n",
-                   args.telemetry.c_str());
-      return 1;
-    }
-    eadrl::obs::SetTelemetrySink(telemetry_sink.get());
-  }
+  // The trace buffer outlives every instrumented call below. The guard
+  // uninstalls it on *every* return path — early errors included — so the
+  // trace file is always written.
   if (args.trace.empty()) {
     const char* env_trace = std::getenv("EADRL_TRACE");
     if (env_trace != nullptr && *env_trace != '\0') args.trace = env_trace;
@@ -203,12 +188,9 @@ int main(int argc, char** argv) {
     eadrl::obs::SetTraceBuffer(trace_buffer.get());
   }
   struct ObsGuard {
-    eadrl::obs::JsonLinesSink* telemetry;
     eadrl::obs::TraceBuffer* trace;
     const std::string* trace_path;
     ~ObsGuard() {
-      eadrl::obs::SetTelemetrySink(nullptr);
-      if (telemetry != nullptr) telemetry->Flush();
       if (trace != nullptr) {
         // Unset drains in-flight Record calls before returning, so the
         // export below sees every finished span.
@@ -224,7 +206,7 @@ int main(int argc, char** argv) {
         }
       }
     }
-  } obs_guard{telemetry_sink.get(), trace_buffer.get(), &args.trace};
+  } obs_guard{trace_buffer.get(), &args.trace};
 
   // --- Load the series. ----------------------------------------------------
   eadrl::ts::Series series;
@@ -324,10 +306,6 @@ int main(int argc, char** argv) {
                             [&](size_t m) { models[m]->Observe(point); });
   }
 
-  if (telemetry_sink != nullptr) {
-    telemetry_sink->Flush();
-    std::printf("\ntelemetry written to %s\n", args.telemetry.c_str());
-  }
   if (args.profile_report) {
     std::printf("\n%s", eadrl::obs::FormatSpanProfileReport().c_str());
   }

@@ -14,8 +14,9 @@
 // atomic Prometheus/JSON snapshots; --slo-latency-ms enables the service's
 // SLO tracker (predict-latency + availability objectives with burn-rate
 // alerting) and --expect-slo-breach gates the overload path on it;
-// --tenant-top prints the per-tenant latency drill-down; --telemetry streams
-// every registered event (slo_breach, serve_shed, ...) as JSON lines.
+// --tenant-top prints the per-tenant latency drill-down; --trace exports
+// every span with its attributes (sessions, evictions, shed and rejected
+// admissions, waves, drift).
 //
 // Usage:
 //   eadrl_serve [--tenants N] [--requests N] [--qps Q]
@@ -28,7 +29,6 @@
 //               [--report-interval SEC] [--export-metrics FILE]
 //               [--export-interval SEC] [--slo-latency-ms MS]
 //               [--slo-target T] [--expect-slo-breach] [--tenant-top N]
-//               [--telemetry FILE]
 //
 // Exit status: 0 on success, 1 when an --expect-shed / --min-occupancy /
 // --expect-slo-breach expectation failed, 2 on usage or setup errors — so
@@ -50,7 +50,6 @@
 #include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "par/thread_pool.h"
 #include "serve/replay.h"
@@ -91,7 +90,6 @@ struct Args {
   double slo_target = 0.99;
   bool expect_slo_breach = false;
   size_t tenant_top = 0;         ///< top-K drill-down rows to print.
-  std::string telemetry;         ///< JSON-lines event sink path ("" = off).
 };
 
 void Usage() {
@@ -107,7 +105,7 @@ void Usage() {
       "                   [--report-interval SEC] [--export-metrics FILE]\n"
       "                   [--export-interval SEC] [--slo-latency-ms MS]\n"
       "                   [--slo-target T] [--expect-slo-breach]\n"
-      "                   [--tenant-top N] [--telemetry FILE]\n");
+      "                   [--tenant-top N]\n");
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
@@ -205,9 +203,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--tenant-top") {
       if ((v = next("--tenant-top")) == nullptr) return false;
       args->tenant_top = std::strtoul(v, nullptr, 10);
-    } else if (flag == "--telemetry") {
-      if ((v = next("--telemetry")) == nullptr) return false;
-      args->telemetry = v;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       Usage();
@@ -533,7 +528,7 @@ int Run(const Args& args) {
       rc = 1;
     } else if (slo->Report().TotalBreaches() == 0) {
       std::fprintf(stderr,
-                   "FAIL: --expect-slo-breach but no slo_breach edge fired\n");
+                   "FAIL: --expect-slo-breach but no SLO breach edge fired\n");
       rc = 1;
     }
   }
@@ -547,20 +542,6 @@ int main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, &args)) return 2;
   if (args.threads > 0) eadrl::par::SetDefaultThreads(args.threads);
 
-  // Telemetry streaming: every registered event (serve_shed, slo_breach,
-  // serve_evict, ...) becomes one JSON line. The sink outlives Run — the
-  // service destructor can still emit eviction events while tearing down.
-  std::unique_ptr<eadrl::obs::JsonLinesSink> telemetry_sink;
-  if (!args.telemetry.empty()) {
-    telemetry_sink = std::make_unique<eadrl::obs::JsonLinesSink>(args.telemetry);
-    if (!telemetry_sink->ok()) {
-      std::fprintf(stderr, "cannot open telemetry file %s\n",
-                   args.telemetry.c_str());
-      return 2;
-    }
-    eadrl::obs::SetTelemetrySink(telemetry_sink.get());
-  }
-
   // Tracing (and the span profiler that rides on it) is armed for the whole
   // run when either export was requested.
   std::unique_ptr<eadrl::obs::TraceBuffer> trace_buffer;
@@ -571,12 +552,6 @@ int main(int argc, char** argv) {
   }
 
   const int rc = Run(args);
-
-  if (telemetry_sink != nullptr) {
-    eadrl::obs::SetTelemetrySink(nullptr);
-    telemetry_sink->Flush();
-    std::printf("telemetry written to %s\n", args.telemetry.c_str());
-  }
 
   if (trace_buffer != nullptr) {
     eadrl::obs::SetTraceBuffer(nullptr);

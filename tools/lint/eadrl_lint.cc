@@ -2,8 +2,8 @@
 // prints `file:line: rule-id: message` per finding, exits nonzero if any.
 //
 // Usage:
-//   eadrl_lint --root <repo-root> [--events <events.def>]
-//              [--spans <spans.def>] [--locks <lock_order.def>]
+//   eadrl_lint --root <repo-root> [--spans <spans.def>]
+//              [--locks <lock_order.def>]
 //              [--format=text|json] [dir...]
 //   eadrl_lint --list-rules
 //
@@ -56,9 +56,8 @@ std::string RepoRelative(const fs::path& path, const fs::path& root) {
 
 int main(int argc, char** argv) {
   fs::path root = fs::current_path();
-  fs::path events_def;  // default: <root>/src/obs/events.def
-  fs::path spans_def;   // default: <root>/src/obs/spans.def
-  fs::path locks_def;   // default: <root>/src/chk/lock_order.def
+  fs::path spans_def;  // default: <root>/src/obs/spans.def
+  fs::path locks_def;  // default: <root>/src/chk/lock_order.def
   bool json = false;
   std::vector<std::string> dirs;
   for (int i = 1; i < argc; ++i) {
@@ -71,8 +70,6 @@ int main(int argc, char** argv) {
     }
     if (arg == "--root" && i + 1 < argc) {
       root = argv[++i];
-    } else if (arg == "--events" && i + 1 < argc) {
-      events_def = argv[++i];
     } else if (arg == "--spans" && i + 1 < argc) {
       spans_def = argv[++i];
     } else if (arg == "--locks" && i + 1 < argc) {
@@ -99,22 +96,11 @@ int main(int argc, char** argv) {
     }
   }
   if (dirs.empty()) dirs = {"src", "tests", "bench", "tools", "examples"};
-  if (events_def.empty()) events_def = root / "src" / "obs" / "events.def";
   if (spans_def.empty()) spans_def = root / "src" / "obs" / "spans.def";
   if (locks_def.empty()) locks_def = root / "src" / "chk" / "lock_order.def";
 
   std::vector<eadrl::lint::Finding> findings;
   eadrl::lint::Config config;
-  bool events_ok = false;
-  const std::string events_contents = ReadAll(events_def, &events_ok);
-  if (events_ok) {
-    config.registered_events = eadrl::lint::ParseEventsDef(
-        RepoRelative(events_def, root), events_contents, &findings);
-    config.have_events_registry = true;
-  } else {
-    std::cerr << "eadrl_lint: warning: no event registry at " << events_def
-              << "; event-registry rules disabled\n";
-  }
   bool spans_ok = false;
   const std::string spans_contents = ReadAll(spans_def, &spans_ok);
   if (spans_ok) {
@@ -201,7 +187,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::set<std::string> emitted_in_src;
   std::set<std::string> spans_in_scope;
   size_t scanned = 0;
   for (const auto& [rel, contents] : sources) {
@@ -209,22 +194,12 @@ int main(int argc, char** argv) {
     std::vector<eadrl::lint::Finding> file_findings =
         eadrl::lint::CheckFile(rel, contents, config);
     findings.insert(findings.end(), file_findings.begin(), file_findings.end());
-    if (rel.rfind("src/", 0) == 0) {
-      const std::set<std::string> kinds = eadrl::lint::EmittedEvents(contents);
-      emitted_in_src.insert(kinds.begin(), kinds.end());
-    }
     // Span usage counts from src/ and tools/ — both are held to the
     // registry, so both keep a spans.def entry alive.
     if (rel.rfind("src/", 0) == 0 || rel.rfind("tools/", 0) == 0) {
       const std::set<std::string> spans = eadrl::lint::UsedSpans(contents);
       spans_in_scope.insert(spans.begin(), spans.end());
     }
-  }
-  if (config.have_events_registry) {
-    std::vector<eadrl::lint::Finding> stale =
-        eadrl::lint::CheckRegistryStaleness(RepoRelative(events_def, root),
-                                            config, emitted_in_src);
-    findings.insert(findings.end(), stale.begin(), stale.end());
   }
   if (config.have_spans_registry) {
     std::vector<eadrl::lint::Finding> stale =

@@ -22,7 +22,7 @@ enum class TokKind { kIdent, kNumber, kString, kCharLit, kPunct };
 
 struct Token {
   TokKind kind;
-  std::string text;  // literals keep their quoted content for the event rule.
+  std::string text;  // literals keep their quoted content for the span rule.
   size_t line = 0;
 };
 
@@ -398,10 +398,6 @@ const std::map<std::string, std::string>& RuleCatalog() {
        "a .cc must include its own header first to prove it is self-contained"},
       {"header-guard",
        "header guards must match the canonical EADRL_<PATH>_H_ form"},
-      {"event-registry",
-       "telemetry event kinds in src/ must be declared in src/obs/events.def"},
-      {"event-registry-stale",
-       "events.def entry that nothing in src/ emits any more"},
       {"span-registry",
        "trace span names in src/ and tools/ must be declared in "
        "src/obs/spans.def"},
@@ -437,7 +433,7 @@ const std::map<std::string, std::string>& RuleCatalog() {
 
 namespace {
 
-// Shared skeleton of the two X-macro registries (events.def / spans.def):
+// Shared skeleton of the X-macro registries (spans.def / lock_order.def):
 // MACRO(name, "description") entries, one per line, duplicates and malformed
 // entries reported under `rule`.
 std::map<std::string, size_t> ParseRegistryDef(const std::string& macro,
@@ -1052,13 +1048,6 @@ void CheckLockOrderRule(const std::string& path,
 
 }  // namespace
 
-std::map<std::string, size_t> ParseEventsDef(const std::string& path,
-                                             const std::string& contents,
-                                             std::vector<Finding>* findings) {
-  return ParseRegistryDef("EADRL_EVENT", "event-registry", path, contents,
-                          findings);
-}
-
 std::map<std::string, size_t> ParseSpansDef(const std::string& path,
                                             const std::string& contents,
                                             std::vector<Finding>* findings) {
@@ -1097,22 +1086,6 @@ std::vector<LockBindingSite> CollectLockBindings(const std::string& contents) {
     }
   }
   return out;
-}
-
-std::set<std::string> EmittedEvents(const std::string& contents) {
-  std::set<std::string> kinds;
-  LexedFile lexed = Lexer(contents).Run();
-  const std::vector<Token>& toks = lexed.tokens;
-  for (size_t i = 0; i + 2 < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::kIdent ||
-        (toks[i].text != "EADRL_TELEMETRY" && toks[i].text != "Emit")) {
-      continue;
-    }
-    if (toks[i + 1].text == "(" && toks[i + 2].kind == TokKind::kString) {
-      kinds.insert(toks[i + 2].text);
-    }
-  }
-  return kinds;
 }
 
 std::set<std::string> UsedSpans(const std::string& contents) {
@@ -1204,17 +1177,6 @@ std::vector<Finding> CheckFile(const std::string& path,
                             "wall-clock read in domain code; call "
                             "common::UnixNowSeconds (src/common, src/obs own "
                             "the clock; steady_clock is fine for durations)"});
-      }
-    }
-    // Telemetry event kinds: EADRL_TELEMETRY("kind", ...) / Emit("kind", ...)
-    if (in_src && config.have_events_registry &&
-        (t.text == "EADRL_TELEMETRY" || t.text == "Emit") && calls &&
-        i + 2 < toks.size() && toks[i + 2].kind == TokKind::kString) {
-      const Token& kind = toks[i + 2];
-      if (config.registered_events.count(kind.text) == 0) {
-        findings.push_back({path, kind.line, "event-registry",
-                            "telemetry event '" + kind.text +
-                                "' is not declared in src/obs/events.def"});
       }
     }
     // Materialized-transpose products: Transpose().MatMul(...) copies the
@@ -1374,21 +1336,6 @@ std::vector<Finding> CheckFile(const std::string& path,
     return a.line != b.line ? a.line < b.line : a.rule < b.rule;
   });
   return kept;
-}
-
-std::vector<Finding> CheckRegistryStaleness(
-    const std::string& events_def_path, const Config& config,
-    const std::set<std::string>& emitted_in_src) {
-  std::vector<Finding> findings;
-  for (const auto& [name, line] : config.registered_events) {
-    if (emitted_in_src.count(name) == 0) {
-      findings.push_back({events_def_path, line, "event-registry-stale",
-                          "registered event '" + name +
-                              "' is emitted nowhere under src/; delete the "
-                              "entry or restore the emitter"});
-    }
-  }
-  return findings;
 }
 
 std::vector<Finding> CheckSpanRegistryStaleness(

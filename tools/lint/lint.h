@@ -27,16 +27,11 @@ struct Finding {
 };
 
 /// Rule-id -> one-line description of every rule this linter can emit
-/// (including the meta rules `event-registry-stale` and `stale-nolint`).
+/// (including the meta rules `span-registry-stale` and `stale-nolint`).
 const std::map<std::string, std::string>& RuleCatalog();
 
 /// Cross-file configuration.
 struct Config {
-  /// Event kinds declared in src/obs/events.def (name -> 1-based line in the
-  /// registry file). Empty + !have_events_registry disables the
-  /// event-registry rules.
-  std::map<std::string, size_t> registered_events;
-  bool have_events_registry = false;
   /// Span names declared in src/obs/spans.def (name -> 1-based line in the
   /// registry file). Empty + !have_spans_registry disables the span-registry
   /// rules.
@@ -55,12 +50,6 @@ struct Config {
   /// which is why ranked mutex members must carry repo-unique names.
   std::map<std::string, std::string> lock_bindings;
 };
-
-/// Parses src/obs/events.def: EADRL_EVENT(name, "description") entries.
-/// Malformed entries are reported against `path`.
-std::map<std::string, size_t> ParseEventsDef(const std::string& path,
-                                             const std::string& contents,
-                                             std::vector<Finding>* findings);
 
 /// Parses src/obs/spans.def: EADRL_SPAN(name, "description") entries.
 /// Malformed entries are reported against `path`.
@@ -99,19 +88,9 @@ std::vector<Finding> CheckFile(const std::string& repo_relative_path,
                                const std::string& contents,
                                const Config& config);
 
-/// Event kinds emitted by this file via EADRL_TELEMETRY("...")/Emit("...").
-/// Used for the registry-staleness pass, which needs the union over src/.
-std::set<std::string> EmittedEvents(const std::string& contents);
-
 /// Span names this file opens via `Span("name")` / `Span x("name")`.
 /// Used for the span-registry staleness pass over src/.
 std::set<std::string> UsedSpans(const std::string& contents);
-
-/// Registry entries nothing in src/ emits any more (`event-registry-stale`,
-/// reported against the registry file).
-std::vector<Finding> CheckRegistryStaleness(
-    const std::string& events_def_path, const Config& config,
-    const std::set<std::string>& emitted_in_src);
 
 /// spans.def entries nothing in src/ opens any more (`span-registry-stale`,
 /// reported against the registry file).
