@@ -21,40 +21,10 @@
 #include "core/eadrl.h"
 #include "exp/experiment.h"
 #include "math/stats.h"
-#include "models/pool.h"
-#include "obs/metrics.h"
 #include "par/thread_pool.h"
 #include "ts/datasets.h"
 
 namespace {
-
-// Offline pool-fitting wall time at 1/2/4/8 threads on one representative
-// dataset — the parallel-runtime speedup record that accompanies the online
-// numbers below (which are per-step and single-threaded by design).
-void PrintFitSpeedups(const eadrl::exp::ExperimentOptions& opt,
-                      size_t length) {
-  auto series = eadrl::ts::MakeDataset(2, eadrl::bench::BenchSeed(), length);
-  if (!series.ok()) return;
-  std::printf("Offline pool fit, dataset 2 (43 models, wall seconds):\n");
-  double serial_seconds = 0.0;
-  for (size_t threads : {1, 2, 4, 8}) {
-    eadrl::par::ThreadPool exec(threads);
-    double seconds = 0.0;
-    size_t fitted = 0;
-    {
-      eadrl::obs::ScopedTimer timer(nullptr, &seconds);
-      fitted = eadrl::models::FitPool(
-                   eadrl::models::BuildPaperPool(opt.pool), *series, &exec)
-                   .size();
-    }
-    if (threads == 1) serial_seconds = seconds;
-    std::printf("  threads %zu: %7.3f s  %2zu models  (speedup %.2fx)\n",
-                threads, seconds, fitted,
-                seconds > 0.0 ? serial_seconds / seconds : 0.0);
-    std::fflush(stdout);
-  }
-  std::printf("\n");
-}
 
 constexpr size_t kPasses = 5;
 
@@ -85,8 +55,6 @@ int main() {
               "(20 datasets, length %zu, EADRL_THREADS default %zu;\n"
               "per dataset, the median of %zu passes on fresh combiners)\n\n",
               length, eadrl::par::DefaultThreads(), kPasses);
-
-  PrintFitSpeedups(opt, length);
 
   for (const auto& spec : eadrl::ts::AllDatasetSpecs()) {
     auto series = eadrl::ts::MakeDataset(spec.id, eadrl::bench::BenchSeed(), length);

@@ -53,12 +53,6 @@ class Rng {
     return dist(engine_);
   }
 
-  /// Student-t variate with `dof` degrees of freedom (for heavy-tailed noise).
-  double StudentT(double dof) {
-    std::student_t_distribution<double> dist(dof);
-    return dist(engine_);
-  }
-
   /// Poisson variate with the given mean.
   int64_t Poisson(double mean) {
     std::poisson_distribution<int64_t> dist(mean);
@@ -73,9 +67,6 @@ class Rng {
 
   /// Samples `k` distinct indices from [0, n) without replacement.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
-
-  /// Derives an independent child generator (for parallel components).
-  Rng Fork() { return Rng(engine_()); }
 
   std::mt19937_64& engine() { return engine_; }
 

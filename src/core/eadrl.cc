@@ -31,21 +31,9 @@ EadrlCombiner::EadrlCombiner(EadrlConfig config)
 }
 
 math::Vec OnlineStateVec(const OnlineState& state) {
-  // Same window-relative standardize-and-clip transform as
-  // EnsembleEnv::StateVec, so online states match the policy's training
-  // distribution even when the series trends outside the validation range.
-  const std::deque<double>& window = state.window;
-  EADRL_CHECK(!window.empty());
-  double mean = 0.0;
-  for (double v : window) mean += v;
-  mean /= static_cast<double>(window.size());
-  double var = 0.0;
-  for (double v : window) var += (v - mean) * (v - mean);
-  var /= static_cast<double>(window.size());
-  double sd = std::max(std::sqrt(var), 0.1 * state.state_std);
-  if (sd <= 1e-12) sd = 1.0;
-  math::Vec s(window.begin(), window.end());
-  for (double& v : s) v = std::clamp((v - mean) / sd, -4.0, 4.0);
+  EADRL_CHECK(!state.window.empty());
+  math::Vec s(state.window.begin(), state.window.end());
+  rl::StandardizeWindow(state.state_std, &s);
   return s;
 }
 
@@ -119,7 +107,6 @@ Status EadrlCombiner::Initialize(const math::Matrix& val_preds,
   ddpg.batch_size = config_.batch_size;
   ddpg.logit_scale = config_.logit_scale;
   ddpg.logit_l2 = config_.logit_l2;
-  ddpg.critic_form = config_.critic_form;
   const size_t restarts = std::max<size_t>(1, config_.restarts);
 
   // Root of the offline-training trace: everything below — restart tasks on
@@ -245,9 +232,8 @@ Status EadrlCombiner::Initialize(const math::Matrix& val_preds,
       // selection metric is the rollout's ensemble RMSE on validation — the
       // quantity the deployed policy is judged by — so it steps without the
       // reward. Its first Act packs the actor and the rest reuse the pack.
-      bool have_eval = false;
       double eval_score = 0.0;
-      if (config_.best_checkpoint) {
+      {
         obs::Span eval_span("eval_rollout");
         math::Vec eval_state = env.Reset();
         double eval_sse = 0.0;
@@ -262,7 +248,6 @@ Status EadrlCombiner::Initialize(const math::Matrix& val_preds,
           if (sr.done) break;
         }
         eval_score = -std::sqrt(eval_sse / static_cast<double>(eval_steps));
-        have_eval = true;
         out.eval_scores.push_back(eval_score);
         if (eval_score > out.best_eval) {
           obs::Span checkpoint_span("checkpoint");
@@ -284,7 +269,7 @@ Status EadrlCombiner::Initialize(const math::Matrix& val_preds,
         episode_span.SetAttr("replay_size", buffer.size());
         episode_span.SetAttr("critic_loss",
                              agent->last_update_stats().critic_loss);
-        if (have_eval) episode_span.SetAttr("eval_score", eval_score);
+        episode_span.SetAttr("eval_score", eval_score);
       }
 
       // Plateau detection: compare the mean reward of the last `patience`
@@ -346,7 +331,9 @@ Status EadrlCombiner::Initialize(const math::Matrix& val_preds,
     converged_episode_ = episode_rewards_.size();
   }
   // The deployed actor leaves packed either way (rl::DdpgAgent::PackActor).
-  if (config_.best_checkpoint && !best_actor.empty()) {
+  // Every checkpoint is missing only when no rollout scored above -1e300
+  // (each RMSE non-finite); the last restart's final actor is then deployed.
+  if (!best_actor.empty()) {
     agent_->SetActorWeights(best_actor);
   } else {
     agent_->PackActor();
@@ -361,8 +348,7 @@ Status EadrlCombiner::Initialize(const math::Matrix& val_preds,
   // the policy-weighted ensemble outputs over the tail of the validation
   // segment.
   online_.state_mean = math::Mean(val_actuals);
-  online_.state_std = math::Stddev(val_actuals);
-  if (online_.state_std <= 1e-12) online_.state_std = 1.0;
+  online_.state_std = base_env.state_sd();
 
   online_.window.clear();
   // Warm-up with uniform weights for the first omega tail points (matching
@@ -615,7 +601,6 @@ Status EadrlCombiner::LoadPolicy(const std::string& path) {
   ddpg.critic_hidden = config_.critic_hidden;
   ddpg.logit_scale = config_.logit_scale;
   ddpg.logit_l2 = config_.logit_l2;
-  ddpg.critic_form = config_.critic_form;
   ddpg.seed = config_.seed;
   auto agent = std::make_unique<rl::DdpgAgent>(ddpg);
   std::vector<math::Matrix> current = agent->ActorWeights();

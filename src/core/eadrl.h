@@ -49,7 +49,6 @@ struct EadrlConfig {
   /// Passed through to the DDPG agent (see rl::DdpgConfig).
   double logit_scale = 1.0;
   double logit_l2 = 0.01;
-  rl::CriticForm critic_form = rl::CriticForm::kLinearInAction;
   double ou_sigma = 1.0;             ///< OU noise on the action logits.
   double ou_sigma_decay = 0.98;      ///< per-episode exploration decay.
   /// Probability of replacing a step's action with a random Dirichlet draw.
@@ -67,17 +66,14 @@ struct EadrlConfig {
   /// random Dirichlet mixtures), which is what lets the critic identify
   /// per-model quality from a short validation segment. 0 disables.
   size_t counterfactual_actions = 8;
-  /// After each training episode the greedy policy is evaluated with a full
+  /// Number of independent training runs (different seeds). After each
+  /// training episode the greedy policy is evaluated with a full
   /// deterministic rollout on the validation environment, and the
-  /// best-scoring actor snapshot is the one deployed online. This is model
-  /// selection on validation data (the paper tunes hyper-parameters the same
-  /// way) and removes the run-to-run variance of deploying whatever the
-  /// last episode produced.
-  bool best_checkpoint = true;
-  /// Number of independent training runs (different seeds); the deployed
-  /// policy is the best validation-rollout checkpoint across all restarts.
-  /// DDPG outcomes have run-to-run variance; restarting and selecting on the
-  /// validation environment is cheap insurance against a bad draw.
+  /// best-scoring actor snapshot across all restarts is the one deployed
+  /// online. This is model selection on validation data (the paper tunes
+  /// hyper-parameters the same way): it removes the run-to-run variance of
+  /// deploying whatever the last episode produced, and restarting is cheap
+  /// insurance against a bad DDPG draw.
   size_t restarts = 3;
 
   // --- Paper future-work extensions (all off by default). -----------------
@@ -106,14 +102,14 @@ struct EadrlConfig {
 struct OnlineState {
   std::deque<double> window;  ///< last omega ensemble outputs (policy units).
   double state_mean = 0.0;    ///< validation-actuals mean (diagnostics).
-  double state_std = 1.0;     ///< validation-actuals stddev (state floor).
+  double state_std = 1.0;     ///< rl::EnsembleEnv::state_sd() (state floor).
 };
 
-/// The standardize-and-clip state transform of Algorithm 1 (the same
-/// window-relative transform as EnsembleEnv::StateVec), as a pure function of
-/// explicit session state: both EadrlCombiner's in-object online loop and the
-/// serving layer's extracted sessions go through here, so their states are
-/// bit-identical by construction.
+/// The state of Algorithm 1 for `state`'s window: rl::StandardizeWindow, the
+/// transform the policy trained on, as a pure function of explicit session
+/// state. Both EadrlCombiner's in-object online loop and the serving layer's
+/// extracted sessions go through here, so their states are bit-identical by
+/// construction.
 math::Vec OnlineStateVec(const OnlineState& state);
 
 /// Algorithm 1's step after the actor pass, shared by EadrlCombiner::Predict

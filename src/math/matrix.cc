@@ -433,12 +433,6 @@ void Matrix::RowInto(size_t i, Vec* out) const {
   out->assign(data_.begin() + i * cols_, data_.begin() + (i + 1) * cols_);
 }
 
-void Matrix::ColInto(size_t j, Vec* out) const {
-  EADRL_CHECK_LT(j, cols_);
-  out->resize(rows_);
-  for (size_t i = 0; i < rows_; ++i) (*out)[i] = data_[i * cols_ + j];
-}
-
 void Matrix::SetRow(size_t i, const Vec& row) {
   EADRL_CHECK_LT(i, rows_);
   EADRL_CHECK_EQ(row.size(), cols_);
@@ -550,29 +544,12 @@ void Matrix::TransposeMatVecInto(const Vec& x, Vec* out) const {
   TransposeMatVecRows(data_.data(), x.data(), rows_, cols_, out->data());
 }
 
-void Matrix::AddScaled(const Matrix& other, double alpha) {
-  EADRL_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] += alpha * other.data_[i];
-}
-
 void Matrix::Scale(double s) {
   for (double& v : data_) v *= s;
 }
 
 void Matrix::Fill(double v) {
   for (double& x : data_) x = v;
-}
-
-double Matrix::FrobeniusNorm() const {
-  double s = 0.0;
-  for (double v : data_) s += v * v;
-  return std::sqrt(s);
-}
-
-double Matrix::MaxAbs() const {
-  double m = 0.0;
-  for (double v : data_) m = std::max(m, std::fabs(v));
-  return m;
 }
 
 void SoftmaxRowsInPlace(Matrix* m) {

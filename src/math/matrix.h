@@ -72,8 +72,6 @@ class Matrix {
   Vec Col(size_t j) const;
   /// Copies row i into *out (resized; no allocation once warm).
   void RowInto(size_t i, Vec* out) const;
-  /// Copies column j into *out (resized; no allocation once warm).
-  void ColInto(size_t j, Vec* out) const;
   /// Overwrites row i.
   void SetRow(size_t i, const Vec& row);
 
@@ -107,20 +105,11 @@ class Matrix {
   /// x^T * this into *out (resized; no allocation once warm).
   void TransposeMatVecInto(const Vec& x, Vec* out) const;
 
-  /// In-place this += alpha * other (same shape).
-  void AddScaled(const Matrix& other, double alpha);
-
   /// In-place scalar multiply.
   void Scale(double s);
 
   /// Fills all entries with v.
   void Fill(double v);
-
-  /// Frobenius norm.
-  double FrobeniusNorm() const;
-
-  /// Returns the maximum absolute entry.
-  double MaxAbs() const;
 
  private:
   size_t rows_ = 0;

@@ -38,18 +38,6 @@ Vec Scale(const Vec& a, double s) {
   return out;
 }
 
-Vec Hadamard(const Vec& a, const Vec& b) {
-  EADRL_CHECK_EQ(a.size(), b.size());
-  Vec out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] * b[i];
-  return out;
-}
-
-void Axpy(double alpha, const Vec& x, Vec* y) {
-  EADRL_CHECK_EQ(x.size(), y->size());
-  for (size_t i = 0; i < x.size(); ++i) (*y)[i] += alpha * x[i];
-}
-
 Vec Softmax(const Vec& a) {
   EADRL_CHECK(!a.empty());
   obs::CountAlloc(a.size() * sizeof(double));
@@ -64,22 +52,6 @@ Vec Softmax(const Vec& a) {
   // Softmax of any finite logits lies on the simplex; a violation means the
   // logits (i.e. the upstream network) were already poisoned.
   EADRL_CHK_SIMPLEX(out, 1e-6, "math::Softmax output");
-  return out;
-}
-
-Vec NormalizeToSimplex(const Vec& a) {
-  EADRL_CHECK(!a.empty());
-  Vec out(a.size());
-  double sum = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    out[i] = std::max(0.0, a[i]);
-    sum += out[i];
-  }
-  if (sum <= 0.0 || !std::isfinite(sum)) {
-    std::fill(out.begin(), out.end(), 1.0 / static_cast<double>(a.size()));
-    return out;
-  }
-  for (double& v : out) v /= sum;
   return out;
 }
 

@@ -23,18 +23,8 @@ Vec Sub(const Vec& a, const Vec& b);
 /// Scalar multiple s * a.
 Vec Scale(const Vec& a, double s);
 
-/// Elementwise (Hadamard) product.
-Vec Hadamard(const Vec& a, const Vec& b);
-
-/// In-place y += alpha * x.
-void Axpy(double alpha, const Vec& x, Vec* y);
-
 /// Numerically stable softmax.
 Vec Softmax(const Vec& a);
-
-/// Projects onto the probability simplex by clipping negatives to zero and
-/// renormalizing; falls back to uniform if everything is non-positive.
-Vec NormalizeToSimplex(const Vec& a);
 
 /// Euclidean projection onto the probability simplex (Duchi et al. 2008).
 /// Used by the OGD expert-aggregation baseline.

@@ -58,8 +58,7 @@ Status GaussianProcessRegressor::Fit(const math::Matrix& x,
   }
   StatusOr<math::Matrix> l = math::CholeskyFactor(k);
   EADRL_RETURN_IF_ERROR(l.status());
-  chol_ = std::move(l).value();
-  alpha_ = math::CholeskySolveFactored(chol_, centered);
+  alpha_ = math::CholeskySolveFactored(*l, centered);
   fitted_ = true;
   return Status::Ok();
 }
@@ -76,15 +75,6 @@ math::Vec GaussianProcessRegressor::KernelVector(const math::Vec& x) const {
 
 double GaussianProcessRegressor::Predict(const math::Vec& x) const {
   return y_mean_ + math::Dot(KernelVector(x), alpha_);
-}
-
-void GaussianProcessRegressor::PredictWithVariance(const math::Vec& x,
-                                                   double* mean,
-                                                   double* variance) const {
-  const math::Vec kstar = KernelVector(x);
-  *mean = y_mean_ + math::Dot(kstar, alpha_);
-  const math::Vec v = math::SolveLowerTriangular(chol_, kstar);
-  *variance = std::max(0.0, Kernel(x.data(), x.data()) - math::Dot(v, v));
 }
 
 }  // namespace eadrl::models

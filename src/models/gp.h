@@ -7,10 +7,10 @@
 namespace eadrl::models {
 
 /// Gaussian-process regression with an RBF kernel and Gaussian noise
-/// (Rasmussen & Williams 2006, Alg. 2.1). Exact inference through one
-/// Cholesky factorization K = L L^T, kept for the predictive variance; to
-/// bound the O(n^3) cost the training set is uniformly subsampled to
-/// `max_points` when larger.
+/// (Rasmussen & Williams 2006, Alg. 2.1), predictive mean only. Exact
+/// inference through one Cholesky factorization K = L L^T, which Fit drops
+/// once it has solved for alpha; to bound the O(n^3) cost the training set
+/// is uniformly subsampled to `max_points` when larger.
 class GaussianProcessRegressor : public Regressor {
  public:
   struct Params {
@@ -28,11 +28,6 @@ class GaussianProcessRegressor : public Regressor {
   /// Predictive mean y_mean + k*^T alpha: n kernel evaluations.
   double Predict(const math::Vec& x) const override;
 
-  /// Predictive mean (equal to Predict's) and variance k(x, x) - v^T v,
-  /// where v = L^-1 k* (one forward substitution).
-  void PredictWithVariance(const math::Vec& x, double* mean,
-                           double* variance) const;
-
  private:
   double Kernel(const double* a, const double* b) const;
   /// k*: the kernel between each training row and x.
@@ -40,8 +35,7 @@ class GaussianProcessRegressor : public Regressor {
 
   Params params_;
   math::Matrix train_x_;
-  math::Matrix chol_;  // L, with K = L L^T.
-  math::Vec alpha_;    // K^{-1} (y - mean)
+  math::Vec alpha_;  // K^{-1} (y - mean)
   double y_mean_ = 0.0;
   bool fitted_ = false;
 };

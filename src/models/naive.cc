@@ -1,7 +1,6 @@
 #include "models/naive.h"
 
 #include "common/check.h"
-#include "common/string_util.h"
 
 namespace eadrl::models {
 
@@ -22,32 +21,6 @@ double NaiveForecaster::PredictNext() {
 void NaiveForecaster::Observe(double value) {
   EADRL_CHECK(fitted_);
   last_ = value;
-}
-
-SeasonalNaiveForecaster::SeasonalNaiveForecaster(size_t period)
-    : name_(StrCat("snaive(", period, ")")), period_(period) {
-  EADRL_CHECK_GT(period, 0u);
-}
-
-Status SeasonalNaiveForecaster::Fit(const ts::Series& train) {
-  if (train.size() < period_) {
-    return Status::InvalidArgument("snaive: series shorter than period");
-  }
-  buffer_.assign(train.values().end() - static_cast<ptrdiff_t>(period_),
-                 train.values().end());
-  fitted_ = true;
-  return Status::Ok();
-}
-
-double SeasonalNaiveForecaster::PredictNext() {
-  EADRL_CHECK(fitted_);
-  return buffer_.front();
-}
-
-void SeasonalNaiveForecaster::Observe(double value) {
-  EADRL_CHECK(fitted_);
-  buffer_.push_back(value);
-  buffer_.pop_front();
 }
 
 }  // namespace eadrl::models

@@ -1,7 +1,6 @@
 #ifndef EADRL_MODELS_NAIVE_H_
 #define EADRL_MODELS_NAIVE_H_
 
-#include <deque>
 #include <string>
 
 #include "models/forecaster.h"
@@ -9,7 +8,7 @@
 namespace eadrl::models {
 
 /// Random-walk forecast: predicts the last observed value. Reference model
-/// for sanity tests and MASE scaling.
+/// for sanity tests.
 class NaiveForecaster : public Forecaster {
  public:
   NaiveForecaster() : name_("naive") {}
@@ -22,23 +21,6 @@ class NaiveForecaster : public Forecaster {
  private:
   std::string name_;
   double last_ = 0.0;
-  bool fitted_ = false;
-};
-
-/// Seasonal naive: predicts the value one season ago.
-class SeasonalNaiveForecaster : public Forecaster {
- public:
-  explicit SeasonalNaiveForecaster(size_t period);
-
-  const std::string& name() const override { return name_; }
-  Status Fit(const ts::Series& train) override;
-  double PredictNext() override;
-  void Observe(double value) override;
-
- private:
-  std::string name_;
-  size_t period_;
-  std::deque<double> buffer_;
   bool fitted_ = false;
 };
 

@@ -9,11 +9,6 @@ void XavierInit(math::Matrix* w, size_t fan_in, size_t fan_out, Rng& rng) {
   for (double& v : w->data()) v = rng.Uniform(-r, r);
 }
 
-void HeInit(math::Matrix* w, size_t fan_in, Rng& rng) {
-  double s = std::sqrt(2.0 / static_cast<double>(fan_in));
-  for (double& v : w->data()) v = rng.Normal(0.0, s);
-}
-
 void UniformInit(math::Matrix* w, double r, Rng& rng) {
   for (double& v : w->data()) v = rng.Uniform(-r, r);
 }

@@ -9,9 +9,6 @@ namespace eadrl::nn {
 /// Xavier/Glorot uniform initialization: U(-r, r), r = sqrt(6/(fan_in+fan_out)).
 void XavierInit(math::Matrix* w, size_t fan_in, size_t fan_out, Rng& rng);
 
-/// He (Kaiming) normal initialization: N(0, 2/fan_in). For ReLU layers.
-void HeInit(math::Matrix* w, size_t fan_in, Rng& rng);
-
 /// Uniform initialization in [-r, r] (DDPG's final-layer init uses small r).
 void UniformInit(math::Matrix* w, double r, Rng& rng);
 

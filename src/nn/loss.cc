@@ -1,7 +1,5 @@
 #include "nn/loss.h"
 
-#include <cmath>
-
 #include "common/check.h"
 
 namespace eadrl::nn {
@@ -16,27 +14,6 @@ LossResult MseLoss(const math::Vec& pred, const math::Vec& target) {
     double d = pred[i] - target[i];
     out.value += d * d / n;
     out.grad[i] = 2.0 * d / n;
-  }
-  return out;
-}
-
-LossResult HuberLoss(const math::Vec& pred, const math::Vec& target,
-                     double delta) {
-  EADRL_CHECK_EQ(pred.size(), target.size());
-  EADRL_CHECK(!pred.empty());
-  EADRL_CHECK_GT(delta, 0.0);
-  LossResult out;
-  out.grad.resize(pred.size());
-  double n = static_cast<double>(pred.size());
-  for (size_t i = 0; i < pred.size(); ++i) {
-    double d = pred[i] - target[i];
-    if (std::fabs(d) <= delta) {
-      out.value += 0.5 * d * d / n;
-      out.grad[i] = d / n;
-    } else {
-      out.value += delta * (std::fabs(d) - 0.5 * delta) / n;
-      out.grad[i] = (d > 0 ? delta : -delta) / n;
-    }
   }
   return out;
 }

@@ -14,10 +14,6 @@ struct LossResult {
 /// Mean squared error over the vector: L = mean((pred - target)^2).
 LossResult MseLoss(const math::Vec& pred, const math::Vec& target);
 
-/// Huber loss with threshold delta (robust to outliers).
-LossResult HuberLoss(const math::Vec& pred, const math::Vec& target,
-                     double delta);
-
 }  // namespace eadrl::nn
 
 #endif  // EADRL_NN_LOSS_H_

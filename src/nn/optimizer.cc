@@ -16,36 +16,6 @@ namespace eadrl::nn {
 // root.
 using Lanes2 = double __attribute__((vector_size(2 * sizeof(double))));
 
-void Optimizer::StepAndZero() {
-  Step();
-  ZeroGrads(params_);
-}
-
-Sgd::Sgd(double lr, double momentum) : lr_(lr), momentum_(momentum) {
-  EADRL_CHECK_GT(lr, 0.0);
-}
-
-void Sgd::Register(const std::vector<Param*>& params) {
-  params_ = params;
-  velocity_.clear();
-  for (const Param* p : params_) {
-    velocity_.emplace_back(p->value.rows(), p->value.cols());
-  }
-}
-
-void Sgd::Step() {
-  EADRL_CHECK(!params_.empty());
-  for (size_t i = 0; i < params_.size(); ++i) {
-    auto& val = params_[i]->value.data();
-    const auto& grad = params_[i]->grad.data();
-    auto& vel = velocity_[i].data();
-    for (size_t j = 0; j < val.size(); ++j) {
-      vel[j] = momentum_ * vel[j] - lr_ * grad[j];
-      val[j] += vel[j];
-    }
-  }
-}
-
 Adam::Adam(double lr, double beta1, double beta2, double eps)
     : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
   EADRL_CHECK_GT(lr, 0.0);
@@ -146,6 +116,11 @@ void Adam::Step() {
   } else {
     step_all(std::false_type{});
   }
+}
+
+void Adam::StepAndZero() {
+  Step();
+  ZeroGrads(params_);
 }
 
 }  // namespace eadrl::nn

@@ -8,59 +8,31 @@
 
 namespace eadrl::nn {
 
-/// Gradient-descent optimizer interface. Implementations keep per-parameter
-/// state keyed by position in the registered parameter list.
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-
-  /// Registers the parameters this optimizer updates. Must be called once
-  /// before the first Step.
-  virtual void Register(const std::vector<Param*>& params) = 0;
-
-  /// Applies one update using the accumulated gradients, then leaves the
-  /// gradients untouched (call ZeroGrads separately, or use StepAndZero).
-  virtual void Step() = 0;
-
-  /// Convenience: Step followed by zeroing all gradients.
-  void StepAndZero();
-
- protected:
-  std::vector<Param*> params_;
-};
-
-/// Plain SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(double lr, double momentum = 0.0);
-
-  void Register(const std::vector<Param*>& params) override;
-  void Step() override;
-
-  double lr() const { return lr_; }
-  void set_lr(double lr) { lr_ = lr; }
-
- private:
-  double lr_;
-  double momentum_;
-  std::vector<math::Matrix> velocity_;
-};
-
 /// Adam (Kingma & Ba, 2015) with bias correction. Moments that fall below
 /// the smallest normal double are flushed to +0.0, which keeps dead units
 /// off the subnormal slow path without moving any weight (DESIGN.md §8).
-class Adam : public Optimizer {
+/// Per-parameter state is keyed by position in the registered list.
+class Adam {
  public:
   explicit Adam(double lr, double beta1 = 0.9, double beta2 = 0.999,
                 double eps = 1e-8);
 
-  void Register(const std::vector<Param*>& params) override;
-  void Step() override;
+  /// Registers the parameters this optimizer updates. Must be called once
+  /// before the first Step.
+  void Register(const std::vector<Param*>& params);
+
+  /// Applies one update using the accumulated gradients, then leaves the
+  /// gradients untouched (call ZeroGrads separately, or use StepAndZero).
+  void Step();
+
+  /// Convenience: Step followed by zeroing all gradients.
+  void StepAndZero();
 
   double lr() const { return lr_; }
   void set_lr(double lr) { lr_ = lr; }
 
  private:
+  std::vector<Param*> params_;
   double lr_;
   double beta1_;
   double beta2_;

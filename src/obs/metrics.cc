@@ -324,35 +324,6 @@ double HistogramSnapshot::Quantile(double q) const {
   return max;
 }
 
-void HistogramSnapshot::MergeFrom(const HistogramSnapshot& other) {
-  if (other.counts.empty() && other.count == 0) return;
-  if (counts.empty() && count == 0) {
-    *this = other;
-    return;
-  }
-  EADRL_CHECK(bounds == other.bounds);
-  // Exactness decided before the totals mutate.
-  const uint64_t merged_count = count + other.count;
-  const bool exact = merged_count <= kExactQuantileSamples &&
-                     samples.size() == count &&
-                     other.samples.size() == other.count;
-  for (size_t i = 0; i < counts.size(); ++i) counts[i] += other.counts[i];
-  sum += other.sum;
-  if (count == 0) {
-    min = other.min;
-    max = other.max;
-  } else if (other.count > 0) {
-    min = std::min(min, other.min);
-    max = std::max(max, other.max);
-  }
-  count = merged_count;
-  if (exact) {
-    samples.insert(samples.end(), other.samples.begin(), other.samples.end());
-  } else {
-    samples.clear();
-  }
-}
-
 std::vector<double> Histogram::ExponentialBounds(double start, double factor,
                                                  size_t count) {
   EADRL_CHECK_GT(start, 0.0);

@@ -204,14 +204,6 @@ struct HistogramSnapshot {
   /// the first/overflow buckets clamped to min/max so the open-ended bucket
   /// cannot produce infinities.
   double Quantile(double q) const;
-
-  /// Accumulates `other` into this snapshot. Both must share one bucket
-  /// layout (identical bounds) unless one side is default-constructed empty.
-  /// Counts, sums and min/max merge exactly; `samples` stays exact while the
-  /// merged population fits kExactQuantileSamples and both sides were exact,
-  /// else it empties. Associative and commutative on every derived statistic
-  /// (sample order differs across merge orders, but Quantile sorts).
-  void MergeFrom(const HistogramSnapshot& other);
 };
 
 /// Fixed-bucket histogram with inclusive ("le") upper bounds. Observe is

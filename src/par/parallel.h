@@ -1,7 +1,6 @@
 #ifndef EADRL_PAR_PARALLEL_H_
 #define EADRL_PAR_PARALLEL_H_
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -106,17 +105,6 @@ std::vector<R> ParallelMap(size_t n, const Fn& fn,
       },
       options);
   return out;
-}
-
-/// Deterministic per-task seed derivation (splitmix64 of base and index):
-/// unlike forking a shared Rng, the seed of task i does not depend on how
-/// many tasks ran before it or on which thread, so stochastic parallel tasks
-/// reproduce bit-identically across thread counts and across runs.
-inline uint64_t TaskSeed(uint64_t base_seed, uint64_t task_index) {
-  uint64_t z = base_seed + 0x9e3779b97f4a7c15ULL * (task_index + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
 }
 
 }  // namespace eadrl::par

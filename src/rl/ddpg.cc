@@ -1,6 +1,5 @@
 #include "rl/ddpg.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "chk/chk.h"
@@ -26,15 +25,12 @@ std::vector<size_t> LayerSizes(size_t in, const std::vector<size_t>& hidden,
 // first call.
 enum WsSlot : size_t {
   kWsNextActions = 0,  // n x action_dim (target policy, post-softmax)
-  kWsNextQ,            // n x critic-out (target critic)
-  kWsCriticDz,         // n x critic-out
+  kWsNextQ,            // n x action_dim (target critic)
+  kWsCriticDz,         // n x action_dim
   kWsScaledLogits,     // n x action_dim
   kWsProbs,            // n x action_dim
-  kWsDqDa,             // n x action_dim, linear critic only
+  kWsDqDa,             // n x action_dim
   kWsActorDz,          // n x action_dim
-  kWsCriticIn,         // n x (state_dim + action_dim), monolithic critic only
-  kWsNextCriticIn,     // n x (state_dim + action_dim), monolithic critic only
-  kWsOnes,             // n x 1, monolithic critic only
   kWsScratch,          // hidden activations of every Infer pass
   kWsActState,         // 1 x state_dim
   kWsActOut,           // 1 x action_dim
@@ -48,18 +44,6 @@ double RowDot(const math::Matrix& a, const math::Matrix& b, size_t row) {
   double s = 0.0;
   for (size_t j = 0; j < a.cols(); ++j) s += x[j] * y[j];
   return s;
-}
-
-/// Row b of *out = [row b of `states`, row b of `actions`]: the batched
-/// CriticInput of the monolithic critic.
-void ConcatRows(const math::Matrix& states, const math::Matrix& actions,
-                math::Matrix* out) {
-  for (size_t b = 0; b < states.rows(); ++b) {
-    double* row = out->RowPtr(b);
-    std::copy(states.RowPtr(b), states.RowPtr(b) + states.cols(), row);
-    std::copy(actions.RowPtr(b), actions.RowPtr(b) + actions.cols(),
-              row + states.cols());
-  }
 }
 
 }  // namespace
@@ -87,18 +71,11 @@ DdpgAgent::DdpgAgent(const DdpgConfig& config)
   EADRL_CHK(config_.batch_size > 0, "DdpgConfig.batch_size positive");
   EADRL_CHK(config_.grad_clip > 0.0, "DdpgConfig.grad_clip positive");
 
-  const bool linear_critic =
-      config_.critic_form == CriticForm::kLinearInAction;
-  const size_t critic_in =
-      linear_critic ? config_.state_dim
-                    : config_.state_dim + config_.action_dim;
-  const size_t critic_out = linear_critic ? config_.action_dim : 1;
-
   actor_ = std::make_unique<nn::Mlp>(
       LayerSizes(config_.state_dim, config_.actor_hidden, config_.action_dim),
       nn::Activation::kRelu, nn::Activation::kIdentity, rng_);
   critic_ = std::make_unique<nn::Mlp>(
-      LayerSizes(critic_in, config_.critic_hidden, critic_out),
+      LayerSizes(config_.state_dim, config_.critic_hidden, config_.action_dim),
       nn::Activation::kRelu, nn::Activation::kIdentity, rng_);
   // DDPG's small final-layer init keeps the initial policy near uniform and
   // initial Q-values near zero.
@@ -109,7 +86,7 @@ DdpgAgent::DdpgAgent(const DdpgConfig& config)
       LayerSizes(config_.state_dim, config_.actor_hidden, config_.action_dim),
       nn::Activation::kRelu, nn::Activation::kIdentity, rng_);
   target_critic_ = std::make_unique<nn::Mlp>(
-      LayerSizes(critic_in, config_.critic_hidden, critic_out),
+      LayerSizes(config_.state_dim, config_.critic_hidden, config_.action_dim),
       nn::Activation::kRelu, nn::Activation::kIdentity, rng_);
   actor_params_ = actor_->Params();
   critic_params_ = critic_->Params();
@@ -120,15 +97,6 @@ DdpgAgent::DdpgAgent(const DdpgConfig& config)
 
   actor_opt_.Register(actor_params_);
   critic_opt_.Register(critic_params_);
-}
-
-math::Vec DdpgAgent::CriticInput(const math::Vec& state,
-                                 const math::Vec& action) const {
-  math::Vec input;
-  input.reserve(state.size() + action.size());
-  input.insert(input.end(), state.begin(), state.end());
-  input.insert(input.end(), action.begin(), action.end());
-  return input;
 }
 
 void DdpgAgent::ActBatch(const math::Matrix& states, math::Matrix* actions,
@@ -173,13 +141,10 @@ math::Vec DdpgAgent::ActWithNoise(const math::Vec& state,
 
 double DdpgAgent::QValue(const math::Vec& state,
                          const math::Vec& action) const {
-  const bool linear = config_.critic_form == CriticForm::kLinearInAction;
   math::Matrix q;
   math::Matrix scratch;
-  critic_->Infer(math::Matrix::FromRows(
-                     {linear ? state : CriticInput(state, action)}),
-                 &q, &scratch);
-  return linear ? math::Dot(action, q.data()) : q(0, 0);
+  critic_->Infer(math::Matrix::FromRows({state}), &q, &scratch);
+  return math::Dot(action, q.data());
 }
 
 math::Vec DdpgAgent::SoftmaxJacobianVjp(const math::Vec& probs,
@@ -230,8 +195,6 @@ double DdpgAgent::Update(const Minibatch& batch) {
     span.SetAttr("update", num_updates_ + 1);
   }
   const double inv_n = 1.0 / static_cast<double>(n);
-  const bool linear_critic =
-      config_.critic_form == CriticForm::kLinearInAction;
 
   // The minibatch is batch-major already (row b = transition b), and the
   // workspace buffers are warm after the first update at a given batch
@@ -259,45 +222,25 @@ double DdpgAgent::Update(const Minibatch& batch) {
     next_actions.Scale(config_.logit_scale);
     math::SoftmaxRowsInPlace(&next_actions);
 
-    math::Matrix& next_q = ws_.mat(kWsNextQ, n, linear_critic ? a_dim : 1);
-    if (linear_critic) {
-      target_critic_->Infer(next_states, &next_q, &scratch);
-    } else {
-      math::Matrix& next_in = ws_.mat(kWsNextCriticIn, n, s_dim + a_dim);
-      ConcatRows(next_states, next_actions, &next_in);
-      target_critic_->Infer(next_in, &next_q, &scratch);
-    }
+    math::Matrix& next_q = ws_.mat(kWsNextQ, n, a_dim);
+    target_critic_->Infer(next_states, &next_q, &scratch);
+    const math::Matrix& q = critic_->ForwardBatch(states);
 
-    const math::Matrix* q;
-    if (linear_critic) {
-      q = &critic_->ForwardBatch(states);
-    } else {
-      math::Matrix& critic_in = ws_.mat(kWsCriticIn, n, s_dim + a_dim);
-      ConcatRows(states, actions, &critic_in);
-      q = &critic_->ForwardBatch(critic_in);
-    }
-
-    math::Matrix& dz = ws_.mat(kWsCriticDz, n, linear_critic ? a_dim : 1);
+    math::Matrix& dz = ws_.mat(kWsCriticDz, n, a_dim);
     for (size_t b = 0; b < n; ++b) {
       double target = batch.rewards[b];
       if (!batch.terminals[b]) {
-        double nq = linear_critic ? RowDot(next_actions, next_q, b)
-                                  : next_q(b, 0);
-        target += config_.gamma * nq;
+        target += config_.gamma * RowDot(next_actions, next_q, b);
       }
-      double qv = linear_critic ? RowDot(actions, *q, b) : (*q)(b, 0);
+      double qv = RowDot(actions, q, b);
       double err = qv - target;
       critic_loss += err * err * inv_n;
       abs_q_sum += std::fabs(qv);
-      // dL/dq_i = 2 * err * a_i / N (linear) or dL/dq = 2 * err / N.
-      if (linear_critic) {
-        const double s = 2.0 * err * inv_n;
-        const double* arow = actions.RowPtr(b);
-        double* dzrow = dz.RowPtr(b);
-        for (size_t j = 0; j < a_dim; ++j) dzrow[j] = arow[j] * s;
-      } else {
-        dz(b, 0) = 2.0 * err * inv_n;
-      }
+      // dL/dq_i = 2 * err * a_i / N.
+      const double s = 2.0 * err * inv_n;
+      const double* arow = actions.RowPtr(b);
+      double* dzrow = dz.RowPtr(b);
+      for (size_t j = 0; j < a_dim; ++j) dzrow[j] = arow[j] * s;
     }
     critic_->BackwardBatch(dz);
     nn::ClipGradNorm(critic_params_, config_.grad_clip);
@@ -315,19 +258,9 @@ double DdpgAgent::Update(const Minibatch& batch) {
     probs = logits;
     math::SoftmaxRowsInPlace(&probs);
 
-    // dQ/da for every row, then the softmax-Jacobian VJP row-wise.
-    const math::Matrix* dinput = nullptr;
+    // dQ/da = q(s) for every row, then the softmax-Jacobian VJP row-wise.
     math::Matrix& dq_da = ws_.mat(kWsDqDa, n, a_dim);
-    if (linear_critic) {
-      critic_->Infer(states, &dq_da, &ws_.mat(kWsScratch, n, 0));
-    } else {
-      math::Matrix& critic_in = ws_.mat(kWsCriticIn, n, s_dim + a_dim);
-      ConcatRows(states, probs, &critic_in);
-      critic_->ForwardBatch(critic_in);
-      math::Matrix& ones = ws_.mat(kWsOnes, n, 1);
-      ones.Fill(1.0);
-      dinput = &critic_->BackwardBatch(ones);
-    }
+    critic_->Infer(states, &dq_da, &ws_.mat(kWsScratch, n, 0));
 
     math::Matrix& dz = ws_.mat(kWsActorDz, n, a_dim);
     for (size_t b = 0; b < n; ++b) {
@@ -335,8 +268,7 @@ double DdpgAgent::Update(const Minibatch& batch) {
       for (size_t j = 0; j < a_dim; ++j) {
         if (prow[j] > 0.0) entropy_sum -= prow[j] * std::log(prow[j]);
       }
-      const double* grow = linear_critic ? dq_da.RowPtr(b)
-                                         : dinput->RowPtr(b) + s_dim;
+      const double* grow = dq_da.RowPtr(b);
       // SoftmaxJacobianVjp on the row, then the same chain as the scalar
       // path: descent on -Q through the logit scale plus the L2 pull of the
       // scaled logits toward zero.
@@ -367,8 +299,6 @@ double DdpgAgent::UpdateScalarForTest(const Minibatch& batch) {
   const double inv_n = 1.0 / static_cast<double>(n);
 
   // --- Critic update: minimize (Q(s,a) - y)^2, y from target networks. ----
-  const bool linear_critic =
-      config_.critic_form == CriticForm::kLinearInAction;
   double critic_loss = 0.0;
   double abs_q_sum = 0.0;
   {
@@ -382,28 +312,16 @@ double DdpgAgent::UpdateScalarForTest(const Minibatch& batch) {
         math::Vec next_logits = target_actor_->Forward(next_state);
         for (double& v : next_logits) v *= config_.logit_scale;
         math::Vec next_action = math::Softmax(next_logits);
-        double next_q =
-            linear_critic
-                ? math::Dot(next_action, target_critic_->Forward(next_state))
-                : target_critic_->Forward(
-                      CriticInput(next_state, next_action))[0];
-        target += config_.gamma * next_q;
+        target += config_.gamma *
+                  math::Dot(next_action, target_critic_->Forward(next_state));
       }
-      if (linear_critic) {
-        math::Vec q_vec = critic_->Forward(state);
-        double q = math::Dot(action, q_vec);
-        double err = q - target;
-        critic_loss += err * err * inv_n;
-        abs_q_sum += std::fabs(q);
-        // dL/dq_i = 2 * err * a_i / N.
-        critic_->Backward(math::Scale(action, 2.0 * err * inv_n));
-      } else {
-        double q = critic_->Forward(CriticInput(state, action))[0];
-        double err = q - target;
-        critic_loss += err * err * inv_n;
-        abs_q_sum += std::fabs(q);
-        critic_->Backward({2.0 * err * inv_n});
-      }
+      math::Vec q_vec = critic_->Forward(state);
+      double q = math::Dot(action, q_vec);
+      double err = q - target;
+      critic_loss += err * err * inv_n;
+      abs_q_sum += std::fabs(q);
+      // dL/dq_i = 2 * err * a_i / N.
+      critic_->Backward(math::Scale(action, 2.0 * err * inv_n));
     }
     nn::ClipGradNorm(critic_params_, config_.grad_clip);
     critic_opt_.StepAndZero();
@@ -421,16 +339,7 @@ double DdpgAgent::UpdateScalarForTest(const Minibatch& batch) {
       for (double p : action) {
         if (p > 0.0) entropy_sum -= p * std::log(p);
       }
-      math::Vec dq_da;
-      if (linear_critic) {
-        dq_da = critic_->Forward(state);  // dQ/da = q(s), exactly.
-      } else {
-        critic_->Forward(CriticInput(state, action));
-        math::Vec dinput = critic_->Backward({1.0});
-        dq_da.assign(
-            dinput.begin() + static_cast<ptrdiff_t>(config_.state_dim),
-            dinput.end());
-      }
+      math::Vec dq_da = critic_->Forward(state);  // dQ/da = q(s), exactly.
       math::Vec dq_dz = SoftmaxJacobianVjp(action, dq_da);
       // Gradient ascent on Q == descent on -Q; chain through the logit scale
       // and add the L2 pull of the logits toward zero (uniform weights),
@@ -451,13 +360,8 @@ double DdpgAgent::FinishUpdate(double critic_loss, double abs_q_sum,
   // A diverged critic or an exploding policy gradient corrupts the learned
   // combination policy silently; fail here, where the update is attributable.
   EADRL_CHK_FINITE_VALUE(critic_loss, "DdpgAgent::Update critic loss");
-  // The monolithic critic's actor pass backpropagated through the critic,
-  // leaving gradients there; discard them. The linear-in-action critic's
-  // actor pass only reads q(s), so its gradients are still the zeros
-  // critic_opt_.StepAndZero() left.
-  if (config_.critic_form == CriticForm::kMonolithic) {
-    nn::ZeroGrads(critic_params_);
-  }
+  // The actor pass only reads q(s), so the critic's gradients are still the
+  // zeros critic_opt_.StepAndZero() left.
   double actor_grad_norm = nn::ClipGradNorm(actor_params_, config_.grad_clip);
   EADRL_CHK_FINITE_VALUE(actor_grad_norm,
                          "DdpgAgent::Update actor gradient norm");

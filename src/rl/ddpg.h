@@ -16,19 +16,6 @@
 
 namespace eadrl::rl {
 
-/// Critic architecture.
-enum class CriticForm {
-  /// Classic DDPG critic: one MLP taking (state, action) to a scalar Q.
-  kMonolithic,
-  /// Structured critic: an MLP maps the state to per-model values q(s) and
-  /// Q(s, a) = a . q(s). For simplex-weight actions the reward is close to
-  /// linear in the weights, so this form identifies per-model quality with
-  /// far fewer samples than a monolithic net whose action-gradient must be
-  /// estimated in m dimensions; dQ/da = q(s) is exact. Used by default in
-  /// EA-DRL (see DESIGN.md, "Key design decisions").
-  kLinearInAction,
-};
-
 /// Hyper-parameters of the DDPG agent.
 struct DdpgConfig {
   size_t state_dim = 0;
@@ -46,7 +33,6 @@ struct DdpgConfig {
   /// the runaway-saturation failure where the actor exploits critic
   /// extrapolation error in never-visited corners of the simplex.
   double logit_l2 = 0.01;
-  CriticForm critic_form = CriticForm::kLinearInAction;
   size_t batch_size = 16;
   double grad_clip = 5.0;
   uint64_t seed = 42;
@@ -68,6 +54,13 @@ struct DdpgUpdateStats {
 /// "standard normalization ... so that all the weights are positive and sum
 /// to one". Exploration noise is added to the logits, keeping noisy actions
 /// on the simplex too.
+///
+/// The critic is linear in the action: an MLP maps the state to per-model
+/// values q(s) and Q(s, a) = a . q(s). For simplex-weight actions the reward
+/// is close to linear in the weights, so this form identifies per-model
+/// quality with far fewer samples than a net taking (state, action), whose
+/// action-gradient must be estimated in m dimensions; dQ/da = q(s) is exact
+/// (see DESIGN.md, "Key design decisions").
 class DdpgAgent {
  public:
   explicit DdpgAgent(const DdpgConfig& config);
@@ -135,15 +128,12 @@ class DdpgAgent {
   static math::Vec SoftmaxJacobianVjp(const math::Vec& probs,
                                       const math::Vec& grad_probs);
 
-  math::Vec CriticInput(const math::Vec& state, const math::Vec& action) const;
-
   /// `state` as a 1-row batch in the agent's workspace.
   const math::Matrix& StateRow(const math::Vec& state);
 
-  /// Shared tail of Update and UpdateScalarForTest: discard the critic
-  /// gradients the monolithic critic's actor phase left, clip + step the
-  /// actor, drop the packed actor, soft-update the targets, and publish
-  /// the update stats and gauges. Returns the critic loss.
+  /// Shared tail of Update and UpdateScalarForTest: clip + step the actor,
+  /// drop the packed actor, soft-update the targets, and publish the update
+  /// stats and gauges. Returns the critic loss.
   double FinishUpdate(double critic_loss, double abs_q_sum,
                       double entropy_sum, double inv_n);
 

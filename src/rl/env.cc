@@ -20,7 +20,8 @@ EnsembleEnv::EnsembleEnv(math::Matrix predictions, math::Vec actuals,
   EADRL_CHECK_GT(omega_, 0u);
   EADRL_CHECK_GT(predictions_.cols(), 0u);
   EADRL_CHECK_GT(predictions_.rows(), omega_);
-  actuals_sd_ = math::Stddev(actuals_);
+  state_sd_ = math::Stddev(actuals_);
+  if (state_sd_ <= 1e-12) state_sd_ = 1.0;
   if (reward_type_ == RewardType::kRank) {
     const size_t m = predictions_.cols();
     member_rmse_ = math::Matrix(predictions_.rows(), m);
@@ -38,7 +39,7 @@ EnsembleEnv::EnsembleEnv(math::Matrix predictions, math::Vec actuals,
   }
 }
 
-void EnsembleEnv::Standardize(math::Vec* window) const {
+void StandardizeWindow(double state_sd, math::Vec* window) {
   // States are standardized by the *window's own* statistics so the policy
   // sees the shape of the recent ensemble trajectory independent of the
   // series' current level — essential for trending or random-walk series
@@ -52,7 +53,7 @@ void EnsembleEnv::Standardize(math::Vec* window) const {
   double var = 0.0;
   for (double v : s) var += (v - mean) * (v - mean);
   var /= static_cast<double>(s.size());
-  double sd = std::max(std::sqrt(var), 0.1 * actuals_sd_);
+  double sd = std::max(std::sqrt(var), 0.1 * state_sd);
   if (sd <= 1e-12) sd = 1.0;
   for (double& v : s) v = std::clamp((v - mean) / sd, -4.0, 4.0);
 }
@@ -69,7 +70,7 @@ math::Vec EnsembleEnv::Reset() {
   }
   t_ = omega_;
   math::Vec state = window_;
-  Standardize(&state);
+  StandardizeWindow(state_sd_, &state);
   return state;
 }
 
@@ -106,9 +107,7 @@ double EnsembleEnv::RewardAt(size_t t, const math::Vec& weights) const {
       }
     }
     dispersion = std::sqrt(dispersion / static_cast<double>(omega_));
-    double sd = actuals_sd_;
-    if (sd <= 1e-12) sd = 1.0;
-    diversity_bonus = diversity_coef_ * dispersion / sd;
+    diversity_bonus = diversity_coef_ * dispersion / state_sd_;
   }
 
   if (reward_type_ == RewardType::kOneMinusNrmse) {
@@ -149,7 +148,7 @@ EnsembleEnv::StepResult EnsembleEnv::Transition(
   result.next_state.resize(omega_);
   std::copy(window_.begin() + 1, window_.end(), result.next_state.begin());
   result.next_state.back() = pred;
-  Standardize(&result.next_state);
+  StandardizeWindow(state_sd_, &result.next_state);
   return result;
 }
 

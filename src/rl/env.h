@@ -19,6 +19,15 @@ enum class RewardType {
   kOneMinusNrmse,
 };
 
+/// Algorithm 1's state transform (DESIGN.md §4.7), in place: standardizes a
+/// window of ensemble outputs by the *window's own* mean and stddev, with
+/// the stddev floored at 0.1 x `state_sd`, and clips to +-4. `state_sd` is
+/// the validation stddev with a constant segment's replaced by 1.0, as
+/// EnsembleEnv::state_sd() holds it. Training (EnsembleEnv) and the online
+/// stage (core::OnlineStateVec) both go through here, so the deployed policy
+/// acts on states scaled exactly as the ones it trained on.
+void StandardizeWindow(double state_sd, math::Vec* window);
+
 /// The ensemble-aggregation MDP of paper Sec. II-B, built on precomputed
 /// base-model predictions over a validation segment.
 ///
@@ -31,8 +40,9 @@ enum class RewardType {
 /// * Reward: see RewardType.
 ///
 /// What does not depend on the weights is computed once, at construction:
-/// the validation stddev and, for the rank reward, every member's window
-/// RMSE at every step. Each value is the one the per-call computation gave.
+/// the validation stddev (1.0 for a constant segment) and, for the rank
+/// reward, every member's window RMSE at every step. Each value is the one
+/// the per-call computation gave.
 class EnsembleEnv {
  public:
   /// `predictions` is T x m (one row per validation time step, one column
@@ -47,6 +57,9 @@ class EnsembleEnv {
   size_t state_dim() const { return omega_; }
   size_t action_dim() const { return predictions_.cols(); }
   size_t horizon() const { return predictions_.rows() - omega_; }
+  /// The validation stddev the state transform and the diversity bonus
+  /// scale by: math::Stddev of the actuals, or 1.0 when that is <= 1e-12.
+  double state_sd() const { return state_sd_; }
 
   /// Starts a new episode. The initial window holds the uniform-weight
   /// ensemble outputs for the first omega steps. Returns the initial state.
@@ -85,16 +98,13 @@ class EnsembleEnv {
   size_t omega_;
   RewardType reward_type_;
   double diversity_coef_;
-  double actuals_sd_;  // math::Stddev(actuals_).
+  double state_sd_;
   // Rank reward only: row t holds each member's RMSE over the window ending
   // at t (rows below omega_ are unused).
   math::Matrix member_rmse_;
 
   size_t t_ = 0;  // current prediction index (>= omega_).
   math::Vec window_;  // last omega ensemble outputs, oldest first.
-
-  /// Standardizes a raw window of ensemble outputs into a state, in place.
-  void Standardize(math::Vec* window) const;
 
   /// Peek without the reward.
   StepResult Transition(const math::Vec& weights) const;

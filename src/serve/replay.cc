@@ -73,12 +73,14 @@ StatusOr<ReplayReport> RunOpenLoopReplay(ForecastService* service,
   const ServeStats before = service->Stats();
 
   std::atomic<uint64_t> observe_shed{0};
+  std::atomic<uint64_t> observe_evicted{0};
 
   const auto start = std::chrono::steady_clock::now();
   double arrival = 0.0;  // virtual seconds since start.
   uint64_t submitted = 0;
   uint64_t accepted = 0;
   uint64_t predict_shed = 0;
+  uint64_t recreated = 0;
 
   for (size_t i = 0; i < options.requests; ++i) {
     const double rate = options.schedule == ReplayOptions::Schedule::kPoisson
@@ -105,18 +107,31 @@ StatusOr<ReplayReport> RunOpenLoopReplay(ForecastService* service,
     const std::string& name = names[tenant];
     const bool observe = options.observe;
     std::atomic<uint64_t>* observe_shed_ptr = &observe_shed;
-    Status admitted = service->PredictAsync(
-        name, std::move(member_preds),
-        [service, name, actual_raw, observe,
-         observe_shed_ptr](StatusOr<double> result) {
-          if (!result.ok() || !observe) return;
-          // Feed the realized value back; runs on the drainer thread, so
-          // this is the re-entrant enqueue path BatchingQueue covers.
-          Status st = service->ObserveActualAsync(name, actual_raw);
-          if (st.code() == StatusCode::kResourceExhausted) {
-            observe_shed_ptr->fetch_add(1, std::memory_order_relaxed);
-          }
-        });
+    std::atomic<uint64_t>* observe_evicted_ptr = &observe_evicted;
+    auto on_predict = [service, name, actual_raw, observe, observe_shed_ptr,
+                       observe_evicted_ptr](StatusOr<double> result) {
+      if (!result.ok() || !observe) return;
+      // Feed the realized value back; runs on the drainer thread, so this
+      // is the re-entrant enqueue path BatchingQueue covers.
+      Status st = service->ObserveActualAsync(name, actual_raw);
+      if (st.code() == StatusCode::kResourceExhausted) {
+        observe_shed_ptr->fetch_add(1, std::memory_order_relaxed);
+      } else if (st.code() == StatusCode::kNotFound) {
+        observe_evicted_ptr->fetch_add(1, std::memory_order_relaxed);
+      }
+    };
+    Status admitted =
+        service->PredictAsync(name, std::move(member_preds), on_predict);
+    if (admitted.code() == StatusCode::kNotFound && options.create_sessions) {
+      // The service evicted the tenant (under a session cap, as the LRU
+      // victim): recreate its session with the tenant's own scaler and
+      // admit the request once more.
+      EADRL_RETURN_IF_ERROR(
+          service->CreateSession(name, options.policy_id, &scalers[tenant]));
+      ++recreated;
+      admitted = service->PredictAsync(
+          name, scalers[tenant].Inverse(preds.Row(row)), on_predict);
+    }
     if (admitted.ok()) {
       ++accepted;
     } else if (admitted.code() == StatusCode::kResourceExhausted) {
@@ -145,6 +160,8 @@ StatusOr<ReplayReport> RunOpenLoopReplay(ForecastService* service,
   report.accepted = accepted;
   report.predict_shed = predict_shed;
   report.observe_shed = observe_shed.load(std::memory_order_relaxed);
+  report.observe_evicted = observe_evicted.load(std::memory_order_relaxed);
+  report.sessions_recreated = recreated;
   report.wall_seconds = wall;
   report.offered_qps =
       arrival > 0.0 ? static_cast<double>(submitted) / arrival : 0.0;

@@ -39,7 +39,9 @@ struct ReplayOptions {
   /// ObserveActual (exercises the drift path and doubles the offered load).
   bool observe = true;
   /// Create sessions tenant-0..tenant-N-1 before replaying (off when the
-  /// caller pre-created them).
+  /// caller pre-created them). A replay that created the sessions also
+  /// recreates one the service evicted meanwhile (under a session cap, the
+  /// LRU victim), with the same scaler, and admits the request once more.
   bool create_sessions = true;
 };
 
@@ -51,6 +53,11 @@ struct ReplayReport {
   uint64_t accepted = 0;       ///< predicts admitted.
   uint64_t predict_shed = 0;   ///< predicts refused with ResourceExhausted.
   uint64_t observe_shed = 0;   ///< observes refused with ResourceExhausted.
+  /// Observes refused with NotFound: the session was evicted between the
+  /// predict's admission and its completion.
+  uint64_t observe_evicted = 0;
+  /// Sessions recreated after an eviction (see create_sessions).
+  uint64_t sessions_recreated = 0;
   double wall_seconds = 0.0;
   double offered_qps = 0.0;    ///< submitted / scheduled arrival horizon.
   double achieved_qps = 0.0;   ///< accepted / wall_seconds.
@@ -75,7 +82,9 @@ struct ReplayReport {
 /// Replays `options.requests` predict (plus optional observe) requests of
 /// the validation stream `preds`/`actuals` (policy units; rows cycle) against
 /// `service`. Blocks until every admitted request completed. InvalidArgument
-/// on inconsistent inputs; session-creation failures propagate.
+/// on inconsistent inputs; session-creation failures propagate, and so does
+/// an admission refused for any reason other than shedding, except a
+/// NotFound the replay mends by recreating the session.
 StatusOr<ReplayReport> RunOpenLoopReplay(ForecastService* service,
                                          const math::Matrix& preds,
                                          const math::Vec& actuals,

@@ -53,54 +53,4 @@ StatusOr<ComparisonResult> BayesianCorrelatedTTest(const math::Vec& diffs,
   return result;
 }
 
-StatusOr<ComparisonResult> BayesSignTest(const math::Vec& diffs, double rope,
-                                         size_t mc_samples, Rng& rng,
-                                         double prior_weight) {
-  if (diffs.empty()) {
-    return Status::InvalidArgument("sign test: no differences");
-  }
-  if (mc_samples == 0) {
-    return Status::InvalidArgument("sign test: need mc_samples > 0");
-  }
-  double n_left = 0, n_rope = 0, n_right = 0;
-  for (double d : diffs) {
-    if (d < -rope) {
-      ++n_left;
-    } else if (d > rope) {
-      ++n_right;
-    } else {
-      ++n_rope;
-    }
-  }
-
-  // Dirichlet posterior: alpha = counts + prior (prior mass on the rope).
-  double a_left = n_left, a_rope = n_rope + prior_weight, a_right = n_right;
-  // Guard against zero alphas (gamma(0) undefined): tiny epsilon.
-  a_left = std::max(a_left, 1e-6);
-  a_rope = std::max(a_rope, 1e-6);
-  a_right = std::max(a_right, 1e-6);
-
-  ComparisonResult result;
-  std::gamma_distribution<double> g_left(a_left, 1.0);
-  std::gamma_distribution<double> g_rope(a_rope, 1.0);
-  std::gamma_distribution<double> g_right(a_right, 1.0);
-  for (size_t s = 0; s < mc_samples; ++s) {
-    double x = g_left(rng.engine());
-    double y = g_rope(rng.engine());
-    double z = g_right(rng.engine());
-    if (x > y && x > z) {
-      result.p_a_better += 1.0;
-    } else if (z > x && z > y) {
-      result.p_b_better += 1.0;
-    } else {
-      result.p_rope += 1.0;
-    }
-  }
-  double inv = 1.0 / static_cast<double>(mc_samples);
-  result.p_a_better *= inv;
-  result.p_rope *= inv;
-  result.p_b_better *= inv;
-  return result;
-}
-
 }  // namespace eadrl::stats

@@ -1,9 +1,6 @@
 #ifndef EADRL_STATS_BAYES_TESTS_H_
 #define EADRL_STATS_BAYES_TESTS_H_
 
-#include <cstddef>
-
-#include "common/rng.h"
 #include "common/status.h"
 #include "math/vec.h"
 
@@ -27,13 +24,6 @@ struct ComparisonResult {
 StatusOr<ComparisonResult> BayesianCorrelatedTTest(const math::Vec& diffs,
                                                    double correlation,
                                                    double rope);
-
-/// Bayes sign test (Benavoli et al. 2017, Sec. 4.3) across datasets: counts
-/// of {A better, rope, B better} get a Dirichlet posterior (prior strength
-/// `prior_weight` on the rope) sampled by Monte Carlo.
-StatusOr<ComparisonResult> BayesSignTest(const math::Vec& diffs, double rope,
-                                         size_t mc_samples, Rng& rng,
-                                         double prior_weight = 0.5);
 
 }  // namespace eadrl::stats
 

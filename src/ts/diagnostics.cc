@@ -1,141 +1,11 @@
 #include "ts/diagnostics.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
-#include "math/linalg.h"
-#include "math/matrix.h"
-#include "math/special.h"
 #include "math/stats.h"
 
 namespace eadrl::ts {
-
-math::Vec Acf(const math::Vec& values, size_t max_lag) {
-  EADRL_CHECK_LT(max_lag, values.size());
-  math::Vec acf(max_lag);
-  for (size_t k = 1; k <= max_lag; ++k) {
-    acf[k - 1] = math::Autocorrelation(values, k);
-  }
-  return acf;
-}
-
-StatusOr<math::Vec> Pacf(const math::Vec& values, size_t max_lag) {
-  if (max_lag == 0 || max_lag >= values.size()) {
-    return Status::InvalidArgument("Pacf: bad max_lag");
-  }
-  // Durbin–Levinson recursion on the autocorrelations.
-  math::Vec rho(max_lag + 1);
-  rho[0] = 1.0;
-  for (size_t k = 1; k <= max_lag; ++k) {
-    rho[k] = math::Autocorrelation(values, k);
-  }
-
-  math::Vec pacf(max_lag);
-  math::Vec phi_prev(max_lag + 1, 0.0), phi(max_lag + 1, 0.0);
-  double denom = 1.0;
-  for (size_t k = 1; k <= max_lag; ++k) {
-    double num = rho[k];
-    for (size_t j = 1; j < k; ++j) num -= phi_prev[j] * rho[k - j];
-    if (std::fabs(denom) < 1e-12) {
-      return Status::Internal("Pacf: degenerate recursion");
-    }
-    double phi_kk = num / denom;
-    phi[k] = phi_kk;
-    for (size_t j = 1; j < k; ++j) {
-      phi[j] = phi_prev[j] - phi_kk * phi_prev[k - j];
-    }
-    denom *= (1.0 - phi_kk * phi_kk);
-    pacf[k - 1] = phi_kk;
-    phi_prev = phi;
-  }
-  return pacf;
-}
-
-double ChiSquaredSurvival(double x, double dof) {
-  EADRL_CHECK_GT(dof, 0.0);
-  if (x <= 0.0) return 1.0;
-  return 1.0 - math::RegularizedLowerIncompleteGamma(0.5 * dof, 0.5 * x);
-}
-
-StatusOr<LjungBoxResult> LjungBoxTest(const math::Vec& values, size_t lags,
-                                      size_t fitted_params) {
-  if (lags == 0 || lags >= values.size()) {
-    return Status::InvalidArgument("LjungBox: bad lag count");
-  }
-  if (lags <= fitted_params) {
-    return Status::InvalidArgument(
-        "LjungBox: lags must exceed fitted_params");
-  }
-  const double n = static_cast<double>(values.size());
-  double q = 0.0;
-  for (size_t k = 1; k <= lags; ++k) {
-    double rho = math::Autocorrelation(values, k);
-    q += rho * rho / (n - static_cast<double>(k));
-  }
-  q *= n * (n + 2.0);
-
-  LjungBoxResult result;
-  result.statistic = q;
-  result.p_value =
-      ChiSquaredSurvival(q, static_cast<double>(lags - fitted_params));
-  return result;
-}
-
-StatusOr<AdfResult> AdfTest(const math::Vec& values, size_t lags) {
-  const size_t n = values.size();
-  if (n < lags + 12) {
-    return Status::InvalidArgument("AdfTest: series too short");
-  }
-  // Regression: dx_t = alpha + gamma * x_{t-1} + sum phi_i dx_{t-i} + e.
-  const size_t start = lags + 1;
-  const size_t rows = n - start;
-  const size_t p = 2 + lags;  // intercept, level, lagged differences.
-  math::Matrix x(rows, p);
-  math::Vec y(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    size_t t = start + i;
-    y[i] = values[t] - values[t - 1];
-    x(i, 0) = 1.0;
-    x(i, 1) = values[t - 1];
-    for (size_t j = 0; j < lags; ++j) {
-      x(i, 2 + j) = values[t - 1 - j] - values[t - 2 - j];
-    }
-  }
-
-  // OLS via normal equations; we need (X^T X)^{-1} for the standard error.
-  math::Matrix xtx(p, p);
-  for (size_t i = 0; i < rows; ++i) {
-    for (size_t a = 0; a < p; ++a) {
-      for (size_t b = a; b < p; ++b) xtx(a, b) += x(i, a) * x(i, b);
-    }
-  }
-  for (size_t a = 0; a < p; ++a) {
-    for (size_t b = 0; b < a; ++b) xtx(a, b) = xtx(b, a);
-    xtx(a, a) += 1e-10;
-  }
-  StatusOr<math::Matrix> xtx_inv = math::CholeskyInverse(xtx);
-  EADRL_RETURN_IF_ERROR(xtx_inv.status());
-  math::Vec xty = x.TransposeMatVec(y);
-  math::Vec beta = xtx_inv->MatVec(xty);
-
-  double sse = 0.0;
-  for (size_t i = 0; i < rows; ++i) {
-    double fit = 0.0;
-    for (size_t j = 0; j < p; ++j) fit += beta[j] * x(i, j);
-    double d = y[i] - fit;
-    sse += d * d;
-  }
-  double sigma2 = sse / static_cast<double>(rows - p);
-  double se = std::sqrt(sigma2 * (*xtx_inv)(1, 1));
-  if (se <= 0.0) return Status::Internal("AdfTest: zero standard error");
-
-  AdfResult result;
-  result.statistic = beta[1] / se;
-  // Approximate 5% Dickey-Fuller critical value with constant: -2.86.
-  result.stationary_at_5pct = result.statistic < -2.86;
-  return result;
-}
 
 size_t EstimateSeasonalPeriod(const math::Vec& values, size_t min_period,
                               size_t max_period, double threshold) {

@@ -3,39 +3,9 @@
 
 #include <cstddef>
 
-#include "common/status.h"
 #include "math/vec.h"
-#include "ts/series.h"
 
 namespace eadrl::ts {
-
-/// Sample autocorrelation function for lags 1..max_lag.
-math::Vec Acf(const math::Vec& values, size_t max_lag);
-
-/// Partial autocorrelation function for lags 1..max_lag via the
-/// Durbin–Levinson recursion.
-StatusOr<math::Vec> Pacf(const math::Vec& values, size_t max_lag);
-
-/// Ljung–Box portmanteau test for autocorrelation in a (residual) series.
-struct LjungBoxResult {
-  double statistic = 0.0;  ///< Q statistic.
-  double p_value = 1.0;    ///< under chi^2 with `lags - fitted_params` dof.
-};
-
-/// `fitted_params` shrinks the degrees of freedom when testing model
-/// residuals (p + q for an ARMA fit; 0 for a raw series).
-StatusOr<LjungBoxResult> LjungBoxTest(const math::Vec& values, size_t lags,
-                                      size_t fitted_params = 0);
-
-/// Simplified augmented Dickey–Fuller stationarity check: the t-statistic of
-/// gamma in  Δx_t = alpha + gamma x_{t-1} + Σ φ_i Δx_{t-i} + e_t.
-/// Values well below ~-2.9 reject a unit root at the 5% level.
-struct AdfResult {
-  double statistic = 0.0;
-  bool stationary_at_5pct = false;
-};
-
-StatusOr<AdfResult> AdfTest(const math::Vec& values, size_t lags = 4);
 
 /// Estimates the dominant seasonal period by the highest autocorrelation
 /// peak in [min_period, max_period]; returns 0 if no lag exceeds
@@ -43,10 +13,6 @@ StatusOr<AdfResult> AdfTest(const math::Vec& values, size_t lags = 4);
 size_t EstimateSeasonalPeriod(const math::Vec& values, size_t min_period = 2,
                               size_t max_period = 400,
                               double threshold = 0.3);
-
-/// Chi-squared upper-tail probability (used by the Ljung–Box test; exposed
-/// for reuse and testing).
-double ChiSquaredSurvival(double x, double dof);
 
 }  // namespace eadrl::ts
 

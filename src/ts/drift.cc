@@ -1,6 +1,6 @@
 #include "ts/drift.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "chk/chk.h"
 
@@ -35,45 +35,6 @@ void PageHinkley::Reset() {
   mean_ = 0.0;
   cumulative_ = 0.0;
   min_cumulative_ = 0.0;
-}
-
-WindowDriftDetector::WindowDriftDetector(size_t window, double threshold)
-    : window_(window), threshold_(threshold) {
-  // window < 4 would make a half window empty (mean of zero values) and
-  // underflow the window_ - 2 variance denominator below.
-  EADRL_CHK(window_ >= 4, "WindowDriftDetector.window >= 4");
-  EADRL_CHK(threshold_ > 0.0, "WindowDriftDetector.threshold positive");
-}
-
-bool WindowDriftDetector::Update(double value) {
-  EADRL_CHK_FINITE_VALUE(value, "WindowDriftDetector::Update observation");
-  window_values_.push_back(value);
-  if (window_values_.size() > window_) window_values_.pop_front();
-  if (window_values_.size() < window_) return false;
-
-  const size_t half = window_ / 2;
-  double m0 = 0.0, m1 = 0.0;
-  for (size_t i = 0; i < half; ++i) m0 += window_values_[i];
-  for (size_t i = half; i < window_; ++i) m1 += window_values_[i];
-  m0 /= static_cast<double>(half);
-  m1 /= static_cast<double>(window_ - half);
-
-  double var = 0.0;
-  for (size_t i = 0; i < half; ++i) {
-    var += (window_values_[i] - m0) * (window_values_[i] - m0);
-  }
-  for (size_t i = half; i < window_; ++i) {
-    var += (window_values_[i] - m1) * (window_values_[i] - m1);
-  }
-  var /= static_cast<double>(window_ - 2);
-  double se = std::sqrt(2.0 * var / static_cast<double>(half));
-  if (se <= 1e-12) return false;
-
-  if (std::fabs(m1 - m0) / se > threshold_) {
-    Reset();
-    return true;
-  }
-  return false;
 }
 
 }  // namespace eadrl::ts

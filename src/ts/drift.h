@@ -2,7 +2,6 @@
 #define EADRL_TS_DRIFT_H_
 
 #include <cstddef>
-#include <deque>
 
 namespace eadrl::ts {
 
@@ -32,25 +31,6 @@ class PageHinkley {
   double mean_ = 0.0;
   double cumulative_ = 0.0;
   double min_cumulative_ = 0.0;
-};
-
-/// Simplified adaptive-windowing detector: keeps a bounded window of recent
-/// values and signals drift when the mean of the newer half differs from the
-/// older half by more than `threshold` pooled standard deviations.
-class WindowDriftDetector {
- public:
-  explicit WindowDriftDetector(size_t window = 60, double threshold = 3.0);
-
-  /// Feeds one observation; returns true if drift is detected. The window is
-  /// cleared after a detection.
-  bool Update(double value);
-
-  void Reset() { window_values_.clear(); }
-
- private:
-  size_t window_;
-  double threshold_;
-  std::deque<double> window_values_;
 };
 
 }  // namespace eadrl::ts

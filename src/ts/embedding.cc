@@ -23,9 +23,4 @@ StatusOr<SupervisedData> DelayEmbed(const Series& s, size_t k) {
   return DelayEmbed(s.values(), k);
 }
 
-math::Vec LastWindow(const math::Vec& values, size_t k) {
-  EADRL_CHECK_GE(values.size(), k);
-  return math::Vec(values.end() - static_cast<ptrdiff_t>(k), values.end());
-}
-
 }  // namespace eadrl::ts

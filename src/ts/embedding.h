@@ -24,10 +24,6 @@ StatusOr<SupervisedData> DelayEmbed(const Series& s, size_t k);
 /// Embeds a raw value vector (same layout as DelayEmbed).
 StatusOr<SupervisedData> DelayEmbed(const math::Vec& values, size_t k);
 
-/// Extracts the most recent k values as a feature row for one-step-ahead
-/// prediction.
-math::Vec LastWindow(const math::Vec& values, size_t k);
-
 }  // namespace eadrl::ts
 
 #endif  // EADRL_TS_EMBEDDING_H_

@@ -50,16 +50,6 @@ math::Vec Ar1Noise(size_t n, double phi, double sigma, Rng& rng) {
   return out;
 }
 
-math::Vec RandomWalk(size_t n, double step_sigma, Rng& rng) {
-  math::Vec out(n);
-  double x = 0.0;
-  for (size_t t = 0; t < n; ++t) {
-    x += rng.Normal(0.0, step_sigma);
-    out[t] = x;
-  }
-  return out;
-}
-
 math::Vec GeometricRandomWalk(size_t n, double start, double mu,
                               double base_vol, double vol_persistence,
                               Rng& rng) {

@@ -28,9 +28,6 @@ math::Vec LinearTrend(size_t n, double total_rise);
 /// Stationary AR(1) noise with coefficient phi and innovation stddev sigma.
 math::Vec Ar1Noise(size_t n, double phi, double sigma, Rng& rng);
 
-/// Gaussian random walk with the given step stddev.
-math::Vec RandomWalk(size_t n, double step_sigma, Rng& rng);
-
 /// Geometric random walk (log-returns) with GARCH(1,1)-style volatility
 /// clustering — models intraday stock indices.
 math::Vec GeometricRandomWalk(size_t n, double start, double mu,

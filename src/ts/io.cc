@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -80,11 +81,17 @@ StatusOr<Series> LoadCsv(const std::string& path, const CsvOptions& options) {
 }
 
 Status SaveCsv(const Series& series, const std::string& path) {
+  for (size_t i = 0; i < series.size(); ++i) {
+    if (!std::isfinite(series[i])) {
+      return Status::InvalidArgument(
+          StrCat("SaveCsv: non-finite value at index ", i));
+    }
+  }
   std::ofstream out(path);
   if (!out) {
     return Status::InvalidArgument(StrCat("SaveCsv: cannot open ", path));
   }
-  out << series.name() << "\n";
+  out << series.name() << "\n" << std::setprecision(17);
   for (size_t i = 0; i < series.size(); ++i) out << series[i] << "\n";
   if (!out) {
     return Status::Internal(StrCat("SaveCsv: write failed for ", path));

@@ -26,7 +26,9 @@ struct CsvOptions {
 StatusOr<Series> LoadCsv(const std::string& path, const CsvOptions& options);
 
 /// Writes a series as a single-column CSV (one value per line, header with
-/// the series name).
+/// the series name). Values are written at 17 significant digits, so
+/// LoadCsv reads back every value bit for bit; a non-finite value, which
+/// LoadCsv refuses, is an InvalidArgument and nothing is written.
 Status SaveCsv(const Series& series, const std::string& path);
 
 }  // namespace eadrl::ts

@@ -25,37 +25,4 @@ double Nrmse(const math::Vec& actual, const math::Vec& predicted) {
   return rmse / range;
 }
 
-double Mae(const math::Vec& actual, const math::Vec& predicted) {
-  EADRL_CHECK_EQ(actual.size(), predicted.size());
-  EADRL_CHECK(!actual.empty());
-  double s = 0.0;
-  for (size_t i = 0; i < actual.size(); ++i) {
-    s += std::fabs(actual[i] - predicted[i]);
-  }
-  return s / static_cast<double>(actual.size());
-}
-
-double Smape(const math::Vec& actual, const math::Vec& predicted) {
-  EADRL_CHECK_EQ(actual.size(), predicted.size());
-  EADRL_CHECK(!actual.empty());
-  double s = 0.0;
-  for (size_t i = 0; i < actual.size(); ++i) {
-    double denom = std::fabs(actual[i]) + std::fabs(predicted[i]);
-    if (denom > 0.0) s += 2.0 * std::fabs(actual[i] - predicted[i]) / denom;
-  }
-  return s / static_cast<double>(actual.size());
-}
-
-double Mase(const math::Vec& train, const math::Vec& actual,
-            const math::Vec& predicted) {
-  EADRL_CHECK_GE(train.size(), 2u);
-  double naive = 0.0;
-  for (size_t i = 1; i < train.size(); ++i) {
-    naive += std::fabs(train[i] - train[i - 1]);
-  }
-  naive /= static_cast<double>(train.size() - 1);
-  if (naive <= 0.0) naive = 1e-12;
-  return Mae(actual, predicted) / naive;
-}
-
 }  // namespace eadrl::ts

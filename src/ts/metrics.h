@@ -12,17 +12,6 @@ double Rmse(const math::Vec& actual, const math::Vec& predicted);
 /// paper's ablation reward 1 - NRMSE. Returns RMSE if the range is zero.
 double Nrmse(const math::Vec& actual, const math::Vec& predicted);
 
-/// Mean absolute error.
-double Mae(const math::Vec& actual, const math::Vec& predicted);
-
-/// Symmetric mean absolute percentage error, in [0, 2].
-double Smape(const math::Vec& actual, const math::Vec& predicted);
-
-/// Mean absolute scaled error; scaled by the in-sample naive (lag-1) MAE of
-/// `train`.
-double Mase(const math::Vec& train, const math::Vec& actual,
-            const math::Vec& predicted);
-
 }  // namespace eadrl::ts
 
 #endif  // EADRL_TS_METRICS_H_

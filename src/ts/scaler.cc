@@ -5,37 +5,6 @@
 
 namespace eadrl::ts {
 
-void MinMaxScaler::Fit(const math::Vec& v) {
-  EADRL_CHECK(!v.empty());
-  min_ = math::Min(v);
-  max_ = math::Max(v);
-  fitted_ = true;
-}
-
-double MinMaxScaler::Transform(double x) const {
-  EADRL_CHECK(fitted_);
-  double range = max_ - min_;
-  if (range <= 0.0) return 0.5;
-  return (x - min_) / range;
-}
-
-double MinMaxScaler::Inverse(double y) const {
-  EADRL_CHECK(fitted_);
-  return min_ + y * (max_ - min_);
-}
-
-math::Vec MinMaxScaler::Transform(const math::Vec& v) const {
-  math::Vec out(v.size());
-  for (size_t i = 0; i < v.size(); ++i) out[i] = Transform(v[i]);
-  return out;
-}
-
-math::Vec MinMaxScaler::Inverse(const math::Vec& v) const {
-  math::Vec out(v.size());
-  for (size_t i = 0; i < v.size(); ++i) out[i] = Inverse(v[i]);
-  return out;
-}
-
 StandardScaler StandardScaler::FromMoments(double mean, double stddev) {
   EADRL_CHECK_GT(stddev, 0.0);
   StandardScaler scaler;

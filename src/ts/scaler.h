@@ -5,26 +5,6 @@
 
 namespace eadrl::ts {
 
-/// Min-max scaler mapping the fitted range to [0, 1]. Degenerate (constant)
-/// inputs map to 0.5.
-class MinMaxScaler {
- public:
-  void Fit(const math::Vec& v);
-  double Transform(double x) const;
-  double Inverse(double y) const;
-  math::Vec Transform(const math::Vec& v) const;
-  math::Vec Inverse(const math::Vec& v) const;
-
-  bool fitted() const { return fitted_; }
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  bool fitted_ = false;
-  double min_ = 0.0;
-  double max_ = 1.0;
-};
-
 /// Z-score scaler. Degenerate (zero variance) inputs map to 0.
 class StandardScaler {
  public:

@@ -11,13 +11,6 @@ Series Series::Slice(size_t begin, size_t end) const {
   return Series(name_, std::move(sub), frequency_, seasonal_period_);
 }
 
-Series Series::Diff() const {
-  EADRL_CHECK_GE(values_.size(), 2u);
-  math::Vec d(values_.size() - 1);
-  for (size_t i = 1; i < values_.size(); ++i) d[i - 1] = values_[i] - values_[i - 1];
-  return Series(name_ + ".diff", std::move(d), frequency_, seasonal_period_);
-}
-
 TrainTestSplit SplitTrainTest(const Series& s, double train_ratio) {
   EADRL_CHECK(train_ratio > 0.0 && train_ratio < 1.0);
   size_t cut = static_cast<size_t>(train_ratio * static_cast<double>(s.size()));

@@ -35,9 +35,6 @@ class Series {
   /// Returns the subseries [begin, end) keeping the metadata.
   Series Slice(size_t begin, size_t end) const;
 
-  /// First-order difference series (size n-1).
-  Series Diff() const;
-
   /// Appends one observation.
   void PushBack(double v) { values_.push_back(v); }
 

@@ -7,7 +7,6 @@
 
 #include <cmath>
 #include <ostream>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -176,23 +175,20 @@ void PrintTo(const DdpgShape& shape, std::ostream* os) {
       << ", batch " << shape.batch;
 }
 
-class DdpgUpdateParity
-    : public ::testing::TestWithParam<std::tuple<rl::CriticForm, DdpgShape>> {
-};
+class DdpgUpdateParity : public ::testing::TestWithParam<DdpgShape> {};
 
 // Updates on two same-seed agents — Update vs the per-transition
 // UpdateScalarForTest oracle — must leave identical weights, stats and
-// Q-values, for both critic forms. The small shape runs every product's
+// Q-values. The small shape runs every product's
 // remainder paths; the paper's shape (state 10, 43 members, hidden {64, 64},
 // batch 16) runs full tiles and remainders of all three kernels.
 TEST_P(DdpgUpdateParity, SingleUpdateEquivalence) {
-  const auto& [form, shape] = GetParam();
+  const DdpgShape& shape = GetParam();
   rl::DdpgConfig cfg;
   cfg.state_dim = shape.state_dim;
   cfg.action_dim = shape.action_dim;
   cfg.actor_hidden = shape.hidden;
   cfg.critic_hidden = shape.hidden;
-  cfg.critic_form = form;
   cfg.seed = 5;
 
   rl::DdpgAgent batched(cfg);
@@ -230,13 +226,9 @@ TEST_P(DdpgUpdateParity, SingleUpdateEquivalence) {
   EXPECT_EQ(batched.QValue(probe_s, act_b), scalar.QValue(probe_s, act_s));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    CriticForms, DdpgUpdateParity,
-    ::testing::Combine(
-        ::testing::Values(rl::CriticForm::kLinearInAction,
-                          rl::CriticForm::kMonolithic),
-        ::testing::Values(DdpgShape{4, 6, {16}, 16},
-                          DdpgShape{10, 43, {64, 64}, 16})));
+INSTANTIATE_TEST_SUITE_P(Shapes, DdpgUpdateParity,
+                         ::testing::Values(DdpgShape{4, 6, {16}, 16},
+                                           DdpgShape{10, 43, {64, 64}, 16}));
 
 // ActBatch row b == Act(row b).
 TEST(BatchedParityTest, ActBatchMatchesScalarAct) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+
 namespace eadrl::stats {
 namespace {
 
@@ -64,49 +66,6 @@ TEST(CorrelatedTTestTest, RejectsBadInputs) {
   EXPECT_FALSE(BayesianCorrelatedTTest({1.0}, 0.0, 0.0).ok());
   EXPECT_FALSE(BayesianCorrelatedTTest({1.0, 2.0}, 1.0, 0.0).ok());
   EXPECT_FALSE(BayesianCorrelatedTTest({1.0, 2.0}, 0.0, -1.0).ok());
-}
-
-TEST(BayesSignTest, StrongMajorityWins) {
-  math::Vec diffs;
-  for (int i = 0; i < 18; ++i) diffs.push_back(-1.0);
-  for (int i = 0; i < 2; ++i) diffs.push_back(1.0);
-  Rng rng(5);
-  auto result = BayesSignTest(diffs, 0.0, 20000, rng);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->p_a_better, 0.95);
-}
-
-TEST(BayesSignTest, BalancedCountsUncertain) {
-  math::Vec diffs;
-  for (int i = 0; i < 10; ++i) diffs.push_back(-1.0);
-  for (int i = 0; i < 10; ++i) diffs.push_back(1.0);
-  Rng rng(6);
-  auto result = BayesSignTest(diffs, 0.0, 20000, rng);
-  ASSERT_TRUE(result.ok());
-  EXPECT_LT(result->p_a_better, 0.8);
-  EXPECT_LT(result->p_b_better, 0.8);
-}
-
-TEST(BayesSignTest, RopeCountsDominate) {
-  math::Vec diffs(20, 0.001);
-  Rng rng(7);
-  auto result = BayesSignTest(diffs, 0.01, 20000, rng);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->p_rope, 0.9);
-}
-
-TEST(BayesSignTest, ProbabilitiesSumToOne) {
-  math::Vec diffs{-1, 1, -1, 0.0, 2, -2};
-  Rng rng(8);
-  auto result = BayesSignTest(diffs, 0.5, 5000, rng);
-  ASSERT_TRUE(result.ok());
-  EXPECT_NEAR(result->p_a_better + result->p_rope + result->p_b_better, 1.0,
-              1e-9);
-}
-
-TEST(BayesSignTest, RejectsEmpty) {
-  Rng rng(9);
-  EXPECT_FALSE(BayesSignTest({}, 0.0, 100, rng).ok());
 }
 
 }  // namespace

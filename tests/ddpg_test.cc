@@ -135,28 +135,24 @@ Minibatch RandomMinibatch(size_t n, size_t state_dim, size_t action_dim,
 // updates (the batched and the per-transition one in turn): a pack kept
 // across an update would act on the weights it was built from.
 TEST(DdpgTest, ActMatchesTheNetworkAfterEveryUpdate) {
-  for (CriticForm form :
-       {CriticForm::kLinearInAction, CriticForm::kMonolithic}) {
-    DdpgConfig cfg = SmallConfig(5, 7);
-    cfg.actor_hidden = {16, 12};
-    cfg.critic_form = form;
-    DdpgAgent agent(cfg);
-    Rng rng(23);
-    const Minibatch batch = RandomMinibatch(8, 5, 7, rng);
-    const math::Vec state{0.4, -1.2, 0.9, 2.0, -0.3};
-    const math::Vec zeros(7, 0.0);
-    ASSERT_TRUE(SameBits(agent.Act(state), agent.ActWithNoise(state, zeros)));
-    for (int u = 0; u < 20; ++u) {
-      ASSERT_TRUE(agent.actor_packed());
-      if (u % 2 == 0) {
-        agent.Update(batch);
-      } else {
-        agent.UpdateScalarForTest(batch);
-      }
-      EXPECT_FALSE(agent.actor_packed()) << "update " << u;
-      ASSERT_TRUE(SameBits(agent.Act(state), agent.ActWithNoise(state, zeros)))
-          << "critic " << static_cast<int>(form) << " update " << u;
+  DdpgConfig cfg = SmallConfig(5, 7);
+  cfg.actor_hidden = {16, 12};
+  DdpgAgent agent(cfg);
+  Rng rng(23);
+  const Minibatch batch = RandomMinibatch(8, 5, 7, rng);
+  const math::Vec state{0.4, -1.2, 0.9, 2.0, -0.3};
+  const math::Vec zeros(7, 0.0);
+  ASSERT_TRUE(SameBits(agent.Act(state), agent.ActWithNoise(state, zeros)));
+  for (int u = 0; u < 20; ++u) {
+    ASSERT_TRUE(agent.actor_packed());
+    if (u % 2 == 0) {
+      agent.Update(batch);
+    } else {
+      agent.UpdateScalarForTest(batch);
     }
+    EXPECT_FALSE(agent.actor_packed()) << "update " << u;
+    ASSERT_TRUE(SameBits(agent.Act(state), agent.ActWithNoise(state, zeros)))
+        << "update " << u;
   }
 }
 

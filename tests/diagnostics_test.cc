@@ -5,113 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "math/special.h"
 
 namespace eadrl::ts {
 namespace {
-
-math::Vec MakeAr1(size_t n, double phi, uint64_t seed) {
-  Rng rng(seed);
-  math::Vec v(n);
-  double x = 0.0;
-  for (size_t t = 0; t < n; ++t) {
-    x = phi * x + rng.Normal(0, 1);
-    v[t] = x;
-  }
-  return v;
-}
-
-TEST(AcfTest, Ar1DecaysGeometrically) {
-  math::Vec v = MakeAr1(5000, 0.7, 1);
-  math::Vec acf = Acf(v, 3);
-  EXPECT_NEAR(acf[0], 0.7, 0.05);
-  EXPECT_NEAR(acf[1], 0.49, 0.06);
-  EXPECT_NEAR(acf[2], 0.343, 0.07);
-}
-
-TEST(PacfTest, Ar1CutsOffAfterLagOne) {
-  math::Vec v = MakeAr1(5000, 0.7, 2);
-  auto pacf = Pacf(v, 4);
-  ASSERT_TRUE(pacf.ok());
-  EXPECT_NEAR((*pacf)[0], 0.7, 0.05);
-  for (size_t k = 1; k < 4; ++k) {
-    EXPECT_LT(std::fabs((*pacf)[k]), 0.08) << "lag " << k + 1;
-  }
-}
-
-TEST(PacfTest, Ar2HasTwoSignificantLags) {
-  Rng rng(3);
-  math::Vec v(5000);
-  double x1 = 0, x2 = 0;
-  for (size_t t = 0; t < v.size(); ++t) {
-    double x = 0.5 * x1 + 0.3 * x2 + rng.Normal(0, 1);
-    v[t] = x;
-    x2 = x1;
-    x1 = x;
-  }
-  auto pacf = Pacf(v, 4);
-  ASSERT_TRUE(pacf.ok());
-  EXPECT_GT(std::fabs((*pacf)[0]), 0.3);
-  EXPECT_NEAR((*pacf)[1], 0.3, 0.06);
-  EXPECT_LT(std::fabs((*pacf)[2]), 0.08);
-}
-
-TEST(PacfTest, RejectsBadLag) {
-  math::Vec v(10, 1.0);
-  EXPECT_FALSE(Pacf(v, 0).ok());
-  EXPECT_FALSE(Pacf(v, 10).ok());
-}
-
-TEST(ChiSquaredTest, KnownValues) {
-  // P(chi2_1 > 3.841) = 0.05; P(chi2_5 > 11.07) = 0.05.
-  EXPECT_NEAR(ChiSquaredSurvival(3.841, 1), 0.05, 2e-3);
-  EXPECT_NEAR(ChiSquaredSurvival(11.07, 5), 0.05, 2e-3);
-  EXPECT_NEAR(ChiSquaredSurvival(0.0, 3), 1.0, 1e-12);
-}
-
-TEST(LjungBoxTest, WhiteNoiseNotRejected) {
-  Rng rng(4);
-  math::Vec v(2000);
-  for (double& x : v) x = rng.Normal(0, 1);
-  auto result = LjungBoxTest(v, 10);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->p_value, 0.01);
-}
-
-TEST(LjungBoxTest, Ar1StronglyRejected) {
-  math::Vec v = MakeAr1(2000, 0.6, 5);
-  auto result = LjungBoxTest(v, 10);
-  ASSERT_TRUE(result.ok());
-  EXPECT_LT(result->p_value, 1e-6);
-  EXPECT_GT(result->statistic, 100.0);
-}
-
-TEST(LjungBoxTest, RejectsBadArguments) {
-  math::Vec v(50, 1.0);
-  EXPECT_FALSE(LjungBoxTest(v, 0).ok());
-  EXPECT_FALSE(LjungBoxTest(v, 5, 5).ok());
-}
-
-TEST(AdfTest, StationarySeriesDetected) {
-  math::Vec v = MakeAr1(1500, 0.5, 6);
-  auto result = AdfTest(v);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->stationary_at_5pct);
-  EXPECT_LT(result->statistic, -2.86);
-}
-
-TEST(AdfTest, RandomWalkNotStationary) {
-  Rng rng(7);
-  math::Vec v(1500);
-  double x = 0.0;
-  for (double& val : v) {
-    x += rng.Normal(0, 1);
-    val = x;
-  }
-  auto result = AdfTest(v);
-  ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result->stationary_at_5pct);
-}
 
 TEST(SeasonalPeriodTest, FindsSinePeriod) {
   math::Vec v(600);

@@ -41,34 +41,5 @@ TEST(PageHinkleyTest, ResetsAfterDetection) {
   EXPECT_DOUBLE_EQ(ph.cumulative(), 0.0);
 }
 
-TEST(WindowDriftTest, QuietOnStationary) {
-  Rng rng(4);
-  WindowDriftDetector d(60, 4.0);
-  int alarms = 0;
-  for (int i = 0; i < 3000; ++i) {
-    if (d.Update(rng.Normal(0.0, 1.0))) ++alarms;
-  }
-  EXPECT_LE(alarms, 1);  // rare false positives tolerated.
-}
-
-TEST(WindowDriftTest, DetectsLevelShift) {
-  Rng rng(5);
-  WindowDriftDetector d(60, 3.0);
-  for (int i = 0; i < 100; ++i) d.Update(rng.Normal(0.0, 1.0));
-  bool detected = false;
-  for (int i = 0; i < 100 && !detected; ++i) {
-    detected = d.Update(rng.Normal(8.0, 1.0));
-  }
-  EXPECT_TRUE(detected);
-}
-
-TEST(WindowDriftTest, NeedsFullWindow) {
-  WindowDriftDetector d(50, 1.0);
-  // Fewer observations than the window can never trigger.
-  for (int i = 0; i < 49; ++i) {
-    EXPECT_FALSE(d.Update(i < 25 ? 0.0 : 100.0));
-  }
-}
-
 }  // namespace
 }  // namespace eadrl::ts

@@ -66,25 +66,23 @@ TEST(PolicyPersistenceTest, SaveLoadReproducesOnlineBehaviour) {
   }
 }
 
-// The deployed actor is packed once Initialize or LoadPolicy returns, with
-// or without the best checkpoint; an online update drops the pack and the
-// next Predict packs the new weights.
+// The deployed actor is packed once Initialize or LoadPolicy returns; an
+// online update drops the pack and the next Predict packs the new weights.
 TEST(PackedActorTest, DeployedAgentIsPacked) {
   math::Matrix preds;
   math::Vec actuals;
   MakeSkillGapData(120, 4, &preds, &actuals);
-  for (bool best_checkpoint : {true, false}) {
+  {
     EadrlConfig cfg = FastConfig();
     cfg.max_episodes = 3;
-    cfg.best_checkpoint = best_checkpoint;
     EadrlCombiner combiner(cfg);
     ASSERT_TRUE(combiner.Initialize(preds, actuals).ok());
-    EXPECT_TRUE(combiner.agent()->actor_packed()) << best_checkpoint;
+    EXPECT_TRUE(combiner.agent()->actor_packed());
     const std::string path = testing::TempDir() + "/packed_policy.txt";
     ASSERT_TRUE(combiner.SavePolicy(path).ok());
     EadrlCombiner restored(cfg);
     ASSERT_TRUE(restored.LoadPolicy(path).ok());
-    EXPECT_TRUE(restored.agent()->actor_packed()) << best_checkpoint;
+    EXPECT_TRUE(restored.agent()->actor_packed());
   }
 
   EadrlConfig cfg = FastConfig();

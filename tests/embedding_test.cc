@@ -45,11 +45,5 @@ TEST(EmbeddingTest, SeriesOverload) {
   EXPECT_EQ(data->x.rows(), 2u);
 }
 
-TEST(EmbeddingTest, LastWindow) {
-  math::Vec v{1, 2, 3, 4, 5};
-  EXPECT_EQ(LastWindow(v, 3), (math::Vec{3, 4, 5}));
-  EXPECT_EQ(LastWindow(v, 5), v);
-}
-
 }  // namespace
 }  // namespace eadrl::ts

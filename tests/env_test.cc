@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/eadrl.h"
 #include "math/stats.h"
 
 namespace eadrl::rl {
@@ -138,9 +139,42 @@ TEST(EnvTest, SecondEpisodeIdenticalToFirst) {
   EXPECT_EQ(s1, s2);
 }
 
-// EnsembleEnv as it was before it cached anything: the validation stddev and
-// every member's window RMSE recomputed on each call, and Peek sliding a copy
-// of the window. EnsembleEnv must match it bit for bit.
+// A constant validation segment has stddev 0, which EadrlCombiner::Initialize
+// stores as 1.0 for the online stage. Training must scale its states the
+// same way: members 1e-3 apart give a window stddev below 0.1, so a floor of
+// 0.1 x 0 would standardize by the window's own spread and blow the states
+// up by a factor of ~100 against the ones the deployed policy sees.
+TEST(EnvTest, ConstantActualsScaleStatesLikeTheOnlineStage) {
+  constexpr size_t kOmega = 5;
+  constexpr size_t kMembers = 3;
+  const math::Vec actuals(12, 3.0);
+  math::Matrix preds(12, kMembers);
+  for (size_t t = 0; t < 12; ++t) {
+    for (size_t i = 0; i < kMembers; ++i) {
+      preds(t, i) = 3.0 + 1e-3 * static_cast<double>(i + t % 3);
+    }
+  }
+  EnsembleEnv env(preds, actuals, kOmega, RewardType::kRank);
+  const math::Vec state = env.Reset();
+
+  core::OnlineState online;  // what Initialize seeds, before any Predict.
+  online.state_std = 1.0;
+  for (size_t t = 0; t < kOmega; ++t) {
+    double s = 0.0;
+    for (size_t i = 0; i < kMembers; ++i) s += preds(t, i);
+    online.window.push_back(s / static_cast<double>(kMembers));
+  }
+  const math::Vec online_state = core::OnlineStateVec(online);
+  ASSERT_EQ(state.size(), online_state.size());
+  for (size_t k = 0; k < state.size(); ++k) {
+    EXPECT_EQ(state[k], online_state[k]) << "k=" << k;
+  }
+}
+
+// EnsembleEnv as it was before it cached anything: the validation stddev
+// (1.0 for a constant segment) and every member's window RMSE recomputed on
+// each call, and Peek sliding a copy of the window. EnsembleEnv must match it
+// bit for bit.
 class UncachedEnv {
  public:
   UncachedEnv(math::Matrix predictions, math::Vec actuals, size_t omega,
@@ -250,6 +284,7 @@ class UncachedEnv {
     for (double v : window) var += (v - mean) * (v - mean);
     var /= static_cast<double>(window.size());
     double global_sd = math::Stddev(actuals_);
+    if (global_sd <= 1e-12) global_sd = 1.0;
     double sd = std::max(std::sqrt(var), 0.1 * global_sd);
     if (sd <= 1e-12) sd = 1.0;
     math::Vec s(window.begin(), window.end());

@@ -35,15 +35,6 @@ TEST(GeneratorKitTest, Ar1NoiseIsAutocorrelated) {
   EXPECT_LT(std::fabs(math::Autocorrelation(white, 1)), 0.1);
 }
 
-TEST(GeneratorKitTest, RandomWalkVarianceGrows) {
-  Rng rng(2);
-  math::Vec w = RandomWalk(1000, 1.0, rng);
-  double early = 0.0, late = 0.0;
-  for (size_t i = 0; i < 100; ++i) early += w[i] * w[i];
-  for (size_t i = 900; i < 1000; ++i) late += w[i] * w[i];
-  EXPECT_GT(late, early);
-}
-
 TEST(GeneratorKitTest, GeometricRandomWalkStaysPositive) {
   Rng rng(3);
   math::Vec p = GeometricRandomWalk(2000, 100.0, 0.0, 0.01, 0.9, rng);

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -101,15 +102,37 @@ TEST_F(IoTest, ErrorsOnEmptyFile) {
   EXPECT_FALSE(LoadCsv(path, CsvOptions{}).ok());
 }
 
+// Every value comes back bit for bit, the ones that need more than the
+// stream's default 6 significant digits included.
 TEST_F(IoTest, SaveLoadRoundTrip) {
   std::string path = TempPath("roundtrip.csv");
-  Series original("series-x", {1.25, -3.5, 0.0, 42.0});
+  Series original("series-x", {1.25, -3.5, 0.0, 42.0, 1.2345678901,
+                               98765.4321, 1e-300});
   ASSERT_TRUE(SaveCsv(original, path).ok());
   CsvOptions opt;
   opt.skip_rows = 1;  // SaveCsv writes the name as a header.
   auto loaded = LoadCsv(path, opt);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->values(), original.values());
+  ASSERT_EQ(loaded->size(), original.size());
+  for (size_t i = 0; i < original.size(); ++i) {
+    EXPECT_TRUE((*loaded)[i] == original[i])
+        << "value " << i << ": " << (*loaded)[i];
+  }
+}
+
+// A value LoadCsv would refuse is refused at the save, before the file is
+// created.
+TEST_F(IoTest, SaveRefusesNonFiniteValues) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    std::string path = TempPath("nonfinite.csv");
+    std::remove(path.c_str());
+    Series series("bad", {1.0, bad, 2.0});
+    Status status = SaveCsv(series, path);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_FALSE(std::ifstream(path).good()) << bad;
+  }
 }
 
 }  // namespace

@@ -31,34 +31,5 @@ TEST(MetricsTest, NrmseConstantActualFallsBackToRmse) {
   EXPECT_DOUBLE_EQ(Nrmse(a, p), Rmse(a, p));
 }
 
-TEST(MetricsTest, MaeKnownValue) {
-  math::Vec a{1, 2, 3};
-  math::Vec p{2, 2, 1};
-  EXPECT_DOUBLE_EQ(Mae(a, p), 1.0);
-}
-
-TEST(MetricsTest, SmapeBounds) {
-  math::Vec a{1, 1};
-  math::Vec p{1, 1};
-  EXPECT_DOUBLE_EQ(Smape(a, p), 0.0);
-  // Opposite signs give the maximum of 2.
-  EXPECT_NEAR(Smape({1.0}, {-1.0}), 2.0, 1e-12);
-}
-
-TEST(MetricsTest, MaseOneForNaivePerformance) {
-  // If prediction error equals the naive in-sample MAE, MASE = 1.
-  math::Vec train{0, 1, 2, 3};  // naive MAE = 1.
-  math::Vec actual{10, 10};
-  math::Vec pred{11, 9};
-  EXPECT_NEAR(Mase(train, actual, pred), 1.0, 1e-12);
-}
-
-TEST(MetricsTest, MaseBelowOneBeatsNaive) {
-  math::Vec train{0, 1, 2, 3};
-  math::Vec actual{10, 10};
-  math::Vec pred{10.1, 9.9};
-  EXPECT_LT(Mase(train, actual, pred), 1.0);
-}
-
 }  // namespace
 }  // namespace eadrl::ts

@@ -20,27 +20,6 @@ TEST(NaiveTest, RejectsEmpty) {
   EXPECT_FALSE(model.Fit(ts::Series("x", {})).ok());
 }
 
-TEST(SeasonalNaiveTest, PredictsValueOneSeasonAgo) {
-  SeasonalNaiveForecaster model(3);
-  ASSERT_TRUE(model.Fit(ts::Series("x", {1, 2, 3, 4, 5, 6})).ok());
-  // Last period is {4, 5, 6}; the next forecast repeats 4.
-  EXPECT_DOUBLE_EQ(model.PredictNext(), 4.0);
-  model.Observe(7.0);
-  EXPECT_DOUBLE_EQ(model.PredictNext(), 5.0);
-  model.Observe(8.0);
-  model.Observe(9.0);
-  EXPECT_DOUBLE_EQ(model.PredictNext(), 7.0);
-}
-
-TEST(SeasonalNaiveTest, RejectsSeriesShorterThanPeriod) {
-  SeasonalNaiveForecaster model(10);
-  EXPECT_FALSE(model.Fit(ts::Series("x", {1, 2, 3})).ok());
-}
-
-TEST(SeasonalNaiveTest, NameIncludesPeriod) {
-  EXPECT_EQ(SeasonalNaiveForecaster(24).name(), "snaive(24)");
-}
-
 TEST(RollingForecastTest, ProducesOnePredictionPerStep) {
   NaiveForecaster model;
   ASSERT_TRUE(model.Fit(ts::Series("x", {10.0})).ok());

@@ -94,17 +94,5 @@ TEST(LossTest, MseValueAndGradient) {
   EXPECT_DOUBLE_EQ(r.grad[1], 2.0);
 }
 
-TEST(LossTest, HuberQuadraticInside) {
-  LossResult r = HuberLoss({0.5}, {0.0}, 1.0);
-  EXPECT_DOUBLE_EQ(r.value, 0.125);
-  EXPECT_DOUBLE_EQ(r.grad[0], 0.5);
-}
-
-TEST(LossTest, HuberLinearOutside) {
-  LossResult r = HuberLoss({3.0}, {0.0}, 1.0);
-  EXPECT_DOUBLE_EQ(r.value, 2.5);
-  EXPECT_DOUBLE_EQ(r.grad[0], 1.0);
-}
-
 }  // namespace
 }  // namespace eadrl::nn

@@ -14,8 +14,7 @@ namespace eadrl::nn {
 namespace {
 
 // Minimizes f(w) = (w - 3)^2 with gradient 2(w - 3).
-template <typename Opt>
-double Minimize(Opt& opt, int steps) {
+double Minimize(Adam& opt, int steps) {
   Param w(1, 1);
   w.value(0, 0) = 0.0;
   opt.Register({&w});
@@ -24,16 +23,6 @@ double Minimize(Opt& opt, int steps) {
     opt.StepAndZero();
   }
   return w.value(0, 0);
-}
-
-TEST(SgdTest, ConvergesOnQuadratic) {
-  Sgd opt(0.1);
-  EXPECT_NEAR(Minimize(opt, 200), 3.0, 1e-6);
-}
-
-TEST(SgdTest, MomentumConverges) {
-  Sgd opt(0.05, 0.9);
-  EXPECT_NEAR(Minimize(opt, 400), 3.0, 1e-4);
 }
 
 TEST(AdamTest, ConvergesOnQuadratic) {
@@ -61,19 +50,6 @@ TEST(AdamTest, FirstStepHasLearningRateMagnitude) {
   opt.Register({&w});
   opt.Step();
   EXPECT_NEAR(w.value(0, 0), -0.01, 1e-6);
-}
-
-TEST(SgdTest, MultipleParamsUpdatedIndependently) {
-  Param a(1, 1), b(1, 1);
-  a.value(0, 0) = 1.0;
-  b.value(0, 0) = -1.0;
-  a.grad(0, 0) = 1.0;
-  b.grad(0, 0) = -1.0;
-  Sgd opt(0.5);
-  opt.Register({&a, &b});
-  opt.Step();
-  EXPECT_DOUBLE_EQ(a.value(0, 0), 0.5);
-  EXPECT_DOUBLE_EQ(b.value(0, 0), -0.5);
 }
 
 // Adam::Step against the scalar per-element formula (subnormal flush

@@ -133,7 +133,7 @@ TEST(ObsIntegrationTest, TrainingAndOnlineSpansCarryTheirFields) {
     EXPECT_GT(Num(e, "explore_prob"), 0.0);
     EXPECT_GT(Num(e, "replay_size"), 0.0);
     EXPECT_TRUE(std::isfinite(Num(e, "critic_loss")));
-    EXPECT_LE(Num(e, "eval_score"), 0.0);  // best_checkpoint defaults on.
+    EXPECT_LE(Num(e, "eval_score"), 0.0);  // every episode is evaluated.
   }
 
   ASSERT_GE(spans["checkpoint"].size(), 1u);  // the first eval is a best.

@@ -150,17 +150,6 @@ TEST(ParallelMapTest, PreservesIndexOrder) {
   }
 }
 
-TEST(TaskSeedTest, DeterministicAndOrderFree) {
-  // Same (base, index) always gives the same seed; different indices and
-  // bases give different seeds (splitmix64 is a bijection-based mix).
-  EXPECT_EQ(TaskSeed(42, 7), TaskSeed(42, 7));
-  std::vector<uint64_t> seeds;
-  for (uint64_t i = 0; i < 100; ++i) seeds.push_back(TaskSeed(42, i));
-  std::sort(seeds.begin(), seeds.end());
-  EXPECT_EQ(std::unique(seeds.begin(), seeds.end()), seeds.end());
-  EXPECT_NE(TaskSeed(1, 0), TaskSeed(2, 0));
-}
-
 TEST(TaskGroupTest, CompletionRacingGroupDestructionIsSafe) {
   // Regression for a use-after-free: the last task's completion signal used
   // to touch the group's mutex/cv after decrementing the count, racing a

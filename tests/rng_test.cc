@@ -76,16 +76,6 @@ TEST(RngTest, SampleWithoutReplacementFullSet) {
   EXPECT_EQ(unique.size(), 8u);
 }
 
-TEST(RngTest, ForkIsIndependentButDeterministic) {
-  Rng a(42);
-  Rng fork1 = a.Fork();
-  Rng b(42);
-  Rng fork2 = b.Fork();
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_DOUBLE_EQ(fork1.Uniform(), fork2.Uniform());
-  }
-}
-
 TEST(RngTest, BernoulliExtremes) {
   Rng rng(1);
   for (int i = 0; i < 100; ++i) {

@@ -7,37 +7,6 @@
 namespace eadrl::ts {
 namespace {
 
-TEST(MinMaxScalerTest, MapsToUnitInterval) {
-  MinMaxScaler s;
-  s.Fit({10, 20, 30});
-  EXPECT_DOUBLE_EQ(s.Transform(10), 0.0);
-  EXPECT_DOUBLE_EQ(s.Transform(30), 1.0);
-  EXPECT_DOUBLE_EQ(s.Transform(20), 0.5);
-}
-
-TEST(MinMaxScalerTest, RoundTrip) {
-  MinMaxScaler s;
-  s.Fit({-5, 0, 15});
-  for (double x : {-5.0, 0.0, 7.3, 15.0, 20.0}) {
-    EXPECT_NEAR(s.Inverse(s.Transform(x)), x, 1e-12);
-  }
-}
-
-TEST(MinMaxScalerTest, ConstantInputMapsToHalf) {
-  MinMaxScaler s;
-  s.Fit({4, 4, 4});
-  EXPECT_DOUBLE_EQ(s.Transform(4), 0.5);
-}
-
-TEST(MinMaxScalerTest, VectorOverloads) {
-  MinMaxScaler s;
-  s.Fit({0, 10});
-  math::Vec t = s.Transform(math::Vec{0, 5, 10});
-  EXPECT_EQ(t, (math::Vec{0.0, 0.5, 1.0}));
-  math::Vec back = s.Inverse(t);
-  EXPECT_EQ(back, (math::Vec{0.0, 5.0, 10.0}));
-}
-
 TEST(StandardScalerTest, ZeroMeanUnitVariance) {
   StandardScaler s;
   math::Vec v{1, 2, 3, 4, 5};

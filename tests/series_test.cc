@@ -29,15 +29,6 @@ TEST(SeriesTest, SliceEmptyRange) {
   EXPECT_EQ(s.Slice(1, 1).size(), 0u);
 }
 
-TEST(SeriesTest, DiffComputesFirstDifferences) {
-  Series s("test", {1, 4, 9, 16});
-  Series d = s.Diff();
-  EXPECT_EQ(d.size(), 3u);
-  EXPECT_DOUBLE_EQ(d[0], 3.0);
-  EXPECT_DOUBLE_EQ(d[1], 5.0);
-  EXPECT_DOUBLE_EQ(d[2], 7.0);
-}
-
 TEST(SeriesTest, PushBack) {
   Series s("test", {1.0});
   s.PushBack(2.0);

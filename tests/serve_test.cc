@@ -25,6 +25,7 @@
 #include "math/vec.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/replay.h"
 #include "serve/service.h"
 #include "ts/datasets.h"
 #include "ts/scaler.h"
@@ -443,6 +444,41 @@ TEST(ForecastServiceTest, LruEvictionAtCapacity) {
   const serve::ServeStats stats = service.Stats();
   EXPECT_EQ(stats.evictions_lru, 1u);
   EXPECT_EQ(stats.sessions, 2u);
+}
+
+// More tenants than the session cap: the replay recreates each session the
+// LRU evicted, with the tenant's own scaler, and completes every request.
+// The observes of predicts whose session was evicted before they completed
+// are counted, not lost.
+TEST(ForecastServiceTest, ReplayRecreatesLruEvictedSessions) {
+  serve::ServeConfig config = ManualConfig();
+  config.shards = 4;
+  config.max_sessions = 4;
+  serve::ForecastService service(config);
+  const size_t policy_id = service.RegisterPolicy(NewCombiner());
+  serve::ReplayOptions options;
+  options.tenants = 16;
+  options.requests = 200;
+  options.target_qps = 1e6;
+  options.policy_id = policy_id;
+  const auto& pool = GetTrained().pool;
+  StatusOr<serve::ReplayReport> report = serve::RunOpenLoopReplay(
+      &service, pool.test_preds, pool.test_actuals, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->submitted, 200u);
+  EXPECT_EQ(report->accepted, 200u);
+  EXPECT_EQ(report->predict_shed, 0u);
+  EXPECT_GT(report->sessions_recreated, 0u);
+  EXPECT_LE(report->sessions, 4u);
+  const serve::ServeStats stats = service.Stats();
+  EXPECT_GT(stats.evictions_lru, 0u);
+  EXPECT_EQ(stats.sessions_created, 16u + report->sessions_recreated);
+  EXPECT_EQ(stats.predicts, 200u);
+  // Every completed predict fed one observe, which either completed or found
+  // its session gone.
+  EXPECT_EQ(stats.observes + report->observe_evicted + report->observe_shed,
+            200u);
+  EXPECT_GT(report->observe_evicted, 0u);
 }
 
 TEST(ForecastServiceTest, TtlEvictionSweepsIdleSessions) {

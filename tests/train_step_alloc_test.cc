@@ -7,7 +7,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <new>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -62,15 +61,13 @@ void Fill(Rows* rows, Rng& rng) {
   for (double& v : rows->next_state) v = rng.Normal(0.0, 1.0);
 }
 
-class WarmTrainStep
-    : public ::testing::TestWithParam<std::tuple<CriticForm, SamplingStrategy>> {
-};
+class WarmTrainStep : public ::testing::TestWithParam<SamplingStrategy> {};
 
 // One training step's replay traffic on a full 5 000-row ring — nine Adds,
 // one Sample into a warm minibatch — then the DDPG update, at the paper's
 // agent shape: after three warm-up steps, it makes no heap allocation.
 TEST_P(WarmTrainStep, AddSampleAndUpdateAllocateNothing) {
-  const auto [critic_form, strategy] = GetParam();
+  const SamplingStrategy strategy = GetParam();
   ReplayBuffer buffer(5000);
   Rng rng(3);
   Rows rows;
@@ -82,7 +79,6 @@ TEST_P(WarmTrainStep, AddSampleAndUpdateAllocateNothing) {
   DdpgConfig cfg;
   cfg.state_dim = 10;
   cfg.action_dim = 43;
-  cfg.critic_form = critic_form;
   DdpgAgent agent(cfg);
   Minibatch batch;
   std::vector<Rows> step_rows(9);
@@ -109,12 +105,9 @@ TEST_P(WarmTrainStep, AddSampleAndUpdateAllocateNothing) {
   EXPECT_EQ(buffer.size(), 5000u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    CriticsAndStrategies, WarmTrainStep,
-    ::testing::Combine(::testing::Values(CriticForm::kLinearInAction,
-                                         CriticForm::kMonolithic),
-                       ::testing::Values(SamplingStrategy::kMedianSplit,
-                                         SamplingStrategy::kUniform)));
+INSTANTIATE_TEST_SUITE_P(Strategies, WarmTrainStep,
+                         ::testing::Values(SamplingStrategy::kMedianSplit,
+                                           SamplingStrategy::kUniform));
 
 }  // namespace
 }  // namespace eadrl::rl

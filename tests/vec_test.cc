@@ -21,13 +21,6 @@ TEST(VecTest, ElementwiseOps) {
   EXPECT_EQ(Add(a, b), (Vec{4, 7}));
   EXPECT_EQ(Sub(b, a), (Vec{2, 3}));
   EXPECT_EQ(Scale(a, 2.0), (Vec{2, 4}));
-  EXPECT_EQ(Hadamard(a, b), (Vec{3, 10}));
-}
-
-TEST(VecTest, Axpy) {
-  Vec y{1, 1, 1};
-  Axpy(2.0, {1, 2, 3}, &y);
-  EXPECT_EQ(y, (Vec{3, 5, 7}));
 }
 
 TEST(VecTest, SoftmaxSumsToOne) {
@@ -42,18 +35,6 @@ TEST(VecTest, SoftmaxNumericallyStableForLargeInputs) {
   Vec p = Softmax({1000.0, 1000.0, 999.0});
   EXPECT_TRUE(std::isfinite(p[0]));
   EXPECT_NEAR(p[0], p[1], 1e-12);
-}
-
-TEST(VecTest, NormalizeToSimplexClipsNegatives) {
-  Vec w = NormalizeToSimplex({-1.0, 1.0, 3.0});
-  EXPECT_DOUBLE_EQ(w[0], 0.0);
-  EXPECT_NEAR(w[1] + w[2], 1.0, 1e-12);
-  EXPECT_NEAR(w[2], 0.75, 1e-12);
-}
-
-TEST(VecTest, NormalizeToSimplexUniformFallback) {
-  Vec w = NormalizeToSimplex({-1.0, -2.0, 0.0});
-  for (double v : w) EXPECT_NEAR(v, 1.0 / 3.0, 1e-12);
 }
 
 TEST(VecTest, ProjectToSimplexAlreadyOnSimplex) {

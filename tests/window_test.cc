@@ -206,65 +206,6 @@ TEST(HistogramSnapshotTest, PlainHistogramExactSmallParity) {
   }
 }
 
-TEST(HistogramSnapshotTest, MergeIsAssociativeOnDerivedStats) {
-  eadrl::Rng rng(19);
-  // Histogram holds atomics (no move), so three named instances.
-  const std::vector<double> bounds = Histogram::ExponentialBounds(0.01, 2.0, 12);
-  Histogram ha(bounds);
-  Histogram hb(bounds);
-  Histogram hc(bounds);
-  Histogram* hists[] = {&ha, &hb, &hc};
-  std::vector<double> all;
-  for (int h = 0; h < 3; ++h) {
-    for (int i = 0; i < 30; ++i) {
-      const double v = rng.Uniform() * (h + 1);
-      all.push_back(v);
-      hists[h]->Observe(v);
-    }
-  }
-  const HistogramSnapshot a = ha.Snapshot();
-  const HistogramSnapshot b = hb.Snapshot();
-  const HistogramSnapshot c = hc.Snapshot();
-
-  HistogramSnapshot ab_c = a;
-  ab_c.MergeFrom(b);
-  ab_c.MergeFrom(c);
-
-  HistogramSnapshot bc = b;
-  bc.MergeFrom(c);
-  HistogramSnapshot a_bc = a;
-  a_bc.MergeFrom(bc);
-
-  // 90 observations fit the exact budget, so both merge orders must agree
-  // exactly with the pooled reference on every derived statistic.
-  for (HistogramSnapshot* m : {&ab_c, &a_bc}) {
-    EXPECT_EQ(m->count, 90u);
-    ASSERT_EQ(m->samples.size(), 90u);
-    EXPECT_DOUBLE_EQ(m->min, *std::min_element(all.begin(), all.end()));
-    EXPECT_DOUBLE_EQ(m->max, *std::max_element(all.begin(), all.end()));
-    for (const double q : {0.1, 0.5, 0.99}) {
-      EXPECT_DOUBLE_EQ(m->Quantile(q), ReferenceQuantile(all, q));
-    }
-  }
-  EXPECT_DOUBLE_EQ(ab_c.sum, a_bc.sum);
-}
-
-TEST(HistogramSnapshotTest, MergePastBudgetDropsSamplesKeepsTotals) {
-  const std::vector<double> bounds = Histogram::ExponentialBounds(0.001, 2.0, 12);
-  Histogram h1(bounds);
-  Histogram h2(bounds);
-  for (int i = 0; i < 200; ++i) h1.Observe(0.001 * (i + 1));
-  for (int i = 0; i < 200; ++i) h2.Observe(0.002 * (i + 1));
-  HistogramSnapshot merged = h1.Snapshot();
-  merged.MergeFrom(h2.Snapshot());
-  EXPECT_EQ(merged.count, 400u);
-  EXPECT_TRUE(merged.samples.empty());  // 400 > kExactQuantileSamples.
-  EXPECT_NEAR(merged.sum, 0.001 * 200 * 201 / 2 + 0.002 * 200 * 201 / 2,
-              1e-9);
-  EXPECT_DOUBLE_EQ(merged.min, 0.001);
-  EXPECT_DOUBLE_EQ(merged.max, 0.4);
-}
-
 // ---------------------------------------------------------------------------
 // Cumulative == windowed over a window that covers every observation.
 // ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@
 #                    validates the exported Chrome trace (shape + span names)
 #   stage 4  serve   smoke: eadrl_serve replays Poisson traffic against the
 #                    serving layer (clean run + validated trace), then an
-#                    oversubscribed run that must shed (--expect-shed)
+#                    oversubscribed run that must shed (--expect-shed), then
+#                    a run with more tenants than the session cap (LRU
+#                    evictions, recreated sessions)
 #   stage 5  slo     smoke: a deliberately overloaded eadrl_serve run with a
 #                    sub-millisecond SLO must breach (--expect-slo-breach)
 #                    and export the breach count, and its exported
@@ -98,7 +100,8 @@ stage_serve_smoke() {
   # admission, wave and request ones). Run 2:
   # an oversubscribed replay against tiny queue/in-flight bounds must
   # exercise admission control — --expect-shed makes a shed-free run the
-  # failure.
+  # failure. Run 3: 64 tenants under a 16-session cap drive the LRU path;
+  # the replay recreates each evicted session and must exit 0.
   local serve_dir
   serve_dir="$(mktemp -d)"
   "$SRC_DIR/build-gate/tools/eadrl_serve" \
@@ -108,6 +111,9 @@ stage_serve_smoke() {
   "$SRC_DIR/build-gate/tools/eadrl_serve" \
     --tenants 64 --requests 1500 --qps 300000 --episodes 2 \
     --threads "$THREADS" --max-queue 32 --max-inflight 48 --expect-shed
+  "$SRC_DIR/build-gate/tools/eadrl_serve" \
+    --tenants 64 --max-sessions 16 --shards 4 --requests 600 --qps 20000 \
+    --episodes 2 --threads 4
   rm -rf "$serve_dir"
 }
 

@@ -436,6 +436,8 @@ int Run(const Args& args) {
               static_cast<unsigned long long>(report->predict_shed));
   std::printf("shed (observe)       %llu\n",
               static_cast<unsigned long long>(report->observe_shed));
+  std::printf("evicted (observe)    %llu\n",
+              static_cast<unsigned long long>(report->observe_evicted));
   std::printf("wall                 %.3f s\n", report->wall_seconds);
   std::printf("offered qps          %.0f\n", report->offered_qps);
   std::printf("achieved qps         %.0f\n", report->achieved_qps);
@@ -450,9 +452,11 @@ int Run(const Args& args) {
               report->MeanBatchOccupancy());
   std::printf("drift events         %llu\n",
               static_cast<unsigned long long>(report->drift_events));
-  std::printf("resident sessions    %llu (created %llu, lru %llu, ttl %llu)\n",
+  std::printf("resident sessions    %llu (created %llu, recreated %llu, "
+              "lru %llu, ttl %llu)\n",
               static_cast<unsigned long long>(stats.sessions),
               static_cast<unsigned long long>(stats.sessions_created),
+              static_cast<unsigned long long>(report->sessions_recreated),
               static_cast<unsigned long long>(stats.evictions_lru),
               static_cast<unsigned long long>(stats.evictions_ttl));
 
